@@ -8,9 +8,10 @@ from .perm import Permutation, compose, identity, inverse, parse_cycles, format_
 from .bsgs import StabilizerChain, bsgs_build, contains, group_order, orbit, stabilizer_gens
 from .actions import (GroupAction, SubdegreeProfile, coset_action,
                       is_primitive, is_transitive, subdegrees)
-from .designs import (Design, FlagReport, ParameterSet, coset_geometry,
-                      design_from_text, design_to_text, is_flag_transitive, iso_check,
-                      orbit_block_search, suzuki_design, verify_2design)
+from .designs import (Design, FlagReport, ParameterSet, SuzukiConstruction,
+                      coset_geometry, design_from_text, design_to_text,
+                      is_flag_transitive, iso_check, orbit_block_search,
+                      suzuki_construction, suzuki_design, verify_2design)
 from .families import (FamilyParams, OrbitForcing, g2_orbit_forcing, g2_params,
                        is_fermat_prime, is_mersenne_prime,
                        lemma38_block_stabilizer_order, suzuki_params)

@@ -201,20 +201,17 @@ def _cmd_design(args, out):
 
 
 def _cmd_suzuki(args, out):
-    from .designs import (block_stabilizer_order, design_to_text,
-                          is_flag_transitive, suzuki_design, verify_2design)
-    from .suzuki import suzuki_action
+    from .designs import block_stabilizer_order, design_to_text, suzuki_construction
 
-    design = suzuki_design(args.q)
-    params = verify_2design(design)
-    action = suzuki_action(args.q)
-    out.write(f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n")
-    out.write(f"group order {action.order}\n")
-    out.write(f"block stabilizer order {block_stabilizer_order(action, design)}\n")
-    out.write(f"flag-transitive: {is_flag_transitive(action, design).flag_transitive}\n")
+    built = suzuki_construction(args.q)
+    p = built.params
+    out.write(f"2-({p.v},{p.b},{p.r},{p.k},{p.lam})\n")
+    out.write(f"group order {built.action.order}\n")
+    out.write(f"block stabilizer order {block_stabilizer_order(built.action, built.design)}\n")
+    out.write(f"flag-transitive: {built.flags.flag_transitive}\n")
     if args.out:
         with open(args.out, "w") as f:
-            f.write(design_to_text(design))
+            f.write(design_to_text(built.design))
     return EXIT_OK
 
 

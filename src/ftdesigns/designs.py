@@ -4,18 +4,32 @@ Verification is exhaustive counting: block sizes, per-point replication,
 and per-pair coverage are all tallied directly, never inferred from the
 arithmetic identities.  The identities are checked afterwards against
 the counted values.
+
+The block layer works on arrays.  A block orbit is a `(b, k)` integer
+array with one sorted block per row, in the narrowest unsigned dtype
+that holds the points; a generator acts on a whole set of rows at once
+as `images[rows]`.  Rows are compared through one opaque byte key per
+row, so sorting, deduplicating and looking up blocks are numpy sorts and
+binary searches.  `Design` keeps its sorted list of tuples, which is the
+form the text format and the callers see.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
+
+import numpy as np
 
 from .actions import GroupAction, point_stabilizer_gens
 from .bsgs import StabilizerChain, bsgs_build, orbit
-from .errors import DesignError, InputError, ResourceLimitError
+from .errors import DesignError, InputError, ParseError, ResourceLimitError
+from .perm import Permutation
 
 BLOCK_ORBIT_LIMIT = 2_000_000
 SUBSET_ENUM_LIMIT = 1_000_000
+PAIR_TABLE_SIZE = 1 << 22    # pair counters held at once by verify_2design
+PAIR_CHUNK_SIZE = 1 << 20    # pair codes counted by one bincount call
 
 
 @dataclass(frozen=True)
@@ -74,45 +88,59 @@ class FlagReport:
     orbit_counts: list[int]
 
 
+# ---------------------------------------------------------------------------
+# rows of point sets
+
+
+def _point_dtype(n):
+    """Narrowest unsigned dtype that holds the points 0..n-1."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _row_keys(rows):
+    """One opaque key per row of a 2-D array; equal keys mean equal rows.
+    The keys sort in byte order, which is not the lexicographic order of
+    the rows unless the dtype has one byte."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _lookup(seen, keys):
+    """Insertion positions of `keys` in the sorted key array `seen`, and
+    whether each key is already there."""
+    pos = np.searchsorted(seen, keys)
+    hit = pos < len(seen)
+    hit[hit] = seen[pos[hit]] == keys[hit]
+    return pos, hit
+
+
 def verify_2design(design: Design) -> ParameterSet:
     """Exhaustively verify the 2-design axioms and return the counted
-    parameters.  Raises DesignError with a witness on any failure."""
+    parameters.  Raises DesignError with a witness on any failure; the
+    witness is the first failing block, point or pair in lexicographic
+    order."""
     v, blocks = design.v, design.blocks
     if v < 3 or not blocks:
         raise InputError("need v >= 3 and at least one block")
-    if len(set(blocks)) != len(blocks):
-        dup = next(b for i, b in enumerate(blocks) if b in blocks[:i])
+    dup = next((a for a, b in zip(blocks, blocks[1:]) if a == b), None)
+    if dup is not None:
         raise DesignError(f"repeated block {dup}", witness=dup)
     k = len(blocks[0])
-    for b in blocks:
-        if len(b) != k:
-            raise DesignError(
-                f"not k-uniform: block sizes {k} and {len(b)}",
-                witness=(blocks[0], b))
-    r_count = [0] * v
-    pair_count = {}
-    for b in blocks:
-        for x in b:
-            r_count[x] += 1
-        for pr in combinations(b, 2):
-            pair_count[pr] = pair_count.get(pr, 0) + 1
-    r = r_count[0]
-    for x, rx in enumerate(r_count):
-        if rx != r:
-            raise DesignError(
-                f"replication not constant: r({0})={r}, r({x})={rx}",
-                witness=(0, x))
-    if len(pair_count) != v * (v - 1) // 2:
-        missing = next(pr for pr in combinations(range(v), 2) if pr not in pair_count)
-        raise DesignError(f"pair {missing} lies in no block", witness=missing)
-    lam_values = set(pair_count.values())
-    if len(lam_values) != 1:
-        lam0 = pair_count[(0, 1)] if (0, 1) in pair_count else None
-        bad = next(pr for pr, c in pair_count.items() if c != lam0)
+    odd = next((b for b in blocks if len(b) != k), None)
+    if odd is not None:
         raise DesignError(
-            f"pair coverage not constant: {bad} lies in {pair_count[bad]} blocks",
-            witness=bad)
-    params = ParameterSet(v, len(blocks), r, k, lam_values.pop())
+            f"not k-uniform: block sizes {k} and {len(odd)}",
+            witness=(blocks[0], odd))
+    rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), k)
+    r_count = np.bincount(rows.ravel(), minlength=v)
+    r = int(r_count[0])
+    off = np.flatnonzero(r_count != r)
+    if off.size:
+        x = int(off[0])
+        raise DesignError(
+            f"replication not constant: r(0)={r}, r({x})={int(r_count[x])}",
+            witness=(0, x))
+    params = ParameterSet(v, len(blocks), r, k, _pair_coverage(rows, v))
     # counted values must satisfy the arithmetic identities
     if params.r * (params.k - 1) != params.lam * (params.v - 1):
         raise DesignError(f"counted parameters violate r(k-1)=lambda(v-1): {params}")
@@ -121,27 +149,125 @@ def verify_2design(design: Design) -> ParameterSet:
     return params
 
 
-def set_orbit(gens, base_set, limit=BLOCK_ORBIT_LIMIT):
-    """Orbit of a point set under the generated group, as sorted tuples
-    in breadth-first order.  None of the callers tolerate an unbounded
-    blowup, so the limit is enforced."""
-    start = tuple(sorted(base_set))
-    out = [start]
-    seen = {start}
-    q = 0
-    while q < len(out):
-        s = out[q]
-        q += 1
-        for g in gens:
-            img = g.images
-            t = tuple(sorted(int(img[x]) for x in s))
-            if t not in seen:
-                if len(out) >= limit:
-                    raise ResourceLimitError(
-                        f"block orbit exceeds limit {limit}")
-                seen.add(t)
-                out.append(t)
-    return out
+def _pair_coverage(rows, v):
+    """The number of blocks on each point pair, if it is constant.
+
+    Each pair x < y of a block is counted under the code x*v + y.  The
+    counters cover a band of first points x at a time, so at most
+    PAIR_TABLE_SIZE of them are held, and the codes are made a chunk of
+    blocks at a time.  An uncovered pair is reported before an unevenly
+    covered one, each the first in lexicographic order."""
+    b, k = rows.shape
+    first, second = np.triu_indices(k, 1)
+    chunk = max(1, PAIR_CHUNK_SIZE // max(len(first), 1))
+    band = max(1, PAIR_TABLE_SIZE // v)
+    lam = uneven = None
+    for x0 in range(0, v - 1, band):
+        x1 = min(x0 + band, v - 1)
+        counts = np.zeros((x1 - x0) * v, dtype=np.int64)
+        for s in range(0, b, chunk):
+            part = rows[s:s + chunk]
+            xs, ys = part[:, first].ravel(), part[:, second].ravel()
+            if x0 > 0 or x1 < v - 1:
+                inside = (xs >= x0) & (xs < x1)
+                xs, ys = xs[inside], ys[inside]
+            counts += np.bincount((xs - x0) * v + ys, minlength=len(counts))
+        counts = counts.reshape(x1 - x0, v)
+        upper = np.arange(v)[None, :] > np.arange(x0, x1)[:, None]
+        missing = np.flatnonzero(upper & (counts == 0))
+        if missing.size:
+            x, y = divmod(int(missing[0]), v)
+            pair = (x0 + x, y)
+            raise DesignError(f"pair {pair} lies in no block", witness=pair)
+        if lam is None:
+            lam = int(counts[0, 1])
+        if uneven is None:
+            off = np.flatnonzero(upper & (counts != lam))
+            if off.size:
+                x, y = divmod(int(off[0]), v)
+                uneven = ((x0 + x, y), int(counts[x, y]))
+    if uneven is not None:
+        pair, c = uneven
+        raise DesignError(
+            f"pair coverage not constant: {pair} lies in {c} blocks", witness=pair)
+    return lam
+
+
+def set_orbit(gens, base_set, limit=BLOCK_ORBIT_LIMIT) -> np.ndarray:
+    """Orbit of a point set under the generated group, as a `(b, k)`
+    array of sorted rows in the narrowest unsigned dtype that holds the
+    points.
+
+    The orbit grows in breadth-first layers: row 0 is the sorted base
+    set, and each later layer holds, in key order, the images of the
+    layer before it that were not reached earlier.  Every generator acts
+    on a whole layer at once.  None of the callers tolerate an unbounded
+    blowup, so ResourceLimitError is raised as soon as the orbit would
+    exceed `limit` rows."""
+    base = sorted(base_set)
+    n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
+    images = [g.images.astype(_point_dtype(n)) for g in gens]
+    frontier = np.array([base], dtype=_point_dtype(n))
+    layers = [frontier]
+    seen = _row_keys(frontier)
+    size = 1
+    while images and len(frontier):
+        cand = np.sort(np.concatenate([img[frontier] for img in images]), axis=1)
+        keys, first = np.unique(_row_keys(cand), return_index=True)
+        pos, hit = _lookup(seen, keys)
+        fresh = ~hit
+        size += int(fresh.sum())
+        if size > limit:
+            raise ResourceLimitError(f"block orbit exceeds limit {limit}")
+        frontier = cand[first[fresh]]
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        layers.append(frontier)
+    return np.concatenate(layers)
+
+
+def _stabilized_orbit(gens, base, limit=BLOCK_ORBIT_LIMIT):
+    """Orbit of the point set `base` with the order of its points kept,
+    and the positions of `base` that its set stabilizer fixes.
+
+    Row i is u_i(base) point by point, for the product u_i of generators
+    on the breadth-first path to it.  When generator g maps row i onto the
+    set of an earlier row m, u_m^-1 g u_i stabilizes `base` and sends
+    position j to the position of g(row_i[j]) in row m.  The orbit is
+    complete, so by Schreier's lemma these elements generate the set
+    stabilizer, and a position they all fix is fixed by all of it."""
+    dtype = _point_dtype(max(g.degree for g in gens))
+    images = [g.images.astype(dtype) for g in gens]
+    k = len(base)
+    frontier = np.array([base], dtype=dtype)
+    layers = [frontier]
+    seen = _row_keys(np.sort(frontier, axis=1))
+    row_of = np.zeros(1, dtype=np.int64)     # row index of each key in `seen`
+    fixed = np.ones(k, dtype=bool)
+    size = 1
+    while len(frontier):
+        cand = np.concatenate([img[frontier] for img in images])
+        cand_keys = _row_keys(np.sort(cand, axis=1))
+        keys, first = np.unique(cand_keys, return_index=True)
+        pos, hit = _lookup(seen, keys)
+        fresh = ~hit
+        n_new = int(fresh.sum())
+        if size + n_new > limit:
+            raise ResourceLimitError(f"block orbit exceeds limit {limit}")
+        frontier = cand[first[fresh]]
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        row_of = np.insert(row_of, pos[fresh], np.arange(size, size + n_new))
+        layers.append(frontier)
+        size += n_new
+        # every image except the one that first reached a row gives a
+        # Schreier generator
+        repeat = np.ones(len(cand), dtype=bool)
+        repeat[first[fresh]] = False
+        src = cand[repeat]
+        dst = np.concatenate(layers)[row_of[np.searchsorted(seen, cand_keys[repeat])]]
+        moves = np.empty(src.shape, dtype=np.intp)
+        np.put_along_axis(moves, np.argsort(src, axis=1), np.argsort(dst, axis=1), axis=1)
+        fixed &= (moves == np.arange(k)).all(axis=0)
+    return np.concatenate(layers), np.flatnonzero(fixed)
 
 
 def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens,
@@ -162,7 +288,7 @@ def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens,
         raise InputError(
             f"|K|={k_order} is not a multiple of the base block size {len(base_block)}")
     blocks = set_orbit(point_action.generators, base_block, limit)
-    return Design(point_action.degree, blocks)
+    return Design(point_action.degree, blocks.tolist())
 
 
 def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
@@ -174,114 +300,154 @@ def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
 def orbit_block_search(A: GroupAction, k: int, target: ParameterSet,
                        limit=SUBSET_ENUM_LIMIT) -> list[Design]:
     """All A-orbits of k-subsets that verify as 2-designs with the target
-    parameters, by exhaustive enumeration of k-subsets."""
-    from math import comb
-
-    total = comb(A.degree, k)
+    parameters, by exhaustive enumeration of k-subsets.  Orbits are
+    started from the first k-subset in lexicographic order not yet
+    reached; reached subsets are marked by their colex rank, the sum of
+    C(c_i, i) over the sorted points c_1 < ... < c_k."""
+    n = A.degree
+    total = comb(n, k)
     if total > limit:
         raise ResourceLimitError(
-            f"C({A.degree},{k}) = {total} exceeds the enumeration bound {limit}; "
+            f"C({n},{k}) = {total} exceeds the enumeration bound {limit}; "
             "use coset_geometry with explicit block-stabilizer generators")
+    binom = np.array([[comb(x, i) for i in range(1, k + 1)] for x in range(n)],
+                     dtype=np.int64).reshape(n, k)
+    columns = np.arange(k)
+
+    def colex_rank(rows):
+        return binom[rows, columns].sum(axis=1)
+
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                          dtype=_point_dtype(n), count=total * k).reshape(total, k)
+    lex_rank = colex_rank(subsets)
+    reached = np.zeros(total, dtype=bool)
     found = []
-    seen = set()
-    for subset in combinations(range(A.degree), k):
-        if subset in seen:
-            continue
-        ob = set_orbit(A.generators, subset)
-        seen.update(ob)
+    start = 0
+    while True:
+        todo = np.flatnonzero(~reached[lex_rank[start:]])
+        if not todo.size:
+            return found
+        start += int(todo[0])
+        ob = set_orbit(A.generators, subsets[start].tolist())
+        reached[colex_rank(ob)] = True
         if len(ob) != target.b:
             continue
-        design = Design(A.degree, ob)
+        design = Design(n, ob.tolist())
         try:
             params = verify_2design(design)
         except DesignError:
             continue
         if params == target:
             found.append(design)
-    return found
 
 
 def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     """Point-transitivity plus transitivity of the point stabilizer on the
     blocks through the point."""
-    block_set = design.block_set()
+    k = len(design.blocks[0]) if design.blocks else 0
+    if any(len(b) != k for b in design.blocks):
+        raise InputError("flag-transitivity needs blocks of one size")
+    dtype = _point_dtype(max(A.degree, design.v))
+    rows = np.array(design.blocks, dtype=dtype).reshape(-1, k)
+    keys = np.sort(_row_keys(rows))
     for g in A.generators:
-        img = g.images
-        for b in design.blocks:
-            t = tuple(sorted(int(img[x]) for x in b))
-            if t not in block_set:
-                raise InputError(
-                    f"generator {g!r} maps block {b} outside the design")
+        _, hit = _lookup(keys, _row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
+        if not hit.all():
+            b = design.blocks[int(np.flatnonzero(~hit)[0])]
+            raise InputError(
+                f"generator {g!r} maps block {b} outside the design")
     from .actions import is_transitive
 
     if not is_transitive(A):
         return FlagReport(False, 0, [])
     alpha = 0
-    through = [b for b in design.blocks if alpha in b]
-    stab = point_stabilizer_gens(A, alpha)
-    seen = set()
+    through = rows[(rows == alpha).any(axis=1)]
+    through_keys = _row_keys(through)
+    order = np.argsort(through_keys)
+    # the point stabilizer permutes the blocks through alpha
+    stab = [Permutation(order[np.searchsorted(
+                through_keys[order],
+                _row_keys(np.sort(g.images.astype(dtype)[through], axis=1)))])
+            for g in point_stabilizer_gens(A, alpha)]
+    reached = np.zeros(len(through), dtype=bool)
     orbit_counts = []
-    for b in through:
-        if b in seen:
-            continue
-        ob = set_orbit(stab, b)
-        ob = [t for t in ob if alpha in t]
-        seen.update(ob)
-        orbit_counts.append(len(ob))
+    for i in range(len(through)):
+        if not reached[i]:
+            ob = orbit(stab, i, len(through))
+            reached[ob] = True
+            orbit_counts.append(len(ob))
     return FlagReport(len(orbit_counts) == 1, len(through), orbit_counts)
 
 
-def suzuki_design(q: int) -> Design:
-    """The ovoid design 2-(q^2+1, q, q-1): each block is a circle with
-    its distinguished point removed, the distinguished point being the
-    unique one whose removal leaves a block with orbit length q(q^2+1)."""
-    from sympy import isprime
+@dataclass
+class SuzukiConstruction:
+    """The ovoid design together with what its construction verified."""
 
+    action: GroupAction
+    design: Design
+    params: ParameterSet
+    flags: FlagReport
+
+
+def suzuki_construction(q: int) -> SuzukiConstruction:
+    """Build and verify the ovoid design 2-(q^2+1, q(q^2+1), q^2, q, q-1)
+    under Sz(q) on the ovoid.
+
+    Each block is a circle with its distinguished point removed.  The
+    circles are computed as one breadth-first orbit of the first circle;
+    the distinguished point is the one point of that circle fixed by
+    every Schreier generator of its stabilizer, so its punctured circle
+    is the one whose orbit has length q(q^2+1), one block per circle.
+    q is checked for its shape, for q-1 prime and for the block count
+    before anything is built."""
+    from .families import suzuki_params
     from .suzuki import circles, ovoid_points, suzuki_action
 
-    if not isprime(q - 1):
+    expected = suzuki_params(q)
+    if not expected.condition_holds:
         raise InputError(f"q-1 = {q - 1} is not (Mersenne) prime")
+    if expected.params.b > BLOCK_ORBIT_LIMIT:
+        raise ResourceLimitError(
+            f"q={q} gives {expected.params.b} blocks, more than the block orbit "
+            f"limit {BLOCK_ORBIT_LIMIT}")
     act = suzuki_action(q)
-    ov = ovoid_points(q)
-    circ = circles(q, ov)
-    b_expected = q * (q * q + 1)
+    circ = np.array(circles(q, ovoid_points(q)), dtype=_point_dtype(act.degree))
 
-    # the circles form one orbit, so the selection transports from one circle
-    circle_orbit = set_orbit(act.generators, circ[0])
-    if sorted(circle_orbit) != circ:
+    rows, fixed = _stabilized_orbit(act.generators, circ[0])
+    if not np.array_equal(np.sort(_row_keys(np.sort(rows, axis=1))),
+                          np.sort(_row_keys(circ))):
         raise DesignError("circle set is not a single orbit")
-
-    good = []
-    for p in circ[0]:
-        candidate = tuple(x for x in circ[0] if x != p)
-        try:
-            ob = set_orbit(act.generators, candidate, limit=b_expected + 1)
-        except ResourceLimitError:
-            continue
-        if len(ob) == b_expected:
-            good.append(ob)
-    if len(good) != 1:
+    if len(fixed) != 1:
         raise DesignError(
-            f"expected exactly one distinguished point per circle, found {len(good)}")
-    design = Design(act.degree, good[0])
+            f"expected exactly one distinguished point per circle, found {len(fixed)}")
+    blocks = np.delete(rows, fixed[0], axis=1)
+    design = Design(act.degree, blocks.tolist())
 
     params = verify_2design(design)
-    if params.astuple() != (q * q + 1, b_expected, q * q, q, q - 1):
+    if params != expected.params:
         raise DesignError(f"unexpected parameters {params}")
     report = is_flag_transitive(act, design)
     if not report.flag_transitive:
         raise DesignError("ovoid design is not flag-transitive under Sz(q)")
-    # every block lies in a unique circle and omits exactly one of its points
-    by_pair = {}
-    for ci, c in enumerate(circ):
-        for pr in combinations(c, 2):
-            by_pair.setdefault(pr, []).append(ci)
-    for blk in design.blocks:
-        hosts = [ci for ci in by_pair[(blk[0], blk[1])]
-                 if set(blk) <= set(circ[ci])]
-        if len(hosts) != 1 or len(set(circ[hosts[0]]) - set(blk)) != 1:
-            raise DesignError(f"block {blk} not a once-punctured circle")
-    return design
+    # the base block lies in a unique circle and omits exactly one of its
+    # points; the group permutes both the blocks and the circles
+    # transitively, so this holds for every block
+    member = np.zeros(act.degree, dtype=bool)
+    member[blocks[0]] = True
+    meets = member[circ].sum(axis=1)
+    hosts = np.flatnonzero(meets >= 3)
+    if len(hosts) != 1 or meets[hosts[0]] != q:
+        raise DesignError(
+            f"block {tuple(sorted(blocks[0].tolist()))} not a once-punctured circle")
+    return SuzukiConstruction(act, design, params, report)
+
+
+def suzuki_design(q: int) -> Design:
+    """The ovoid design 2-(q^2+1, q, q-1): each block is a circle with its
+    distinguished point removed, the one point of the circle that every
+    Schreier generator of the circle's stabilizer fixes.  Built and
+    verified by `suzuki_construction`."""
+    return suzuki_construction(q).design
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +542,28 @@ def design_to_text(design: Design) -> str:
 
 
 def design_from_text(text: str) -> Design:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("v "):
-        raise InputError("design text must start with a `v <n>` line")
-    v = int(lines[0].split()[1])
+    """Parse the text form of `design_to_text`.  Malformed text raises
+    ParseError with the number of the offending line."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != "v":
+        raise ParseError("design text must start with a `v <n>` line",
+                         line=lines[0][0] if lines else None)
+    v = _parse_int(lines[0][1][1], lines[0][0])
     blocks = []
-    for ln in lines[1:]:
-        blocks.append(tuple(int(tok) - 1 for tok in ln.split()))
+    for no, tokens in lines[1:]:
+        block = [_parse_int(tok, no) - 1 for tok in tokens]
+        outside = next((x + 1 for x in block if not 0 <= x < v), None)
+        if outside is not None:
+            raise ParseError(f"point {outside} outside 1..{v}", line=no)
+        if len(set(block)) != len(block):
+            raise ParseError("a point is repeated in the block", line=no)
+        blocks.append(tuple(block))
     return Design(v, blocks)
+
+
+def _parse_int(token, line):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"not an integer: {token!r}", line=line) from None

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .designs import ParameterSet
 from .errors import InputError
 
@@ -18,6 +16,8 @@ def is_mersenne_prime(m: int) -> bool:
         raise InputError("argument must be positive")
     if m & (m + 1):  # not of the form 2^p - 1
         return False
+    from sympy import isprime  # sympy takes most of the package's import time
+
     return bool(isprime(m))
 
 
@@ -31,6 +31,8 @@ def is_fermat_prime(m: int) -> bool:
     t = e.bit_length() - 1
     if t & (t - 1) and t != 1:  # exponent itself must be a power of two
         return False
+    from sympy import isprime
+
     return bool(isprime(m))
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -49,6 +50,32 @@ def test_design_verify_bad_file(tmp_path):
     bad.write_text("v 5\n1 2 3\n1 2 4\n")
     code, _ = call("design", "verify", "--in", str(bad))
     assert code == 3
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 12\n1 2 3 4 5 6\n1 2 x 4 5 6\n", "error: line 3: not an integer: 'x'\n"),
+    ("v 12\n1 2 3 4 5 13\n", "error: line 2: point 13 outside 1..12\n"),
+    ("v twelve\n1 2 3\n", "error: line 1: not an integer: 'twelve'\n"),
+    ("v 12\n\n1 2 2 4 5 6\n", "error: line 3: a point is repeated in the block\n"),
+], ids=["token", "range", "header", "repeat"])
+def test_design_verify_malformed_file(tmp_path, capsys, text, message):
+    bad = tmp_path / "malformed.design"
+    bad.write_text(text)
+    code, out = call("design", "verify", "--in", str(bad))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("q,message", [
+    ("128", "error: q=128 gives 2097280 blocks, more than the block orbit limit 2000000\n"),
+    ("2", "error: q=2 is not an odd power 2^(2a+1) >= 8\n"),
+], ids=["too-large", "shape"])
+def test_suzuki_build_rejects_q_up_front(capsys, q, message):
+    start = time.perf_counter()
+    code, out = call("suzuki", "build", "--q", q)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == message
+    assert time.perf_counter() - start < 10
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -172,7 +172,7 @@ def test_circles_single_orbit(suzuki8):
 
     act, _ = suzuki8
     circ = circles(8)
-    assert sorted(set_orbit(act.generators, circ[0])) == circ
+    assert sorted(map(tuple, set_orbit(act.generators, circ[0]).tolist())) == circ
 
 
 def test_export_csv_headers():
