@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ftdesigns.actions import coset_action
-from ftdesigns.bsgs import bsgs_build, orbit, stabilizer_gens
+from ftdesigns.bsgs import bsgs_build, orbit
 from ftdesigns.groupdata import parse_catalog, serialize_catalog, validate_entry
 from ftdesigns.perm import Permutation, compose, format_cycles, identity, inverse
 
@@ -128,12 +128,14 @@ ch24 = bsgs_build(m24_gens)
 assert ch24.order() == 244823040
 log("M24 built from linear-fractional + quartic maps")
 
-m23_gens24 = stabilizer_gens(ch24, INF)
+_, m23_gens24 = orbit_stabilizer(ch24.strong_generators(), INF, lambda g, x: g(x),
+                                 ch24.order() // 24, 24)
 m23_gens = [restrict(g, range(23)) for g in m23_gens24]
 ch23 = bsgs_build(m23_gens, 23)
 assert ch23.order() == 10200960
 ch23_24 = bsgs_build(m23_gens24, 24)
-m22_gens24 = stabilizer_gens(ch23_24, 22)
+_, m22_gens24 = orbit_stabilizer(ch23_24.strong_generators(), 22, lambda g, x: g(x),
+                                 ch23_24.order() // 23, 24)
 m22_gens = [restrict(g, range(22)) for g in m22_gens24]
 assert bsgs_build(m22_gens, 22).order() == 443520
 swap = element_mapping(ch24, (22, INF), (INF, 22))
@@ -357,7 +359,8 @@ def j1_perm(M):
 j1_both = [j1_perm(Ymat), j1_perm(Zmat)]
 j1_gens = [Permutation(list(g.images[:1540])) for g in j1_both]
 assert bsgs_build(j1_gens, 1540).order() == 175560
-j1_n19 = stabilizer_gens(bsgs_build(j1_gens, 1540), 0)
+_, j1_n19 = orbit_stabilizer(bsgs_build(j1_gens, 1540).strong_generators(), 0,
+                             lambda g, x: g(x), 114, 1540)
 assert bsgs_build(j1_n19, 1540).order() == 114
 _, stab_both = orbit_stabilizer(j1_both, 1540, lambda g, x: g(x), 110, 1540 + 1596)
 j1_n11 = [Permutation(list(g.images[:1540])) for g in stab_both]

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import StabilizerChain, bsgs_build, orbit_transversal
+from .bsgs import StabilizerChain, bsgs_build, orbit, stabilizer_gens
 from .errors import InputError, ResourceLimitError
-from .perm import Permutation, compose, inverse
+from .perm import Permutation
 
 COSET_INDEX_LIMIT = 100_000
 
@@ -65,8 +65,7 @@ class SubdegreeProfile:
         return sum(l * m for l, m in self.entries)
 
     def lengths(self):
-        return [l for l, _ in self.entries for _ in range(_)] if False else [
-            l for l, m in self.entries for _ in range(m)]
+        return [l for l, m in self.entries for _ in range(m)]
 
     def __str__(self):
         return " ".join(f"{l}^{m}" for l, m in self.entries)
@@ -78,10 +77,6 @@ class SubdegreeProfile:
             l, m = tok.split("^")
             entries.append((int(l), int(m)))
         return cls(entries)
-
-
-def _natural_base_chain(gens, degree):
-    return bsgs_build(gens, degree, base_hint=range(degree))
 
 
 def _canonical_rep(hchain, images):
@@ -105,7 +100,7 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action",
         if h not in G:
             raise InputError("H is not a subgroup of G: generator outside G")
     degree = G.degree
-    hchain = _natural_base_chain(H_gens, degree)
+    hchain = bsgs_build(H_gens, degree, base_hint=range(degree))
     index = G.order() // hchain.order()
     if index > limit:
         raise ResourceLimitError(f"coset index {index} exceeds limit {limit}")
@@ -136,15 +131,13 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action",
                             for r in _reps])
 
     action_gens = [Permutation(img) for img in images]
-    order = bsgs_build(action_gens, index).order() if index > 1 else 1
-    act = GroupAction(name, index, action_gens, order, _hom=hom)
-    return act
+    chain = bsgs_build(action_gens, index, base_hint=[0])
+    return GroupAction(name, index, action_gens, chain.order(), _hom=hom, _chain=chain)
 
 
 def is_transitive(A: GroupAction) -> bool:
     if A.degree < 1:
         raise InputError("degree must be at least 1")
-    from .bsgs import orbit
     return len(orbit(A.generators, 0, A.degree)) == A.degree
 
 
@@ -191,27 +184,10 @@ def is_primitive(A: GroupAction) -> bool:
 
 
 def point_stabilizer_gens(A: GroupAction, point: int):
-    """Reduced Schreier generators of the stabilizer of a point of A."""
-    pts, transversal = orbit_transversal(A.generators, point, A.degree)
-    if len(pts) != A.degree:
+    """Strong generators of the stabilizer of a point of a transitive A."""
+    if not is_transitive(A):
         raise InputError("action is not transitive")
-    target = A.order // A.degree
-    if target == 1:
-        return []
-    out = []
-    sub = None
-    for x in pts:
-        ux = transversal[x]
-        for g in A.generators:
-            y = g(x)
-            s = compose(compose(ux, g), inverse(transversal[y]))
-            if s.is_identity() or (sub is not None and s in sub):
-                continue
-            out.append(s)
-            sub = bsgs_build(out, A.degree)
-            if sub.order() == target:
-                return out
-    raise AssertionError("orbit-stabilizer accounting failed")
+    return stabilizer_gens(A.chain, point)
 
 
 def subdegrees(A: GroupAction, base_point: int = 0) -> SubdegreeProfile:
@@ -219,22 +195,11 @@ def subdegrees(A: GroupAction, base_point: int = 0) -> SubdegreeProfile:
     if not is_transitive(A):
         raise InputError("subdegrees are defined for transitive actions only")
     stab = point_stabilizer_gens(A, base_point)
-    images = [g.images for g in stab]
-    seen = [False] * A.degree
+    seen = np.zeros(A.degree, dtype=bool)
     counts = {}
     for p in range(A.degree):
-        if seen[p]:
-            continue
-        orb = [p]
-        seen[p] = True
-        q = 0
-        while q < len(orb):
-            x = orb[q]
-            q += 1
-            for img in images:
-                y = int(img[x])
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-        counts[len(orb)] = counts.get(len(orb), 0) + 1
+        if not seen[p]:
+            orb = orbit(stab, p, A.degree)
+            seen[orb] = True
+            counts[len(orb)] = counts.get(len(orb), 0) + 1
     return SubdegreeProfile(sorted(counts.items()))

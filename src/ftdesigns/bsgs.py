@@ -8,8 +8,6 @@ thousand points).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InputError
 from .perm import Permutation, compose, identity, inverse
 
@@ -31,18 +29,8 @@ class _Level:
 
     def rebuild(self, degree):
         """Breadth-first orbit of the base point; u_x maps point -> x."""
-        self.orbit = [self.point]
-        self.transversal = {self.point: identity(degree)}
-        queue = 0
-        while queue < len(self.orbit):
-            x = self.orbit[queue]
-            queue += 1
-            ux = self.transversal[x]
-            for g in self.gens:
-                y = g(x)
-                if y not in self.transversal:
-                    self.transversal[y] = compose(ux, g)
-                    self.orbit.append(y)
+        self.orbit = self.transversal = None  # free the old tree first
+        self.orbit, self.transversal = orbit_transversal(self.gens, self.point, degree)
 
 
 class StabilizerChain:
@@ -258,33 +246,14 @@ def orbit_transversal(gens, point, degree):
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):
-    """Reduced Schreier generators of the stabilizer of a point.
-
-    Schreier generators are accumulated into a fresh chain until the
-    orbit-stabilizer order |G| / |orbit| is reached, so the returned
-    list is small.  Deterministic.
-    """
+    """Strong generators of the stabilizer of a point: the second level
+    of a chain whose base starts at the point.  A chain with another
+    first base point is rebuilt once with the point as base hint."""
     if not 0 <= point < chain.degree:
         raise InputError(f"point {point} out of range for degree {chain.degree}")
-    gens = chain.strong_generators()
-    pts, transversal = orbit_transversal(gens, point, chain.degree)
-    target = chain.order() // len(pts)
-    out = []
-    sub = StabilizerChain(chain.degree)
-    if target == 1:
-        return out
-    for x in pts:
-        ux = transversal[x]
-        for g in gens:
-            y = g(x)
-            schreier = compose(compose(ux, g), inverse(transversal[y]))
-            if schreier.is_identity() or schreier in sub:
-                continue
-            out.append(schreier)
-            sub = bsgs_build(out, chain.degree)
-            if sub.order() == target:
-                return out
-    raise AssertionError("orbit-stabilizer accounting failed")  # unreachable
+    if chain.base[:1] != [point]:
+        chain = bsgs_build(chain.strong_generators(), chain.degree, base_hint=[point])
+    return list(chain.levels[1].gens) if len(chain.levels) > 1 else []
 
 
 def element_closure(gens, degree=None, limit=2_000_000):

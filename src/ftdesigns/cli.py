@@ -61,8 +61,6 @@ def _build_parser():
                         help="require gcd(r, lambda) = 1 instead of lambda | r")
         sp.add_argument("--defer-fisher", action="store_true",
                         help="drop the lambda*v < r^2 cut during enumeration")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for subdegree profiles")
 
     p_design = sub.add_parser("design", help="construct and verify designs")
     design_sub = p_design.add_subparsers(dest="subcommand", required=True)
@@ -136,7 +134,7 @@ def _cmd_search(args, out):
     elif args.subcommand == "report":
         text = emit_report(records, fmt=args.format)
     else:
-        profiles = compute_profiles(threads=args.threads)
+        profiles = compute_profiles()
         filtered = run_filters(records, profiles=profiles)
         text = emit_eliminated(filtered, fmt=args.format)
     out.write(text)

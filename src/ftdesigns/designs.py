@@ -550,6 +550,8 @@ def design_from_text(text: str) -> Design:
         raise ParseError("design text must start with a `v <n>` line",
                          line=lines[0][0] if lines else None)
     v = _parse_int(lines[0][1][1], lines[0][0])
+    if v < 3:
+        raise ParseError(f"a 2-design needs v >= 3, not {v}", line=lines[0][0])
     blocks = []
     for no, tokens in lines[1:]:
         block = [_parse_int(tok, no) - 1 for tok in tokens]
@@ -559,6 +561,8 @@ def design_from_text(text: str) -> Design:
         if len(set(block)) != len(block):
             raise ParseError("a point is repeated in the block", line=no)
         blocks.append(tuple(block))
+    if not blocks:
+        raise ParseError("the design has no blocks")
     return Design(v, blocks)
 
 

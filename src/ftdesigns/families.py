@@ -36,6 +36,14 @@ def is_fermat_prime(m: int) -> bool:
     return bool(isprime(m))
 
 
+def _log2_even_q(q: int) -> int:
+    """log2 q, for q a power of two with q >= 4; InputError otherwise."""
+    f = q.bit_length() - 1
+    if q < 4 or (1 << f) != q:
+        raise InputError(f"q={q} must be a power of two, q >= 4")
+    return f
+
+
 @dataclass
 class FamilyParams:
     family: str
@@ -61,8 +69,7 @@ def suzuki_params(q: int) -> FamilyParams:
 
 def g2_params(q: int) -> FamilyParams:
     """Even-q family: (q^3(q^3-1)/2, (q+1)(q^6-1), (q+1)(q^3+1), q^3/2, q+1)."""
-    if q < 4 or q % 2:
-        raise InputError(f"q={q} must be even and at least 4")
+    _log2_even_q(q)
     lam = q + 1
     params = ParameterSet(q**3 * (q**3 - 1) // 2, lam * (q**6 - 1),
                           lam * (q**3 + 1), q**3 // 2, lam)
@@ -88,8 +95,7 @@ def g2_orbit_forcing(q: int) -> OrbitForcing:
     every 1-design having b_j = (q+1)(q^3+1) blocks, the counting
     relations force k_j = q^2 except k_{q/2} = q^2-1, with r_j = q+1
     throughout."""
-    if q < 4 or q % 2:
-        raise InputError(f"q={q} must be even and at least 4")
+    _log2_even_q(q)
     half = q // 2
     lengths = [q * q * (q**3 + 1)] * (half - 1) + [(q * q - 1) * (q**3 + 1)]
     b_j = (q + 1) * (q**3 + 1)
@@ -125,9 +131,7 @@ def lemma38_block_stabilizer_order(q: int, f1: int) -> int:
 
     Non-integrality would signal infeasibility; for lambda = q+1 the
     factor q^2-1 = (q-1)(q+1) always absorbs it."""
-    f = q.bit_length() - 1
-    if q < 4 or (1 << f) != q:
-        raise InputError(f"q={q} must be a power of two, q >= 4")
+    f = _log2_even_q(q)
     if f1 < 1 or f % f1:
         raise InputError(f"f1={f1} must divide log2(q)={f}")
     lam = q + 1

@@ -24,6 +24,7 @@ bound.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -55,6 +56,17 @@ class CatalogEntry:
         raise InputError(f"no subgroup {name!r} under {self.name}")
 
 
+@contextmanager
+def _malformed_as_parse_error(raw, lineno):
+    """Turn a short or non-numeric line into a ParseError at its line."""
+    try:
+        yield
+    except (ParseError, InputError):
+        raise
+    except (IndexError, ValueError):
+        raise ParseError(f"malformed line: {raw.strip()!r}", lineno) from None
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     names = set()
@@ -66,7 +78,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             continue
         tokens = line.split()
         kind = tokens[0]
-        try:
+        with _malformed_as_parse_error(raw, lineno):
             if kind == "group":
                 if entry is not None:
                     raise ParseError("nested group block", lineno)
@@ -107,10 +119,6 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                     raise ParseError("stray end", lineno)
             else:
                 raise ParseError(f"unknown directive {kind!r}", lineno)
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, (ParseError, InputError)):
-                raise
-            raise ParseError(f"malformed line: {raw.strip()!r}", lineno) from None
     if entry is not None or sub is not None:
         raise ParseError("unterminated block at end of input")
     return entries
@@ -208,24 +216,29 @@ def parse_orders(text: str) -> list[OrdersRecord]:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "group":
-            if cur is not None:
-                raise ParseError("nested group block", lineno)
-            cur = OrdersRecord(tokens[1], int(tokens[3]), [])
-        elif tokens[0] == "max":
-            if cur is None or tokens[3] != "order":
-                raise ParseError("max line outside group", lineno)
-            order = int(tokens[4])
-            if cur.order % order:
-                raise InputError(
-                    f"{cur.name}: subgroup order {order} does not divide {cur.order}")
-            cur.maximals.append(MaximalSubgroup(
-                int(tokens[1]), tokens[2], order, cur.order <= order**3))
-        elif tokens[0] == "end":
-            records.append(cur)
-            cur = None
-        else:
-            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
+        with _malformed_as_parse_error(raw, lineno):
+            if tokens[0] == "group":
+                if cur is not None:
+                    raise ParseError("nested group block", lineno)
+                if tokens[2] != "order":
+                    raise ParseError("malformed group header", lineno)
+                cur = OrdersRecord(tokens[1], int(tokens[3]), [])
+            elif tokens[0] == "max":
+                if cur is None or tokens[3] != "order":
+                    raise ParseError("max line outside group", lineno)
+                nr, order = int(tokens[1]), int(tokens[4])
+                if order < 1 or cur.order % order:
+                    raise InputError(
+                        f"{cur.name}: subgroup order {order} does not divide {cur.order}")
+                cur.maximals.append(MaximalSubgroup(
+                    nr, tokens[2], order, cur.order <= order**3))
+            elif tokens[0] == "end":
+                if cur is None:
+                    raise ParseError("stray end", lineno)
+                records.append(cur)
+                cur = None
+            else:
+                raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
     if cur is not None:
         raise ParseError("unterminated block at end of input")
     return records

@@ -40,27 +40,33 @@ class CandidateRecord:
                 self.params.b, self.params.astuple())
 
 
-def _odd_prime_divisors(n):
+def _factor_smooth(n):
+    """[(p, e), ...] with n the product of the p**e, where n must factor
+    over the fixed small-prime list (every quantity in the pipeline
+    divides a sporadic group order)."""
+    if n < 1:
+        raise InputError(f"cannot factor {n}")
     out = []
-    for p in _PRIMES:
-        if p > 2 and n % p == 0:
-            out.append(p)
-    return out
-
-
-def _divisors_of_smooth(n):
-    """Divisors of n, where n must factor over the fixed small-prime list
-    (every quantity in the pipeline divides a sporadic group order)."""
-    out = [1]
     for p in _PRIMES:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e:
-            out = [d * p**i for d in out for i in range(e + 1)]
+            out.append((p, e))
     if n != 1:
         raise InputError(f"leftover factor {n}: quantity is not smooth")
+    return out
+
+
+def _odd_prime_divisors(n):
+    return [p for p, _ in _factor_smooth(n) if p > 2]
+
+
+def _divisors_of_smooth(n):
+    out = [1]
+    for p, e in _factor_smooth(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
 
@@ -193,23 +199,13 @@ def action_for(entry_name: str, subgroup_name: str | None,
                         name=f"{entry.name} on cosets of {sub.name}")
 
 
-def compute_profiles(keys=None, threads: int = 1):
+def compute_profiles(keys=None):
     """Subdegree profiles for the bundled actions, keyed by
-    (group, subgroup, nr).  Deterministic regardless of thread count."""
-    wanted = sorted(PROFILE_SOURCES if keys is None else keys)
-
-    def one(key):
-        entry_name, sub_name, sub_nr = PROFILE_SOURCES[key]
-        return key, subdegrees(action_for(entry_name, sub_name, sub_nr))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, wanted))
-    else:
-        results = [one(k) for k in wanted]
-    return dict(results)
+    (group, subgroup, nr)."""
+    profiles = {}
+    for key in sorted(PROFILE_SOURCES if keys is None else keys):
+        profiles[key] = subdegrees(action_for(*PROFILE_SOURCES[key]))
+    return profiles
 
 
 def run_filters(records, table=None, profiles=None):

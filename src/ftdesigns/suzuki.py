@@ -129,7 +129,7 @@ def suzuki_action(q: int) -> GroupAction:
             img.append(index[w])
         gens.append(Permutation(img))
 
-    chain = bsgs_build(gens, len(ov.points))
+    chain = bsgs_build(gens, len(ov.points), base_hint=[0])
     expected = q * q * (q * q + 1) * (q - 1)
     if chain.order() != expected:
         raise ConstructionError(

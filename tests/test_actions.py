@@ -1,7 +1,8 @@
 import pytest
 
 from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
-                               is_primitive, is_transitive, subdegrees)
+                               is_primitive, is_transitive, point_stabilizer_gens,
+                               subdegrees)
 from ftdesigns.bsgs import bsgs_build, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.perm import parse_cycles
@@ -66,6 +67,17 @@ def test_index_times_subgroup_order(catalog):
     for sub in entry.subgroups:
         act = coset_action(chain, sub.generators)
         assert act.degree * sub.order == chain.order()
+
+
+@pytest.mark.parametrize("which", ["m11_action12", "suzuki8"])
+def test_point_stabilizer_generators_fix_the_point(request, which):
+    act = request.getfixturevalue(which)
+    if which == "suzuki8":
+        act = act[0]
+    for pt in range(act.degree):
+        stab = point_stabilizer_gens(act, pt)
+        assert all(g(pt) == pt for g in stab), pt
+        assert bsgs_build(stab, act.degree).order() * act.degree == act.order, pt
 
 
 def test_is_transitive():

@@ -148,6 +148,7 @@ def test_orbit_stabilizer_identity():
         chain = bsgs_build(gens, degree)
         for pt in range(degree):
             stab = stabilizer_gens(chain, pt)
+            assert all(g(pt) == pt for g in stab), (name, pt)
             stab_order = bsgs_build(stab, degree).order() if stab else 1
             assert len(orbit(gens, pt, degree)) * stab_order == chain.order()
 

@@ -57,7 +57,9 @@ def test_design_verify_bad_file(tmp_path):
     ("v 12\n1 2 3 4 5 13\n", "error: line 2: point 13 outside 1..12\n"),
     ("v twelve\n1 2 3\n", "error: line 1: not an integer: 'twelve'\n"),
     ("v 12\n\n1 2 2 4 5 6\n", "error: line 3: a point is repeated in the block\n"),
-], ids=["token", "range", "header", "repeat"])
+    ("v 2\n1 2\n", "error: line 1: a 2-design needs v >= 3, not 2\n"),
+    ("v 5\n", "error: the design has no blocks\n"),
+], ids=["token", "range", "header", "repeat", "small-v", "no-blocks"])
 def test_design_verify_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "malformed.design"
     bad.write_text(text)
@@ -105,9 +107,12 @@ def test_family_outputs():
     assert "stabilizer-order(f1=1) 12288" in out
 
 
-def test_family_rejects_bad_q():
-    code, _ = call("family", "g2", "--q", "5")
-    assert code == 1
+def test_family_rejects_bad_q(capsys):
+    for command in ("g2", "g2-forcing"):
+        for q in ("5", "6"):
+            code, out = call("family", command, "--q", q)
+            assert (code, out) == (1, ""), (command, q)
+            assert capsys.readouterr().err == f"error: q={q} must be a power of two, q >= 4\n"
 
 
 def test_catalog_validate_bundled():
@@ -170,5 +175,5 @@ def test_help_lists_all_flags():
         [sys.executable, "-m", "ftdesigns.cli", "search", "run", "--help"],
         capture_output=True, text=True, env=monkey_env)
     for flag in ["--golden", "--format", "--include-lambda-2", "--coprime-mode",
-                 "--defer-fisher", "--threads"]:
+                 "--defer-fisher"]:
         assert flag in proc.stdout

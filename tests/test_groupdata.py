@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftdesigns.errors import InputError, ParseError
 from ftdesigns.groupdata import (catalog_entry, load_catalog, orders_table,
@@ -131,6 +132,39 @@ def test_subgroup_orders_divide():
 def test_orders_reject_nondividing():
     with pytest.raises(InputError):
         parse_orders("group X order 10\nmax 1 Y order 3\nend\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("group X\n", 1),
+    ("group X order ten\nend\n", 1),
+    ("group X order 10\nmax 1 A\nend\n", 2),
+    ("group X order 10\nmax one A order 5\nend\n", 2),
+    ("group X order 10\nmax 1 A order five\nend\n", 2),
+    ("group X order 10\nend\nend\n", 3),
+], ids=["group-short", "group-order", "max-short", "max-nr", "max-order", "stray-end"])
+def test_orders_short_or_non_numeric_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_orders(text)
+    assert err.value.line == line
+
+
+# Tokens of both formats, so that the fuzzed text reaches past the
+# first directive; numbers stay small so that no degree allocates much.
+_TOKENS = st.sampled_from(["group", "degree", "order", "max", "subgroup", "nr",
+                           "gen", "end", "#", "0", "1", "3", "-2", "x", "(1,2)",
+                           "(1,2,3)", "()", "(1,", "(4,4)"])
+_LINES = st.lists(_TOKENS, max_size=7).map(" ".join)
+_TEXTS = st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_parsers_raise_only_parse_or_input_errors(text):
+    for parse in (parse_orders, parse_catalog):
+        try:
+            parse(text)
+        except (ParseError, InputError):
+            pass
 
 
 def test_catalog_orders_agree_with_orders_table():

@@ -35,6 +35,16 @@ def test_enumerate_rejects_non_divisor():
         enumerate_parameters(100, 7, [3])
 
 
+def test_factorisation_rejects_values_not_smooth():
+    from ftdesigns.pipeline import _divisors_of_smooth, _odd_prime_divisors
+
+    assert _odd_prime_divisors(2**4 * 3**2 * 5 * 73) == [3, 5, 73]
+    assert _divisors_of_smooth(12) == [1, 2, 3, 4, 6, 12]
+    for fn in (_odd_prime_divisors, _divisors_of_smooth):
+        with pytest.raises(InputError, match="leftover factor 79"):
+            fn(3 * 79)
+
+
 def test_enumerate_output_is_set_like():
     # iteration order of divisors must not matter: results are sorted
     a = enumerate_parameters(10200960, 40320, [3, 5, 7, 11, 23])
