@@ -11,10 +11,10 @@ from itertools import combinations
 
 from ftdesigns.designs import (block_stabilizer_order, is_flag_transitive,
                                suzuki_design, verify_2design)
-from ftdesigns.gfield import field_make
+from ftdesigns.gfield import GF
 from ftdesigns.suzuki import circles, ovoid_points, suzuki_action
 
-f = field_make(3)
+f = GF(3)
 print("GF(8) with x^3 = x + 1:")
 print("  powers of x:", [f.pow(2, i) for i in range(8)])
 

@@ -190,11 +190,12 @@ def point_stabilizer_gens(A: GroupAction, point: int):
     return stabilizer_gens(A.chain, point)
 
 
-def subdegrees(A: GroupAction, base_point: int = 0) -> SubdegreeProfile:
-    """Orbit lengths of the stabilizer of base_point, with multiplicities."""
+def subdegrees(A: GroupAction) -> SubdegreeProfile:
+    """Orbit lengths of a point stabilizer, with multiplicities, at the
+    first base point of A's chain (A is transitive: any point would do)."""
     if not is_transitive(A):
         raise InputError("subdegrees are defined for transitive actions only")
-    stab = point_stabilizer_gens(A, base_point)
+    stab = stabilizer_gens(A.chain, A.chain.base[0] if A.chain.base else 0)
     seen = np.zeros(A.degree, dtype=bool)
     counts = {}
     for p in range(A.degree):

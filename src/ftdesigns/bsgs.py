@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import InputError
 from .perm import Permutation, compose, identity, inverse
 
-__all__ = ["StabilizerChain", "bsgs_build", "group_order", "contains", "orbit",
+__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit",
            "stabilizer_gens", "element_closure"]
 
 
@@ -191,11 +191,6 @@ def _verify_level(chain, i):
                 chain.levels[l].rebuild(chain.degree)
             return j
     return None
-
-
-def group_order(chain: StabilizerChain) -> int:
-    """Product of the transversal sizes along the chain."""
-    return chain.order()
 
 
 def contains(chain: StabilizerChain, p: Permutation) -> bool:

@@ -257,18 +257,12 @@ def main(argv=None) -> int:
         if args.command == "family":
             return _cmd_family(args, out)
         raise AssertionError("unreachable")
-    except (ParseError,) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except (DesignError,) as exc:
+    except (ParseError, DesignError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
     except (InputError, ResourceLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
 
 
 def main_entry():

@@ -77,9 +77,6 @@ class Design:
             if b and (b[0] < 0 or b[-1] >= self.v):
                 raise InputError(f"block {b} outside point range 0..{self.v - 1}")
 
-    def block_set(self):
-        return set(self.blocks)
-
 
 @dataclass
 class FlagReport:
@@ -454,79 +451,81 @@ def suzuki_design(q: int) -> Design:
 # isomorphism testing
 
 
-def _point_invariants(design: Design):
-    """Per-point multiset of pairwise intersection sizes of incident blocks."""
-    through = [[] for _ in range(design.v)]
-    for bi, b in enumerate(design.blocks):
-        for x in b:
-            through[x].append(bi)
-    blocks = [set(b) for b in design.blocks]
-    out = []
-    for x in range(design.v):
-        profile = {}
-        incident = through[x]
-        for i, bi in enumerate(incident):
-            for bj in incident[i + 1:]:
-                s = len(blocks[bi] & blocks[bj])
-                profile[s] = profile.get(s, 0) + 1
-        out.append(tuple(sorted(profile.items())))
+def iso_check(d1: Design, d2: Design) -> bool:
+    """Whether some point bijection maps the blocks of d1 onto those of d2.
+
+    Individualisation and refinement (McKay and Piperno, 2014) on the
+    incidence of both designs at once, the points of d2 after those of d1
+    in one colour array.  Refinement gives each block the sorted colours
+    of its points and each point its colour and the sorted colours of its
+    blocks, ranked over both designs, until the number of colours stops
+    growing; a branch ends when the designs have different colour counts.
+    Then the first point of d1 in the first cell of several points gets a
+    new colour, together with each point of d2 in that cell in turn.  A
+    colouring with one point of each design per colour is a bijection,
+    accepted if it maps the blocks of d1 onto those of d2."""
+    v = d1.v
+    if d2.v != v or sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
+        return False
+    blocks = d1.blocks + d2.blocks
+    points = np.fromiter(chain.from_iterable(blocks), dtype=np.intp,
+                         count=sum(map(len, blocks)))
+    points[sum(map(len, d1.blocks)):] += v
+    block_of = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+    block_points = _padded(block_of, points, len(blocks), 2 * v)
+    point_blocks = _padded(points, block_of, 2 * v, len(blocks))
+
+    def refine(colour):
+        while True:
+            block_colour = _ranks(np.sort(np.append(colour, -1)[block_points], axis=1))
+            through = np.sort(np.append(block_colour, -1)[point_blocks], axis=1)
+            finer = _ranks(np.column_stack([colour, through]))
+            if not np.array_equal(np.sort(finer[:v]), np.sort(finer[v:])):
+                return None
+            if finer.max(initial=0) == colour.max(initial=0):
+                return finer
+            colour = finer
+
+    def individualised(colour, x, ys):
+        for y in ys:
+            split = colour.copy()
+            split[[x, y]] = colour.max() + 1
+            yield split
+
+    stack = [iter([np.zeros(2 * v, dtype=np.intp)])]
+    while stack:
+        colour = next(stack[-1], None)
+        if colour is None:
+            stack.pop()
+            continue
+        colour = refine(colour)
+        if colour is None:
+            continue
+        cells = np.flatnonzero(np.bincount(colour[:v]) > 1)
+        if cells.size:
+            x = int(np.flatnonzero(colour[:v] == cells[0])[0])
+            stack.append(individualised(colour, x, v + np.flatnonzero(colour[v:] == cells[0])))
+            continue
+        image = np.argsort(colour[v:])[colour[:v]]
+        if sorted(tuple(sorted(image[list(b)].tolist())) for b in d1.blocks) == d2.blocks:
+            return True
+    return False
+
+
+def _padded(rows_of, values, n, pad):
+    """An (n, width) array whose row i holds, in input order, the values
+    whose entry of `rows_of` is i, padded on the right with `pad`."""
+    order = np.argsort(rows_of, kind="stable")
+    rows_of, values = rows_of[order], values[order]
+    counts = np.bincount(rows_of, minlength=n)
+    out = np.full((n, max(1, counts.max(initial=0))), pad, dtype=np.intp)
+    out[rows_of, np.arange(len(rows_of)) - (np.cumsum(counts) - counts)[rows_of]] = values
     return out
 
 
-def _triple_counts(design: Design):
-    t3 = {}
-    for b in design.blocks:
-        for tr in combinations(b, 3):
-            t3[tr] = t3.get(tr, 0) + 1
-    return t3
-
-
-def iso_check(d1: Design, d2: Design) -> bool:
-    """Invariant-guided backtracking for design isomorphism."""
-    if d1.v > 100 or len(d1.blocks) > 500 or d2.v > 100 or len(d2.blocks) > 500:
-        raise ResourceLimitError("design too large for isomorphism backtracking")
-    if d1.v != d2.v or len(d1.blocks) != len(d2.blocks):
-        return False
-    if sorted(len(b) for b in d1.blocks) != sorted(len(b) for b in d2.blocks):
-        return False
-    inv1, inv2 = _point_invariants(d1), _point_invariants(d2)
-    if sorted(inv1) != sorted(inv2):
-        return False
-    t31, t32 = _triple_counts(d1), _triple_counts(d2)
-
-    def t3_of(t3, x, y, z):
-        return t3.get(tuple(sorted((x, y, z))), 0)
-
-    v = d1.v
-    image = [-1] * v
-    used = [False] * v
-
-    def extend(p):
-        if p == v:
-            mapped = {tuple(sorted(image[x] for x in b)) for b in d1.blocks}
-            return mapped == d2.block_set()
-        for q in range(v):
-            if used[q] or inv1[p] != inv2[q]:
-                continue
-            ok = True
-            for x in range(p):
-                for y in range(x + 1, p):
-                    if t3_of(t31, x, y, p) != t3_of(t32, image[x], image[y], q):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            image[p] = q
-            used[q] = True
-            if extend(p + 1):
-                return True
-            used[q] = False
-            image[p] = -1
-        return False
-
-    return extend(0)
+def _ranks(rows):
+    """Equal ranks for equal rows, and distinct ones for distinct rows."""
+    return np.unique(_row_keys(rows), return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------

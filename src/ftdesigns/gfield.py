@@ -93,8 +93,3 @@ class GF:
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly={self.poly:#b})"
-
-
-def field_make(m: int) -> GF:
-    """GF(2^m) with the table's fixed primitive polynomial."""
-    return GF(m)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .bsgs import bsgs_build, contains
@@ -204,9 +205,6 @@ class OrdersRecord:
     def large_maximals(self):
         return [m for m in self.maximals if m.large]
 
-    def maximal_indices(self):
-        return [self.order // m.order for m in self.maximals]
-
 
 def parse_orders(text: str) -> list[OrdersRecord]:
     records = []
@@ -253,13 +251,19 @@ def orders_table() -> list[OrdersRecord]:
     return parse_orders(_data_text("orders.txt"))
 
 
+@cache
+def _bundled_catalog() -> tuple[CatalogEntry, ...]:
+    return tuple(parse_catalog(_data_text("catalog.txt")))
+
+
 def load_catalog() -> list[CatalogEntry]:
-    """The bundled generator catalog."""
-    return parse_catalog(_data_text("catalog.txt"))
+    """The bundled generator catalog, parsed once per process; the
+    entries are shared between callers and must not be changed."""
+    return list(_bundled_catalog())
 
 
 def catalog_entry(name) -> CatalogEntry:
-    for e in load_catalog():
+    for e in _bundled_catalog():
         if e.name == name:
             return e
     raise InputError(f"no catalog entry {name!r}")

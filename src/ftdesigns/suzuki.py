@@ -20,7 +20,7 @@ import numpy as np
 from .actions import GroupAction
 from .bsgs import bsgs_build
 from .errors import ConstructionError, InputError
-from .gfield import GF, field_make
+from .gfield import GF
 
 
 def _check_q(q):
@@ -53,7 +53,7 @@ def normalize_point(field, coords):
 def ovoid_points(q: int) -> Ovoid:
     """The q^2+1 points of the Suzuki-Tits ovoid, sorted."""
     m = _check_q(q)
-    field = field_make(m)
+    field = GF(m)
     a = (m - 1) // 2
     sig = 1 << (a + 1)
 
@@ -76,7 +76,7 @@ def suzuki_matrices(q: int):
     """Generator matrices for Sz(q) preserving the ovoid: two unipotent
     translations, a torus generator, and the coordinate-reversing
     involution."""
-    field = field_make(_check_q(q))
+    field = GF(_check_q(q))
     sig = _sigma_exp(q)
 
     def trans(a, b):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ftdesigns.bsgs import (bsgs_build, contains, element_closure, group_order,
-                            orbit, stabilizer_gens)
+from ftdesigns.bsgs import (bsgs_build, contains, element_closure, orbit,
+                            stabilizer_gens)
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
 
@@ -43,7 +43,7 @@ def brute_order(gens, degree, rng):
 
 def test_s4_order():
     chain = bsgs_build(S4)
-    assert group_order(chain) == 24
+    assert chain.order() == 24
 
 
 def test_trivial_group_on_five_points():

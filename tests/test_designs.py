@@ -1,7 +1,9 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftdesigns.actions import GroupAction, coset_action
 from ftdesigns.bsgs import bsgs_build
@@ -9,7 +11,7 @@ from ftdesigns.designs import (Design, ParameterSet, block_stabilizer_order,
                                coset_geometry, design_from_text, design_to_text,
                                is_flag_transitive, iso_check, orbit_block_search,
                                suzuki_design, verify_2design)
-from ftdesigns.errors import DesignError, InputError, ResourceLimitError
+from ftdesigns.errors import DesignError, InputError, ParseError, ResourceLimitError
 from ftdesigns.perm import parse_cycles
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
@@ -159,12 +161,28 @@ def test_suzuki_design_rejects_non_mersenne_q():
         suzuki_design(512)
 
 
+def _relabelled(design, seed):
+    relabel = list(range(design.v))
+    random.Random(seed).shuffle(relabel)
+    return Design(design.v, [tuple(relabel[x] for x in b) for b in design.blocks])
+
+
+def _vf2_isomorphic(d1, d2):
+    """networkx VF2 on the point-block incidence graphs, as an oracle."""
+    def incidence(design):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(design.v), side="point")
+        for i, b in enumerate(design.blocks):
+            graph.add_node(("block", i), side="block")
+            graph.add_edges_from((("block", i), x) for x in b)
+        return graph
+
+    return nx.is_isomorphic(incidence(d1), incidence(d2),
+                            node_match=lambda a, b: a["side"] == b["side"])
+
+
 def test_iso_check_relabelling(m11_design):
-    rng = random.Random(5)
-    relabel = list(range(12))
-    rng.shuffle(relabel)
-    other = Design(12, [tuple(relabel[x] for x in b) for b in m11_design.blocks])
-    assert iso_check(m11_design, other)
+    assert iso_check(m11_design, _relabelled(m11_design, 5))
 
 
 def test_iso_check_different_parameters(m11_design):
@@ -180,22 +198,70 @@ def test_iso_check_complement(m11_design):
     complement = Design(12, [tuple(sorted(set(range(12)) - set(b)))
                              for b in m11_design.blocks])
     assert verify_2design(complement).astuple() == (12, 22, 11, 6, 5)
-    answer = iso_check(m11_design, complement)
-    # cross-validate against invariants: equality of point invariants is
-    # necessary for isomorphism
-    from ftdesigns.designs import _point_invariants
-
-    inv_equal = sorted(_point_invariants(m11_design)) == sorted(
-        _point_invariants(complement))
-    if not inv_equal:
-        assert answer is False
-    assert answer in (True, False)
+    assert iso_check(m11_design, complement) is _vf2_isomorphic(m11_design, complement)
 
 
-def test_iso_check_bounds():
-    big = Design(101, [tuple(range(3))])
-    with pytest.raises(ResourceLimitError):
-        iso_check(big, big)
+def test_iso_check_m22_relabelling(m22_design):
+    # S(3,6,22): the relabelling that triple counts could not decide
+    assert iso_check(m22_design, _relabelled(m22_design, 1)) is True
+
+
+def test_iso_check_hs_and_suzuki_relabellings(hs_design, suzuki8):
+    # both are larger than the old backtracker accepted (v <= 100, b <= 500)
+    for design in (hs_design, suzuki8[1]):
+        assert iso_check(design, _relabelled(design, 3)) is True
+
+
+def test_iso_check_non_isomorphic_steiner_triple_systems():
+    # PG(3,2) and Bose's STS(15) on Z5 x Z3 have the same parameters
+    pg = Design(15, {tuple(sorted((a - 1, b - 1, (a ^ b) - 1)))
+                     for a, b in combinations(range(1, 16), 2)})
+
+    def pt(x, i):
+        return 5 * i + x
+
+    bose = Design(15, [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(5)]
+                  + [(pt(x, i), pt(y, i), pt((x + y) * 3 % 5, (i + 1) % 3))
+                     for x, y in combinations(range(5), 2) for i in range(3)])
+    assert verify_2design(pg) == verify_2design(bose)
+    assert iso_check(pg, bose) is False
+
+
+def test_iso_check_backtracks_past_a_wrong_first_choice():
+    # two triangles and a hexagon, as blocks of size 2: refinement alone
+    # cannot tell a triangle point from a hexagon point
+    def cycle(points):
+        return [(a, b) for a, b in zip(points, points[1:] + points[:1])]
+
+    d1 = Design(12, cycle([0, 1, 2]) + cycle([3, 4, 5]) + cycle(list(range(6, 12))))
+    d2 = Design(12, cycle(list(range(6))) + cycle([6, 7, 8]) + cycle([9, 10, 11]))
+    assert iso_check(d1, d2) is True
+    assert iso_check(Design(6, cycle([0, 1, 2]) + cycle([3, 4, 5])),
+                     Design(6, cycle(list(range(6))))) is False
+
+
+@st.composite
+def _structure_pairs(draw):
+    """Two structures on v <= 9 points: a relabelling or an independent
+    draw, with blocks of one size or of mixed sizes."""
+    v = draw(st.integers(1, 9))
+    uniform = draw(st.booleans())
+    k = draw(st.integers(0, v))
+    block = st.lists(st.integers(0, v - 1), min_size=k if uniform else 0,
+                     max_size=k if uniform else v, unique=True)
+    n_blocks = draw(st.integers(0, 10))
+    d1 = Design(v, draw(st.lists(block, min_size=n_blocks, max_size=n_blocks)))
+    if draw(st.booleans()):
+        relabel = draw(st.permutations(range(v)))
+        return d1, Design(v, [tuple(relabel[x] for x in b) for b in d1.blocks])
+    return d1, Design(v, draw(st.lists(block, min_size=n_blocks, max_size=n_blocks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_pairs())
+def test_iso_check_agrees_with_vf2(pair):
+    d1, d2 = pair
+    assert iso_check(d1, d2) is _vf2_isomorphic(d1, d2)
 
 
 def test_design_text_round_trip(m11_design):
@@ -209,6 +275,23 @@ def test_design_text_round_trip(m11_design):
 def test_design_text_is_one_indexed():
     text = design_to_text(Design(3, [(0, 1, 2)]))
     assert text == "v 3\n1 2 3\n"
+
+
+# Tokens of the design format, so that fuzzed text reaches past the
+# `v` line; integers stay small except one too long to convert.
+_DESIGN_TOKENS = st.sampled_from(["v", "V", "0", "1", "2", "3", "5", "12", "-1",
+                                  "+4", "1.5", "x", "9" * 5000, ""])
+_DESIGN_LINES = st.lists(_DESIGN_TOKENS, max_size=6).map(" ".join)
+_DESIGN_TEXTS = st.one_of(st.text(), st.lists(_DESIGN_LINES, max_size=10).map("\n".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DESIGN_TEXTS)
+def test_design_parser_raises_only_parse_or_input_errors(text):
+    try:
+        design_from_text(text)
+    except (ParseError, InputError):
+        pass
 
 
 def test_counted_identities_on_all_designs(m11_design, m22_design, hs_design, suzuki8):

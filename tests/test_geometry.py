@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftdesigns.errors import ConstructionError, InputError
-from ftdesigns.gfield import GF, field_make
+from ftdesigns.gfield import GF
 from ftdesigns.suzuki import (circles, export_csv, normalize_point,
                               ovoid_points, suzuki_action)
 
 
 def test_gf2_is_parity():
-    f = field_make(1)
+    f = GF(1)
     assert f.add(1, 1) == 0
     assert f.mul(1, 1) == 1
 
 
 def test_gf8_generator_order():
-    f = field_make(3)
+    f = GF(3)
     x = 2  # the class of x
     powers = {f.pow(x, i) for i in range(1, 8)}
     assert len({f.pow(x, i) for i in range(7)}) == 7
@@ -24,21 +24,21 @@ def test_gf8_generator_order():
 
 
 def test_gf8_defining_relation():
-    f = field_make(3)
+    f = GF(3)
     x = 2
     assert f.mul(f.mul(x, x), x) == x ^ 1  # x^3 = x + 1
 
 
 def test_field_range_check():
     with pytest.raises(InputError):
-        field_make(0)
+        GF(0)
     with pytest.raises(InputError):
-        field_make(17)
+        GF(17)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_field_axioms_exhaustive(m):
-    f = field_make(m)
+    f = GF(m)
     els = list(f.elements())
     for a in els:
         assert f.mul(a, 1) == a
@@ -55,7 +55,7 @@ def test_field_axioms_exhaustive(m):
 @settings(max_examples=60)
 @given(st.integers(min_value=5, max_value=9), st.data())
 def test_field_axioms_random(m, data):
-    f = field_make(m)
+    f = GF(m)
     a = data.draw(st.integers(min_value=0, max_value=f.size - 1))
     b = data.draw(st.integers(min_value=0, max_value=f.size - 1))
     c = data.draw(st.integers(min_value=0, max_value=f.size - 1))
@@ -89,7 +89,7 @@ def test_ovoid_rejects_bad_q():
 
 
 def test_normalization_idempotent():
-    f = field_make(3)
+    f = GF(3)
     p = normalize_point(f, (3, 5, 1, 6))
     assert normalize_point(f, p) == p
     assert p[0] == 1

@@ -190,3 +190,10 @@ def test_catalog_v_matches_candidate_degrees(catalog):
 def test_missing_entry_raises():
     with pytest.raises(InputError):
         catalog_entry("Ru")
+
+
+def test_bundled_catalog_is_parsed_once():
+    first, second = load_catalog(), load_catalog()
+    assert first is not second    # each caller gets its own list
+    assert all(a is b for a, b in zip(first, second))
+    assert catalog_entry("M11") is next(e for e in first if e.name == "M11")
