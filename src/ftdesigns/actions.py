@@ -5,14 +5,19 @@ canonical representative of Hg is the element of Hg whose image tuple
 is lexicographically minimal; it is found by descending a stabilizer
 chain of H whose base is forced to the natural point order, so equality
 of representative image tuples is equality of cosets.
+
+Point 0 of a coset action is the coset H, and its stabilizer is the
+image of H, so subdegrees need no chain of the image.  The chain of an
+action, and so its order, is built and verified only on first use.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import StabilizerChain, bsgs_build, orbit, stabilizer_gens
+from .bsgs import StabilizerChain, bsgs_build, orbit, orbit_lengths, stabilizer_gens
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation
 
@@ -21,14 +26,16 @@ COSET_INDEX_LIMIT = 100_000
 
 @dataclass
 class GroupAction:
-    """A named generating set acting on {0..degree-1}."""
+    """A named generating set acting on {0..degree-1}.  The chain, and so
+    `order`, is built on first use.  A coset action keeps the images of
+    H's generators, which generate the stabilizer of its point 0, H."""
 
     name: str
     degree: int
     generators: list[Permutation]
-    order: int
     _hom: object = field(default=None, repr=False, compare=False)
     _chain: StabilizerChain = field(default=None, repr=False, compare=False)
+    _stabilizer: list = field(default=None, repr=False, compare=False)
 
     @classmethod
     def natural(cls, name, gens, degree=None):
@@ -37,14 +44,25 @@ class GroupAction:
             if not gens:
                 raise InputError("empty generator list needs an explicit degree")
             degree = gens[0].degree
-        chain = bsgs_build(gens, degree)
-        return cls(name, degree, gens, chain.order(), _hom=None, _chain=chain)
+        return cls(name, degree, gens)
 
     @property
     def chain(self):
         if self._chain is None:
             self._chain = bsgs_build(self.generators, self.degree)
         return self._chain
+
+    @property
+    def order(self) -> int:
+        return self.chain.order()
+
+    def base_stabilizer(self):
+        """A point and generators of its stabilizer: 0 and the images of H
+        for a coset action, else the first base point and its chain level."""
+        if self._stabilizer is not None:
+            return 0, self._stabilizer
+        point = self.chain.base[0] if self.chain.base else 0
+        return point, stabilizer_gens(self.chain, point)
 
     def image_of(self, g: Permutation) -> Permutation:
         """Image of a source-group element under this action."""
@@ -92,8 +110,7 @@ def _canonical_rep(hchain, images):
     return u
 
 
-def coset_action(G: StabilizerChain, H_gens, name="coset action",
-                 limit=COSET_INDEX_LIMIT) -> GroupAction:
+def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction:
     """Action of G on the right cosets of H = <H_gens>; point 0 is H."""
     H_gens = list(H_gens)
     for h in H_gens:
@@ -102,8 +119,8 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action",
     degree = G.degree
     hchain = bsgs_build(H_gens, degree, base_hint=range(degree))
     index = G.order() // hchain.order()
-    if index > limit:
-        raise ResourceLimitError(f"coset index {index} exceeds limit {limit}")
+    if index > COSET_INDEX_LIMIT:
+        raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
     gens = G.strong_generators()
     ident = np.arange(degree, dtype=np.int64)
@@ -130,9 +147,8 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action",
         return Permutation([_keys[_canonical_rep(_hchain, g.images[r]).tobytes()]
                             for r in _reps])
 
-    action_gens = [Permutation(img) for img in images]
-    chain = bsgs_build(action_gens, index, base_hint=[0])
-    return GroupAction(name, index, action_gens, chain.order(), _hom=hom, _chain=chain)
+    return GroupAction(name, index, [Permutation(img) for img in images], _hom=hom,
+                       _stabilizer=[hom(h) for h in H_gens])
 
 
 def is_transitive(A: GroupAction) -> bool:
@@ -192,15 +208,8 @@ def point_stabilizer_gens(A: GroupAction, point: int):
 
 def subdegrees(A: GroupAction) -> SubdegreeProfile:
     """Orbit lengths of a point stabilizer, with multiplicities, at the
-    first base point of A's chain (A is transitive: any point would do)."""
+    point of `A.base_stabilizer()` (A is transitive: any point would do)."""
     if not is_transitive(A):
         raise InputError("subdegrees are defined for transitive actions only")
-    stab = stabilizer_gens(A.chain, A.chain.base[0] if A.chain.base else 0)
-    seen = np.zeros(A.degree, dtype=bool)
-    counts = {}
-    for p in range(A.degree):
-        if not seen[p]:
-            orb = orbit(stab, p, A.degree)
-            seen[orb] = True
-            counts[len(orb)] = counts.get(len(orb), 0) + 1
-    return SubdegreeProfile(sorted(counts.items()))
+    _, stab = A.base_stabilizer()
+    return SubdegreeProfile(sorted(Counter(orbit_lengths(stab, A.degree)).items()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import InputError
 from .perm import Permutation, compose, identity, inverse
 
-__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit",
+__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbit_lengths",
            "stabilizer_gens", "element_closure"]
 
 
@@ -221,6 +221,18 @@ def orbit(gens, point, degree=None):
                 seen.add(y)
                 out.append(y)
     return out
+
+
+def orbit_lengths(gens, degree):
+    """Lengths of the orbits of the generated group on {0..degree-1}, in
+    the order of their smallest points."""
+    seen, lengths = set(), []
+    for p in range(degree):
+        if p not in seen:
+            orb = orbit(gens, p, degree)
+            seen.update(orb)
+            lengths.append(len(orb))
+    return lengths
 
 
 def orbit_transversal(gens, point, degree):

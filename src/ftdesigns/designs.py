@@ -21,8 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .actions import GroupAction, point_stabilizer_gens
-from .bsgs import StabilizerChain, bsgs_build, orbit
+from .actions import GroupAction, is_transitive
+from .bsgs import StabilizerChain, bsgs_build, orbit, orbit_lengths
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
 from .perm import Permutation
 
@@ -190,7 +190,7 @@ def _pair_coverage(rows, v):
     return lam
 
 
-def set_orbit(gens, base_set, limit=BLOCK_ORBIT_LIMIT) -> np.ndarray:
+def set_orbit(gens, base_set, limit=None) -> np.ndarray:
     """Orbit of a point set under the generated group, as a `(b, k)`
     array of sorted rows in the narrowest unsigned dtype that holds the
     points.
@@ -200,7 +200,8 @@ def set_orbit(gens, base_set, limit=BLOCK_ORBIT_LIMIT) -> np.ndarray:
     layer before it that were not reached earlier.  Every generator acts
     on a whole layer at once.  None of the callers tolerate an unbounded
     blowup, so ResourceLimitError is raised as soon as the orbit would
-    exceed `limit` rows."""
+    exceed `limit` rows (BLOCK_ORBIT_LIMIT when not given)."""
+    limit = BLOCK_ORBIT_LIMIT if limit is None else limit
     base = sorted(base_set)
     n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
     images = [g.images.astype(_point_dtype(n)) for g in gens]
@@ -222,7 +223,7 @@ def set_orbit(gens, base_set, limit=BLOCK_ORBIT_LIMIT) -> np.ndarray:
     return np.concatenate(layers)
 
 
-def _stabilized_orbit(gens, base, limit=BLOCK_ORBIT_LIMIT):
+def _stabilized_orbit(gens, base):
     """Orbit of the point set `base` with the order of its points kept,
     and the positions of `base` that its set stabilizer fixes.
 
@@ -248,8 +249,8 @@ def _stabilized_orbit(gens, base, limit=BLOCK_ORBIT_LIMIT):
         pos, hit = _lookup(seen, keys)
         fresh = ~hit
         n_new = int(fresh.sum())
-        if size + n_new > limit:
-            raise ResourceLimitError(f"block orbit exceeds limit {limit}")
+        if size + n_new > BLOCK_ORBIT_LIMIT:
+            raise ResourceLimitError(f"block orbit exceeds limit {BLOCK_ORBIT_LIMIT}")
         frontier = cand[first[fresh]]
         seen = np.insert(seen, pos[fresh], keys[fresh])
         row_of = np.insert(row_of, pos[fresh], np.arange(size, size + n_new))
@@ -267,8 +268,7 @@ def _stabilized_orbit(gens, base, limit=BLOCK_ORBIT_LIMIT):
     return np.concatenate(layers), np.flatnonzero(fixed)
 
 
-def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens,
-                   limit=BLOCK_ORBIT_LIMIT) -> Design:
+def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens) -> Design:
     """Design with base block the K-orbit of point 0 and block set its
     orbit under the point action (cosets of H against cosets of K,
     incidence by nonempty intersection)."""
@@ -284,7 +284,7 @@ def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens,
     if k_order % len(base_block):
         raise InputError(
             f"|K|={k_order} is not a multiple of the base block size {len(base_block)}")
-    blocks = set_orbit(point_action.generators, base_block, limit)
+    blocks = set_orbit(point_action.generators, base_block)
     return Design(point_action.degree, blocks.tolist())
 
 
@@ -294,8 +294,7 @@ def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
     return point_action.order // len(blocks)
 
 
-def orbit_block_search(A: GroupAction, k: int, target: ParameterSet,
-                       limit=SUBSET_ENUM_LIMIT) -> list[Design]:
+def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Design]:
     """All A-orbits of k-subsets that verify as 2-designs with the target
     parameters, by exhaustive enumeration of k-subsets.  Orbits are
     started from the first k-subset in lexicographic order not yet
@@ -303,9 +302,9 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet,
     C(c_i, i) over the sorted points c_1 < ... < c_k."""
     n = A.degree
     total = comb(n, k)
-    if total > limit:
+    if total > SUBSET_ENUM_LIMIT:
         raise ResourceLimitError(
-            f"C({n},{k}) = {total} exceeds the enumeration bound {limit}; "
+            f"C({n},{k}) = {total} exceeds the enumeration bound {SUBSET_ENUM_LIMIT}; "
             "use coset_geometry with explicit block-stabilizer generators")
     binom = np.array([[comb(x, i) for i in range(1, k + 1)] for x in range(n)],
                      dtype=np.int64).reshape(n, k)
@@ -353,11 +352,9 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
             b = design.blocks[int(np.flatnonzero(~hit)[0])]
             raise InputError(
                 f"generator {g!r} maps block {b} outside the design")
-    from .actions import is_transitive
-
     if not is_transitive(A):
         return FlagReport(False, 0, [])
-    alpha = 0
+    alpha, alpha_stab = A.base_stabilizer()
     through = rows[(rows == alpha).any(axis=1)]
     through_keys = _row_keys(through)
     order = np.argsort(through_keys)
@@ -365,14 +362,8 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     stab = [Permutation(order[np.searchsorted(
                 through_keys[order],
                 _row_keys(np.sort(g.images.astype(dtype)[through], axis=1)))])
-            for g in point_stabilizer_gens(A, alpha)]
-    reached = np.zeros(len(through), dtype=bool)
-    orbit_counts = []
-    for i in range(len(through)):
-        if not reached[i]:
-            ob = orbit(stab, i, len(through))
-            reached[ob] = True
-            orbit_counts.append(len(ob))
+            for g in alpha_stab]
+    orbit_counts = orbit_lengths(stab, len(through))
     return FlagReport(len(orbit_counts) == 1, len(through), orbit_counts)
 
 
@@ -468,12 +459,14 @@ def iso_check(d1: Design, d2: Design) -> bool:
     if d2.v != v or sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
         return False
     blocks = d1.blocks + d2.blocks
-    points = np.fromiter(chain.from_iterable(blocks), dtype=np.intp,
-                         count=sum(map(len, blocks)))
-    points[sum(map(len, d1.blocks)):] += v
-    block_of = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
-    block_points = _padded(block_of, points, len(blocks), 2 * v)
-    point_blocks = _padded(points, block_of, 2 * v, len(blocks))
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    points = np.fromiter(chain.from_iterable(blocks), dtype=_point_dtype(2 * v + 1),
+                         count=int(sizes.sum()))
+    points[int(sizes[:len(d1.blocks)].sum()):] += v
+    block_points = _padded(sizes, points, 2 * v)
+    block_of = np.repeat(np.arange(len(blocks), dtype=_point_dtype(len(blocks) + 1)),
+                         sizes)[np.argsort(points, kind="stable")]
+    point_blocks = _padded(np.bincount(points, minlength=2 * v), block_of, len(blocks))
 
     def refine(colour):
         while True:
@@ -512,14 +505,11 @@ def iso_check(d1: Design, d2: Design) -> bool:
     return False
 
 
-def _padded(rows_of, values, n, pad):
-    """An (n, width) array whose row i holds, in input order, the values
-    whose entry of `rows_of` is i, padded on the right with `pad`."""
-    order = np.argsort(rows_of, kind="stable")
-    rows_of, values = rows_of[order], values[order]
-    counts = np.bincount(rows_of, minlength=n)
-    out = np.full((n, max(1, counts.max(initial=0))), pad, dtype=np.intp)
-    out[rows_of, np.arange(len(rows_of)) - (np.cumsum(counts) - counts)[rows_of]] = values
+def _padded(counts, values, pad):
+    """Row i holds the next counts[i] of `values`, in order, padded on the
+    right with `pad`, in the dtype of `values` (which must hold `pad`)."""
+    out = np.full((len(counts), max(1, counts.max(initial=0))), pad, dtype=values.dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = values
     return out
 
 

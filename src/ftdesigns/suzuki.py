@@ -134,8 +134,7 @@ def suzuki_action(q: int) -> GroupAction:
     if chain.order() != expected:
         raise ConstructionError(
             f"induced group has order {chain.order()}, expected {expected}")
-    return GroupAction(f"Sz({q}) on ovoid", len(ov.points), gens,
-                       chain.order(), _chain=chain)
+    return GroupAction(f"Sz({q}) on ovoid", len(ov.points), gens, _chain=chain)
 
 
 def circles(q: int, ov: Ovoid | None = None) -> list[tuple[int, ...]]:
@@ -172,14 +171,3 @@ def circles(q: int, ov: Ovoid | None = None) -> list[tuple[int, ...]]:
         raise ConstructionError(f"expected {q*(q*q+1)} secant planes, got {sizes}")
     return sorted(out)
 
-
-def export_csv(q: int):
-    """Ovoid points and circles as CSV text (1-indexed point ids)."""
-    ov = ovoid_points(q)
-    circ = circles(q, ov)
-    lines = ["kind,id,data"]
-    for i, p in enumerate(ov.points, start=1):
-        lines.append(f"point,{i},{':'.join(str(c) for c in p)}")
-    for i, c in enumerate(circ, start=1):
-        lines.append(f"circle,{i},{' '.join(str(x + 1) for x in c)}")
-    return "\n".join(lines) + "\n"

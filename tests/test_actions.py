@@ -1,5 +1,6 @@
 import pytest
 
+from ftdesigns import actions
 from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
                                is_primitive, is_transitive, point_stabilizer_gens,
                                subdegrees)
@@ -34,10 +35,11 @@ def test_coset_action_rejects_non_subgroup():
         coset_action(chain, [parse_cycles("(1,2)", 4)])
 
 
-def test_coset_action_index_limit():
+def test_coset_action_index_limit(monkeypatch):
+    monkeypatch.setattr(actions, "COSET_INDEX_LIMIT", 10)
     chain = bsgs_build(S4)
     with pytest.raises(ResourceLimitError):
-        coset_action(chain, [], limit=10)
+        coset_action(chain, [])
 
 
 def test_coset_action_homomorphism_property():
@@ -69,15 +71,46 @@ def test_index_times_subgroup_order(catalog):
         assert act.degree * sub.order == chain.order()
 
 
-@pytest.mark.parametrize("which", ["m11_action12", "suzuki8"])
+@pytest.mark.parametrize("which", ["m11_action12", "hs_action176", "suzuki8"])
 def test_point_stabilizer_generators_fix_the_point(request, which):
     act = request.getfixturevalue(which)
     if which == "suzuki8":
         act = act[0]
-    for pt in range(act.degree):
-        stab = point_stabilizer_gens(act, pt)
+    inputs = [act.base_stabilizer()]
+    # point_stabilizer_gens rebuilds the chain at each point that is not
+    # its first base point: about 0.3 s a point for HS on 176 points
+    if which != "hs_action176":
+        inputs += [(pt, point_stabilizer_gens(act, pt)) for pt in range(act.degree)]
+    for pt, stab in inputs:
         assert all(g(pt) == pt for g in stab), pt
         assert bsgs_build(stab, act.degree).order() * act.degree == act.order, pt
+
+
+def test_profile_actions_build_no_extra_chain(monkeypatch):
+    # point 0 of a coset action is H, whose image generates its stabilizer,
+    # so neither the action nor its subdegrees need Schreier-Sims on the
+    # image; a natural action builds its own chain once and reads the
+    # stabilizer off it
+    from ftdesigns import bsgs
+    from ftdesigns.pipeline import PROFILE_SOURCES, action_for
+
+    degrees = []
+
+    def recording(gens, degree=None, base_hint=None, _build=bsgs.bsgs_build):
+        chain = _build(gens, degree, base_hint)
+        degrees.append(chain.degree)
+        return chain
+
+    monkeypatch.setattr(bsgs, "bsgs_build", recording)
+    monkeypatch.setattr(actions, "bsgs_build", recording)
+    for key, source in sorted(PROFILE_SOURCES.items()):
+        degrees.clear()
+        act = action_for(*source)
+        assert subdegrees(act).total() == act.degree, key
+        if source[1] is None:
+            assert degrees == [act.degree], key
+        else:
+            assert act.degree not in degrees, key
 
 
 def test_is_transitive():

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftdesigns import designs
 from ftdesigns.actions import GroupAction, coset_action
 from ftdesigns.bsgs import bsgs_build
 from ftdesigns.designs import (Design, ParameterSet, block_stabilizer_order,
@@ -106,10 +107,11 @@ def test_orbit_block_search_m22_unique(m22_design):
     assert verify_2design(m22_design).astuple() == (22, 77, 21, 6, 5)
 
 
-def test_orbit_block_search_bound():
+def test_orbit_block_search_bound(monkeypatch):
+    monkeypatch.setattr(designs, "SUBSET_ENUM_LIMIT", 3)
     act = GroupAction.natural("S4", S4)
     with pytest.raises(ResourceLimitError):
-        orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1), limit=3)
+        orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1))
 
 
 def test_flag_transitive_pairs():

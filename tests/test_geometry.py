@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ftdesigns.errors import ConstructionError, InputError
 from ftdesigns.gfield import GF
-from ftdesigns.suzuki import (circles, export_csv, normalize_point,
-                              ovoid_points, suzuki_action)
+from ftdesigns.suzuki import circles, normalize_point, ovoid_points, suzuki_action
 
 
 def test_gf2_is_parity():
@@ -173,11 +172,3 @@ def test_circles_single_orbit(suzuki8):
     act, _ = suzuki8
     circ = circles(8)
     assert sorted(map(tuple, set_orbit(act.generators, circ[0]).tolist())) == circ
-
-
-def test_export_csv_headers():
-    text = export_csv(8)
-    lines = text.splitlines()
-    assert lines[0] == "kind,id,data"
-    assert sum(1 for l in lines if l.startswith("point,")) == 65
-    assert sum(1 for l in lines if l.startswith("circle,")) == 520

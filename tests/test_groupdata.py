@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,3 +202,18 @@ def test_bundled_catalog_is_parsed_once():
     assert first is not second    # each caller gets its own list
     assert all(a is b for a, b in zip(first, second))
     assert catalog_entry("M11") is next(e for e in first if e.name == "M11")
+
+
+def test_rebuild_catalog_demo_reproduces_the_bundled_catalog():
+    # The demo derives every group and subgroup of the catalog from first
+    # principles in about 11 s on a 2-core host; the budget allows for a
+    # slower or busier machine.
+    budget_s = 120
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "rebuild_catalog.py")],
+        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=budget_s)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "identical to bundled: True" in proc.stdout
