@@ -4,7 +4,12 @@ A coset action is labelled by canonical coset representatives.  The
 canonical representative of Hg is the element of Hg whose image tuple
 is lexicographically minimal; it is found by descending a stabilizer
 chain of H whose base is forced to the natural point order, so equality
-of representative image tuples is equality of cosets.
+of representative image tuples is equality of cosets.  Representatives
+are canonicalised as rows of arrays, in batches of at most
+`_BATCH_ENTRIES` image entries, one chain level at a time: an argmin
+over the level's orbit and a gather through the chosen transversal
+element.  Cosets are enumerated breadth first, and their labels are the
+order in which they are first reached.
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
@@ -17,11 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import StabilizerChain, bsgs_build, orbit, orbit_lengths, stabilizer_gens
+from .bsgs import (StabilizerChain, bsgs_build, orbit, orbit_lengths, orbit_transversal,
+                   stabilizer_gens)
 from .errors import InputError, ResourceLimitError
-from .perm import Permutation
+from .perm import Permutation, compose, inverse, point_dtype, row_keys
 
 COSET_INDEX_LIMIT = 100_000
+# image entries canonicalised at once: bounds the (rows, degree) temporaries
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -97,17 +105,37 @@ class SubdegreeProfile:
         return cls(entries)
 
 
-def _canonical_rep(hchain, images):
-    """Minimal image-tuple representative of the coset H * (permutation
-    with the given images)."""
-    u = images
-    for lvl in hchain.levels:
-        if len(lvl.orbit) == 1:
-            continue
-        x_star = min(lvl.orbit, key=lambda x: u[x])
-        if x_star != lvl.point:
-            u = u[lvl.transversal[x_star].images]
-    return u
+class _Canonicaliser:
+    """Minimal-image representatives of right cosets of H, many at once.
+
+    Keeps, for each level of a chain of H with an orbit longer than 1, the
+    orbit as an index array and its transversal stacked as an
+    (|orbit|, degree) matrix.  A row u stands for the coset H*u; at each
+    level the orbit point x with the least u[x] is chosen and u becomes
+    u[t_x], where t_x is the transversal element carrying the level's base
+    point to x (Holt, Eick and O'Brien, Handbook of CGT, 2005, ch. 4)."""
+
+    def __init__(self, hchain):
+        self.dtype = point_dtype(hchain.degree)
+        self.levels = []
+        for lvl in hchain.levels:
+            if len(lvl.orbit) == 1:
+                continue
+            trans = np.empty((len(lvl.orbit), hchain.degree), dtype=self.dtype)
+            for row, x in zip(trans, lvl.orbit):
+                row[:] = lvl.transversal[x].images
+            self.levels.append((np.array(lvl.orbit, dtype=np.intp), trans))
+
+    def __call__(self, rows):
+        """The canonical representative of each row of an (m, degree)
+        array of images, as an array of `self.dtype`."""
+        rows = rows.astype(self.dtype, copy=False)
+        starts = np.arange(0, rows.size, rows.shape[1])[:, None]
+        for orb, trans in self.levels:
+            pick = rows[:, orb].argmin(axis=1)
+            # row i becomes rows[i, trans[pick[i]]], gathered from the flat array
+            rows = np.take(rows, trans[pick] + starts)
+        return rows
 
 
 def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction:
@@ -122,30 +150,42 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction
     if index > COSET_INDEX_LIMIT:
         raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
-    gens = G.strong_generators()
-    ident = np.arange(degree, dtype=np.int64)
-    reps = [_canonical_rep(hchain, ident)]
+    canon = _Canonicaliser(hchain)
+    dtype = canon.dtype
+    gens = np.array([g.images for g in G.strong_generators()], dtype=dtype).reshape(-1, degree)
+    reps = np.empty((index, degree), dtype=dtype)
+    reps[0] = canon(np.arange(degree)[None, :])[0]
     keys = {reps[0].tobytes(): 0}
-    images = [[] for _ in gens]
-    q = 0
-    while q < len(reps):
-        r = reps[q]
-        q += 1
-        for gi, g in enumerate(gens):
-            canon = _canonical_rep(hchain, g.images[r])
-            key = canon.tobytes()
-            if key not in keys:
-                keys[key] = len(reps)
-                reps.append(canon)
-            images[gi].append(keys[key])
-    if len(reps) != index:
+    images = np.empty((len(gens), index), dtype=np.int64)
+    chunk = max(1, _BATCH_ENTRIES // max(1, gens.size))
+    found, q = 1, 0
+    while q < found:
+        block = reps[q:min(q + chunk, found)]
+        # rows in (rep, generator) order, so that new cosets are labelled
+        # as a queue taking one rep and one generator at a time would
+        rows = canon(gens[:, block].swapaxes(0, 1).reshape(-1, degree))
+        labels = np.empty(len(rows), dtype=np.int64)
+        for j, key in enumerate(row_keys(rows).tolist()):
+            label = keys.get(key)
+            if label is None:
+                if found == index:
+                    raise AssertionError("coset enumeration does not match the index")
+                label = keys[key] = found
+                reps[found] = rows[j]
+                found += 1
+            labels[j] = label
+        images[:, q:q + len(block)] = labels.reshape(len(block), -1).T
+        q += len(block)
+    if found != index:
         raise AssertionError("coset enumeration does not match the index")
 
-    def hom(g, _reps=reps, _keys=keys, _hchain=hchain):
+    def hom(g):
         if g not in G:
             raise InputError("element outside G has no image")
-        return Permutation([_keys[_canonical_rep(_hchain, g.images[r]).tobytes()]
-                            for r in _reps])
+        img = g.images.astype(dtype)
+        step = max(1, _BATCH_ENTRIES // degree)
+        return Permutation([keys[key] for lo in range(0, index, step)
+                            for key in row_keys(canon(img[reps[lo:lo + step]])).tolist()])
 
     return GroupAction(name, index, [Permutation(img) for img in images], _hom=hom,
                        _stabilizer=[hom(h) for h in H_gens])
@@ -200,10 +240,17 @@ def is_primitive(A: GroupAction) -> bool:
 
 
 def point_stabilizer_gens(A: GroupAction, point: int):
-    """Strong generators of the stabilizer of a point of a transitive A."""
+    """Generators of the stabilizer of a point of a transitive A: the
+    conjugates u^-1 s u of the generators s of `A.base_stabilizer()`,
+    where u carries its point to the given one."""
     if not is_transitive(A):
         raise InputError("action is not transitive")
-    return stabilizer_gens(A.chain, point)
+    if not 0 <= point < A.degree:
+        raise InputError(f"point {point} out of range for degree {A.degree}")
+    base, stab = A.base_stabilizer()
+    u = orbit_transversal(A.generators, base, A.degree)[1][point]
+    u_inv = inverse(u)
+    return [compose(compose(u_inv, s), u) for s in stab]
 
 
 def subdegrees(A: GroupAction) -> SubdegreeProfile:

@@ -12,7 +12,7 @@ from .errors import InputError
 from .perm import Permutation, compose, identity, inverse
 
 __all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbit_lengths",
-           "stabilizer_gens", "element_closure"]
+           "stabilizer_gens"]
 
 
 class _Level:
@@ -262,30 +262,3 @@ def stabilizer_gens(chain: StabilizerChain, point: int):
         chain = bsgs_build(chain.strong_generators(), chain.degree, base_hint=[point])
     return list(chain.levels[1].gens) if len(chain.levels) > 1 else []
 
-
-def element_closure(gens, degree=None, limit=2_000_000):
-    """Brute-force closure of a generating set (breadth-first products).
-
-    Test oracle for small groups; raises when the closure would exceed
-    ``limit`` elements.
-    """
-    gens = [g for g in gens if not g.is_identity()]
-    if degree is None:
-        if not gens:
-            raise InputError("empty generator list needs an explicit degree")
-        degree = gens[0].degree
-    ident = identity(degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in elements:
-                    if len(elements) >= limit:
-                        raise InputError(f"closure exceeds {limit} elements")
-                    elements.add(q)
-                    new.append(q)
-        frontier = new
-    return elements

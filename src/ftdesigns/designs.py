@@ -24,7 +24,7 @@ import numpy as np
 from .actions import GroupAction, is_transitive
 from .bsgs import StabilizerChain, bsgs_build, orbit, orbit_lengths
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
-from .perm import Permutation
+from .perm import Permutation, point_dtype, row_keys
 
 BLOCK_ORBIT_LIMIT = 2_000_000
 SUBSET_ENUM_LIMIT = 1_000_000
@@ -87,19 +87,6 @@ class FlagReport:
 
 # ---------------------------------------------------------------------------
 # rows of point sets
-
-
-def _point_dtype(n):
-    """Narrowest unsigned dtype that holds the points 0..n-1."""
-    return np.min_scalar_type(max(n - 1, 0))
-
-
-def _row_keys(rows):
-    """One opaque key per row of a 2-D array; equal keys mean equal rows.
-    The keys sort in byte order, which is not the lexicographic order of
-    the rows unless the dtype has one byte."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def _lookup(seen, keys):
@@ -204,14 +191,14 @@ def set_orbit(gens, base_set, limit=None) -> np.ndarray:
     limit = BLOCK_ORBIT_LIMIT if limit is None else limit
     base = sorted(base_set)
     n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
-    images = [g.images.astype(_point_dtype(n)) for g in gens]
-    frontier = np.array([base], dtype=_point_dtype(n))
+    images = [g.images.astype(point_dtype(n)) for g in gens]
+    frontier = np.array([base], dtype=point_dtype(n))
     layers = [frontier]
-    seen = _row_keys(frontier)
+    seen = row_keys(frontier)
     size = 1
     while images and len(frontier):
         cand = np.sort(np.concatenate([img[frontier] for img in images]), axis=1)
-        keys, first = np.unique(_row_keys(cand), return_index=True)
+        keys, first = np.unique(row_keys(cand), return_index=True)
         pos, hit = _lookup(seen, keys)
         fresh = ~hit
         size += int(fresh.sum())
@@ -233,18 +220,18 @@ def _stabilized_orbit(gens, base):
     position j to the position of g(row_i[j]) in row m.  The orbit is
     complete, so by Schreier's lemma these elements generate the set
     stabilizer, and a position they all fix is fixed by all of it."""
-    dtype = _point_dtype(max(g.degree for g in gens))
+    dtype = point_dtype(max(g.degree for g in gens))
     images = [g.images.astype(dtype) for g in gens]
     k = len(base)
     frontier = np.array([base], dtype=dtype)
     layers = [frontier]
-    seen = _row_keys(np.sort(frontier, axis=1))
+    seen = row_keys(np.sort(frontier, axis=1))
     row_of = np.zeros(1, dtype=np.int64)     # row index of each key in `seen`
     fixed = np.ones(k, dtype=bool)
     size = 1
     while len(frontier):
         cand = np.concatenate([img[frontier] for img in images])
-        cand_keys = _row_keys(np.sort(cand, axis=1))
+        cand_keys = row_keys(np.sort(cand, axis=1))
         keys, first = np.unique(cand_keys, return_index=True)
         pos, hit = _lookup(seen, keys)
         fresh = ~hit
@@ -314,7 +301,7 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Des
         return binom[rows, columns].sum(axis=1)
 
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)),
-                          dtype=_point_dtype(n), count=total * k).reshape(total, k)
+                          dtype=point_dtype(n), count=total * k).reshape(total, k)
     lex_rank = colex_rank(subsets)
     reached = np.zeros(total, dtype=bool)
     found = []
@@ -343,11 +330,11 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     k = len(design.blocks[0]) if design.blocks else 0
     if any(len(b) != k for b in design.blocks):
         raise InputError("flag-transitivity needs blocks of one size")
-    dtype = _point_dtype(max(A.degree, design.v))
+    dtype = point_dtype(max(A.degree, design.v))
     rows = np.array(design.blocks, dtype=dtype).reshape(-1, k)
-    keys = np.sort(_row_keys(rows))
+    keys = np.sort(row_keys(rows))
     for g in A.generators:
-        _, hit = _lookup(keys, _row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
+        _, hit = _lookup(keys, row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
         if not hit.all():
             b = design.blocks[int(np.flatnonzero(~hit)[0])]
             raise InputError(
@@ -356,12 +343,12 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
         return FlagReport(False, 0, [])
     alpha, alpha_stab = A.base_stabilizer()
     through = rows[(rows == alpha).any(axis=1)]
-    through_keys = _row_keys(through)
+    through_keys = row_keys(through)
     order = np.argsort(through_keys)
     # the point stabilizer permutes the blocks through alpha
     stab = [Permutation(order[np.searchsorted(
                 through_keys[order],
-                _row_keys(np.sort(g.images.astype(dtype)[through], axis=1)))])
+                row_keys(np.sort(g.images.astype(dtype)[through], axis=1)))])
             for g in alpha_stab]
     orbit_counts = orbit_lengths(stab, len(through))
     return FlagReport(len(orbit_counts) == 1, len(through), orbit_counts)
@@ -399,11 +386,11 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
             f"q={q} gives {expected.params.b} blocks, more than the block orbit "
             f"limit {BLOCK_ORBIT_LIMIT}")
     act = suzuki_action(q)
-    circ = np.array(circles(q, ovoid_points(q)), dtype=_point_dtype(act.degree))
+    circ = np.array(circles(q, ovoid_points(q)), dtype=point_dtype(act.degree))
 
     rows, fixed = _stabilized_orbit(act.generators, circ[0])
-    if not np.array_equal(np.sort(_row_keys(np.sort(rows, axis=1))),
-                          np.sort(_row_keys(circ))):
+    if not np.array_equal(np.sort(row_keys(np.sort(rows, axis=1))),
+                          np.sort(row_keys(circ))):
         raise DesignError("circle set is not a single orbit")
     if len(fixed) != 1:
         raise DesignError(
@@ -460,11 +447,11 @@ def iso_check(d1: Design, d2: Design) -> bool:
         return False
     blocks = d1.blocks + d2.blocks
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    points = np.fromiter(chain.from_iterable(blocks), dtype=_point_dtype(2 * v + 1),
+    points = np.fromiter(chain.from_iterable(blocks), dtype=point_dtype(2 * v + 1),
                          count=int(sizes.sum()))
     points[int(sizes[:len(d1.blocks)].sum()):] += v
     block_points = _padded(sizes, points, 2 * v)
-    block_of = np.repeat(np.arange(len(blocks), dtype=_point_dtype(len(blocks) + 1)),
+    block_of = np.repeat(np.arange(len(blocks), dtype=point_dtype(len(blocks) + 1)),
                          sizes)[np.argsort(points, kind="stable")]
     point_blocks = _padded(np.bincount(points, minlength=2 * v), block_of, len(blocks))
 
@@ -515,7 +502,7 @@ def _padded(counts, values, pad):
 
 def _ranks(rows):
     """Equal ranks for equal rows, and distinct ones for distinct rows."""
-    return np.unique(_row_keys(rows), return_inverse=True)[1]
+    return np.unique(row_keys(rows), return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,19 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
 
+def point_dtype(n):
+    """Narrowest unsigned dtype that holds the points 0..n-1."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def row_keys(rows):
+    """One opaque key per row of a 2-D array; equal keys mean equal rows.
+    The keys sort in byte order, which is not the lexicographic order of
+    the rows unless the dtype has one byte."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 def identity(degree):
     return Permutation._wrap(np.arange(degree, dtype=np.int64))
 

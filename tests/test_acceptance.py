@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 from ftdesigns.actions import is_primitive
-from ftdesigns.bsgs import bsgs_build, element_closure, orbit, stabilizer_gens
+from ftdesigns.bsgs import bsgs_build, orbit, stabilizer_gens
 from ftdesigns.designs import (Design, block_stabilizer_order, is_flag_transitive,
                                verify_2design)
 from ftdesigns.errors import DesignError
@@ -18,6 +18,7 @@ from ftdesigns.families import (g2_orbit_forcing, g2_params,
                                 lemma38_block_stabilizer_order, suzuki_params)
 from ftdesigns.pipeline import (emit_count_summary, emit_eliminated, emit_report,
                                 enumerate_all, run_filters)
+from oracles import element_closure
 
 
 def _golden(name):

@@ -1,4 +1,8 @@
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftdesigns import actions
 from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
@@ -6,7 +10,9 @@ from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
                                subdegrees)
 from ftdesigns.bsgs import bsgs_build, orbit, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
+from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import parse_cycles
+from oracles import canonical_rep, coset_action_images
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -54,6 +60,86 @@ def test_coset_action_homomorphism_property():
                                                             act.image_of(g2))
 
 
+def test_coset_enumeration_checks_the_index(monkeypatch):
+    # a wrong index stops the enumeration: a claimed index of 2 as soon as
+    # a third coset turns up, a claimed index of 8 after the 4 cosets
+    chain = bsgs_build(S4)
+    h = stabilizer_gens(chain, 3)
+    for claimed_order in (12, 48):
+        monkeypatch.setattr(chain, "order", lambda: claimed_order)
+        with pytest.raises(AssertionError, match="does not match the index"):
+            coset_action(chain, h)
+
+
+@pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("M23", "M11"),
+                                       ("M24", "M22.2"), ("HS", "U3(5).2")])
+def test_coset_action_matches_the_scalar_queue_enumeration(catalog, natural, group, sub):
+    chain = natural(group).chain
+    h = catalog[group].subgroup(sub).generators
+    gens, stab = coset_action_images(chain, h)
+    act = coset_action(chain, h)
+    assert act.generators == gens
+    assert act.base_stabilizer() == (0, stab)
+
+
+@functools.cache
+def _chains(group, sub):
+    entry = catalog_entry(group)
+    return (bsgs_build(entry.generators, entry.degree),
+            bsgs_build(entry.subgroup(sub).generators, entry.degree,
+                       base_hint=range(entry.degree)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("M11", "L2(11)"), ("M23", "M11")]), st.data())
+def test_batched_canonical_reps_match_the_scalar_reference(pair, data):
+    G, hchain = _chains(*pair)
+    picks = data.draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=12))
+    h = hchain.element_at(data.draw(st.integers(0, hchain.order() - 1)))
+    rows = np.array([G.element_at(i).images for i in picks])
+    canon = actions._Canonicaliser(hchain)
+    batched = canon(rows)
+    assert batched.shape == rows.shape
+    for row, rep in zip(rows, batched):
+        assert np.array_equal(rep, canonical_rep(hchain, row))
+    # h * g lies in the coset H * g, so it has the same representative
+    assert np.array_equal(canon(rows[:, h.images]), batched)
+
+
+def _bfs_layer_sizes(act):
+    seen, layer, sizes = {0}, [0], []
+    while layer:
+        sizes.append(len(layer))
+        nxt = []
+        for x in layer:
+            for g in act.generators:
+                y = g(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        layer = nxt
+    return sizes
+
+
+@pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("M23", "L3(4).2_2")])
+def test_coset_action_does_not_depend_on_the_batch_size(monkeypatch, catalog, natural,
+                                                        group, sub):
+    chain = natural(group).chain
+    h = catalog[group].subgroup(sub).generators
+    reference = coset_action(chain, h)
+    # batches of one rep (one row in image_of), then of 7 reps, which
+    # split a breadth-first layer of cosets between two batches
+    assert any(size % 7 for size in _bfs_layer_sizes(reference))
+    per_rep = len(chain.strong_generators()) * chain.degree
+    for entries in (1, 7 * per_rep):
+        monkeypatch.setattr(actions, "_BATCH_ENTRIES", entries)
+        act = coset_action(chain, h)
+        assert act.generators == reference.generators, entries
+        assert act.base_stabilizer() == reference.base_stabilizer(), entries
+        assert all(act.image_of(g) == reference.image_of(g)
+                   for g in catalog[group].generators), entries
+
+
 def test_m11_coset_action_degree_11(catalog):
     chain = bsgs_build(catalog["M11"].generators)
     h = stabilizer_gens(chain, 0)
@@ -76,14 +162,13 @@ def test_point_stabilizer_generators_fix_the_point(request, which):
     act = request.getfixturevalue(which)
     if which == "suzuki8":
         act = act[0]
-    inputs = [act.base_stabilizer()]
-    # point_stabilizer_gens rebuilds the chain at each point that is not
-    # its first base point: about 0.3 s a point for HS on 176 points
-    if which != "hs_action176":
-        inputs += [(pt, point_stabilizer_gens(act, pt)) for pt in range(act.degree)]
+    points = range(0, act.degree, 16) if which == "hs_action176" else range(act.degree)
+    inputs = [act.base_stabilizer()] + [(pt, point_stabilizer_gens(act, pt)) for pt in points]
     for pt, stab in inputs:
         assert all(g(pt) == pt for g in stab), pt
         assert bsgs_build(stab, act.degree).order() * act.degree == act.order, pt
+    with pytest.raises(InputError):
+        point_stabilizer_gens(act, act.degree)
 
 
 def test_profile_actions_build_no_extra_chain(monkeypatch):

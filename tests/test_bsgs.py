@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from ftdesigns.bsgs import (bsgs_build, contains, element_closure, orbit,
-                            stabilizer_gens)
+from ftdesigns.bsgs import bsgs_build, contains, orbit, stabilizer_gens
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
+from oracles import element_closure
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
