@@ -512,34 +512,16 @@ act176 = coset_action(hs_nat_chain, u352)
 act_imgs = [act176.image_of(g) for g in hs_gens]
 
 
-def tuple_image(ag, t):
-    return tuple(int(ag.images[x]) for x in t)
-
-
 def mixed_tuple_stab(x0, target):
-    out, tr, q = [x0], {x0: identity(100)}, 0
-    while q < len(out):
-        x = out[q]
-        q += 1
-        ux = tr[x]
-        for sg, ag in zip(hs_gens, act_imgs):
-            y = tuple_image(ag, x)
-            if y not in tr:
-                tr[y] = compose(ux, sg)
-                out.append(y)
-    stab, sub = [], None
-    for x in out:
-        ux = tr[x]
-        for sg, ag in zip(hs_gens, act_imgs):
-            y = tuple_image(ag, x)
-            s = compose(compose(ux, sg), inverse(tr[y]))
-            if s.is_identity() or (sub is not None and s in sub):
-                continue
-            stab.append(s)
-            sub = bsgs_build(stab, 100)
-            if sub.order() == target:
-                return stab
-    raise AssertionError("stabilizer incomplete")
+    """Generators of the stabilizer in HS, on its 100 points, of the points
+    x0 of the 176-point action: level len(x0) of one chain of HS acting on
+    the 100 and the 176 points at once, with x0 first in the base."""
+    both = [Permutation(np.concatenate([sg.images, 100 + ag.images]))
+            for sg, ag in zip(hs_gens, act_imgs)]
+    chain = bsgs_build(both, 276, base_hint=[100 + x for x in x0])
+    stab = [Permutation(g.images[:100]) for g in chain.levels[len(x0)].gens]
+    assert bsgs_build(stab, 100).order() == target
+    return stab
 
 
 stab01 = mixed_tuple_stab((0, 1), 1440)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bsgs_build, orbit, orbit_lengths, orbit_transversal,
+from .bsgs import (StabilizerChain, bsgs_build, orbit, orbit_transversal, orbits,
                    stabilizer_gens)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, point_dtype, row_keys
@@ -259,4 +259,4 @@ def subdegrees(A: GroupAction) -> SubdegreeProfile:
     if not is_transitive(A):
         raise InputError("subdegrees are defined for transitive actions only")
     _, stab = A.base_stabilizer()
-    return SubdegreeProfile(sorted(Counter(orbit_lengths(stab, A.degree)).items()))
+    return SubdegreeProfile(sorted(Counter(map(len, orbits(stab, A.degree))).items()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import InputError
 from .perm import Permutation, compose, identity, inverse
 
-__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbit_lengths",
+__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbits",
            "stabilizer_gens"]
 
 
@@ -223,16 +223,17 @@ def orbit(gens, point, degree=None):
     return out
 
 
-def orbit_lengths(gens, degree):
-    """Lengths of the orbits of the generated group on {0..degree-1}, in
-    the order of their smallest points."""
-    seen, lengths = set(), []
+def orbits(gens, degree):
+    """The orbits of the generated group on {0..degree-1}, each in
+    breadth-first order from its smallest point, in the order of their
+    smallest points."""
+    seen, out = set(), []
     for p in range(degree):
         if p not in seen:
             orb = orbit(gens, p, degree)
             seen.update(orb)
-            lengths.append(len(orb))
-    return lengths
+            out.append(orb)
+    return out
 
 
 def orbit_transversal(gens, point, degree):

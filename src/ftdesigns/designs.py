@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .actions import GroupAction, is_transitive
-from .bsgs import StabilizerChain, bsgs_build, orbit, orbit_lengths
+from .bsgs import StabilizerChain, bsgs_build, orbit, orbits
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
 from .perm import Permutation, point_dtype, row_keys
 
@@ -115,7 +115,7 @@ def verify_2design(design: Design) -> ParameterSet:
         raise DesignError(
             f"not k-uniform: block sizes {k} and {len(odd)}",
             witness=(blocks[0], odd))
-    rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), k)
+    rows = np.array(blocks, dtype=point_dtype(v)).reshape(len(blocks), k)
     r_count = np.bincount(rows.ravel(), minlength=v)
     r = int(r_count[0])
     off = np.flatnonzero(r_count != r)
@@ -155,7 +155,7 @@ def _pair_coverage(rows, v):
             if x0 > 0 or x1 < v - 1:
                 inside = (xs >= x0) & (xs < x1)
                 xs, ys = xs[inside], ys[inside]
-            counts += np.bincount((xs - x0) * v + ys, minlength=len(counts))
+            counts += np.bincount((xs - x0).astype(np.int64) * v + ys, minlength=len(counts))
         counts = counts.reshape(x1 - x0, v)
         upper = np.arange(v)[None, :] > np.arange(x0, x1)[:, None]
         missing = np.flatnonzero(upper & (counts == 0))
@@ -208,51 +208,6 @@ def set_orbit(gens, base_set, limit=None) -> np.ndarray:
         seen = np.insert(seen, pos[fresh], keys[fresh])
         layers.append(frontier)
     return np.concatenate(layers)
-
-
-def _stabilized_orbit(gens, base):
-    """Orbit of the point set `base` with the order of its points kept,
-    and the positions of `base` that its set stabilizer fixes.
-
-    Row i is u_i(base) point by point, for the product u_i of generators
-    on the breadth-first path to it.  When generator g maps row i onto the
-    set of an earlier row m, u_m^-1 g u_i stabilizes `base` and sends
-    position j to the position of g(row_i[j]) in row m.  The orbit is
-    complete, so by Schreier's lemma these elements generate the set
-    stabilizer, and a position they all fix is fixed by all of it."""
-    dtype = point_dtype(max(g.degree for g in gens))
-    images = [g.images.astype(dtype) for g in gens]
-    k = len(base)
-    frontier = np.array([base], dtype=dtype)
-    layers = [frontier]
-    seen = row_keys(np.sort(frontier, axis=1))
-    row_of = np.zeros(1, dtype=np.int64)     # row index of each key in `seen`
-    fixed = np.ones(k, dtype=bool)
-    size = 1
-    while len(frontier):
-        cand = np.concatenate([img[frontier] for img in images])
-        cand_keys = row_keys(np.sort(cand, axis=1))
-        keys, first = np.unique(cand_keys, return_index=True)
-        pos, hit = _lookup(seen, keys)
-        fresh = ~hit
-        n_new = int(fresh.sum())
-        if size + n_new > BLOCK_ORBIT_LIMIT:
-            raise ResourceLimitError(f"block orbit exceeds limit {BLOCK_ORBIT_LIMIT}")
-        frontier = cand[first[fresh]]
-        seen = np.insert(seen, pos[fresh], keys[fresh])
-        row_of = np.insert(row_of, pos[fresh], np.arange(size, size + n_new))
-        layers.append(frontier)
-        size += n_new
-        # every image except the one that first reached a row gives a
-        # Schreier generator
-        repeat = np.ones(len(cand), dtype=bool)
-        repeat[first[fresh]] = False
-        src = cand[repeat]
-        dst = np.concatenate(layers)[row_of[np.searchsorted(seen, cand_keys[repeat])]]
-        moves = np.empty(src.shape, dtype=np.intp)
-        np.put_along_axis(moves, np.argsort(src, axis=1), np.argsort(dst, axis=1), axis=1)
-        fixed &= (moves == np.arange(k)).all(axis=0)
-    return np.concatenate(layers), np.flatnonzero(fixed)
 
 
 def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens) -> Design:
@@ -324,6 +279,19 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Des
             found.append(design)
 
 
+def _rows_through(rows, alpha, alpha_stab):
+    """The rows of sorted point sets that contain the point alpha, and the
+    permutations of them induced by generators of a group that fixes alpha
+    and permutes `rows`."""
+    through = rows[(rows == alpha).any(axis=1)]
+    keys = row_keys(through)
+    order = np.argsort(keys)
+    return through, [
+        Permutation(order[np.searchsorted(
+            keys[order], row_keys(np.sort(g.images.astype(rows.dtype)[through], axis=1)))])
+        for g in alpha_stab]
+
+
 def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     """Point-transitivity plus transitivity of the point stabilizer on the
     blocks through the point."""
@@ -342,15 +310,8 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     if not is_transitive(A):
         return FlagReport(False, 0, [])
     alpha, alpha_stab = A.base_stabilizer()
-    through = rows[(rows == alpha).any(axis=1)]
-    through_keys = row_keys(through)
-    order = np.argsort(through_keys)
-    # the point stabilizer permutes the blocks through alpha
-    stab = [Permutation(order[np.searchsorted(
-                through_keys[order],
-                row_keys(np.sort(g.images.astype(dtype)[through], axis=1)))])
-            for g in alpha_stab]
-    orbit_counts = orbit_lengths(stab, len(through))
+    through, stab = _rows_through(rows, alpha, alpha_stab)
+    orbit_counts = [len(o) for o in orbits(stab, len(through))]
     return FlagReport(len(orbit_counts) == 1, len(through), orbit_counts)
 
 
@@ -369,12 +330,14 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
     under Sz(q) on the ovoid.
 
     Each block is a circle with its distinguished point removed.  The
-    circles are computed as one breadth-first orbit of the first circle;
-    the distinguished point is the one point of that circle fixed by
-    every Schreier generator of its stabilizer, so its punctured circle
-    is the one whose orbit has length q(q^2+1), one block per circle.
-    q is checked for its shape, for q-1 prime and for the block count
-    before anything is built."""
+    stabilizer of a circle has order q(q-1) and fixes that point, so the
+    q circles distinguished at a point alpha form one orbit of the
+    stabilizer G_alpha of alpha, while any other circle through alpha
+    has a stabilizer of order q-1 in G_alpha and an orbit of length at
+    least q^2.  The base block is therefore a circle through alpha whose
+    G_alpha-orbit has length q, with alpha removed, and the blocks are
+    its orbit.  q is checked for its shape, for q-1 prime and for the
+    block count before anything is built."""
     from .families import suzuki_params
     from .suzuki import circles, ovoid_points, suzuki_action
 
@@ -386,16 +349,19 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
             f"q={q} gives {expected.params.b} blocks, more than the block orbit "
             f"limit {BLOCK_ORBIT_LIMIT}")
     act = suzuki_action(q)
-    circ = np.array(circles(q, ovoid_points(q)), dtype=point_dtype(act.degree))
-
-    rows, fixed = _stabilized_orbit(act.generators, circ[0])
-    if not np.array_equal(np.sort(row_keys(np.sort(rows, axis=1))),
+    circ = circles(q, ovoid_points(q))
+    if not np.array_equal(np.sort(row_keys(set_orbit(act.generators, circ[0]))),
                           np.sort(row_keys(circ))):
         raise DesignError("circle set is not a single orbit")
-    if len(fixed) != 1:
+
+    alpha, alpha_stab = act.base_stabilizer()
+    through, stab = _rows_through(circ, alpha, alpha_stab)
+    distinguished = [o for o in orbits(stab, len(through)) if len(o) == q]
+    if len(distinguished) != 1:
         raise DesignError(
-            f"expected exactly one distinguished point per circle, found {len(fixed)}")
-    blocks = np.delete(rows, fixed[0], axis=1)
+            f"expected exactly one distinguished point per circle, found {len(distinguished)}")
+    circle = through[distinguished[0][0]]
+    blocks = set_orbit(act.generators, circle[circle != alpha])
     design = Design(act.degree, blocks.tolist())
 
     params = verify_2design(design)
@@ -419,9 +385,9 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
 
 def suzuki_design(q: int) -> Design:
     """The ovoid design 2-(q^2+1, q, q-1): each block is a circle with its
-    distinguished point removed, the one point of the circle that every
-    Schreier generator of the circle's stabilizer fixes.  Built and
-    verified by `suzuki_construction`."""
+    distinguished point removed, the one point of the circle that the
+    circle's stabilizer fixes.  Built and verified by
+    `suzuki_construction`."""
     return suzuki_construction(q).design
 
 
@@ -457,8 +423,8 @@ def iso_check(d1: Design, d2: Design) -> bool:
 
     def refine(colour):
         while True:
-            block_colour = _ranks(np.sort(np.append(colour, -1)[block_points], axis=1))
-            through = np.sort(np.append(block_colour, -1)[point_blocks], axis=1)
+            block_colour = _ranks(np.sort(_with_pad(colour)[block_points], axis=1))
+            through = np.sort(_with_pad(block_colour)[point_blocks], axis=1)
             finer = _ranks(np.column_stack([colour, through]))
             if not np.array_equal(np.sort(finer[:v]), np.sort(finer[v:])):
                 return None
@@ -472,7 +438,7 @@ def iso_check(d1: Design, d2: Design) -> bool:
             split[[x, y]] = colour.max() + 1
             yield split
 
-    stack = [iter([np.zeros(2 * v, dtype=np.intp)])]
+    stack = [iter([np.zeros(2 * v, dtype=point_dtype(2 * v + 1))])]
     while stack:
         colour = next(stack[-1], None)
         if colour is None:
@@ -501,8 +467,16 @@ def _padded(counts, values, pad):
 
 
 def _ranks(rows):
-    """Equal ranks for equal rows, and distinct ones for distinct rows."""
-    return np.unique(row_keys(rows), return_inverse=True)[1]
+    """Equal ranks for equal rows, and distinct ones for distinct rows, in
+    the narrowest unsigned dtype that holds one value more than the ranks."""
+    ranks = np.unique(row_keys(rows), return_inverse=True)[1]
+    return ranks.astype(point_dtype(len(rows) + 1))
+
+
+def _with_pad(colour):
+    """The colours followed by the pad, the largest value of their dtype,
+    which no colour takes."""
+    return np.append(colour, np.iinfo(colour.dtype).max).astype(colour.dtype)
 
 
 # ---------------------------------------------------------------------------

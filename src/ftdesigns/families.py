@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .designs import ParameterSet
 from .errors import InputError
+from .suzuki import _check_q
 
 
 def is_mersenne_prime(m: int) -> bool:
@@ -58,9 +59,7 @@ def suzuki_params(q: int) -> FamilyParams:
 
     The block count comes from bk = vr; the identities are re-checked on
     the constructed parameter set."""
-    m = q.bit_length() - 1
-    if q < 8 or (1 << m) != q or m % 2 == 0:
-        raise InputError(f"q={q} is not an odd power 2^(2a+1) >= 8")
+    _check_q(q)
     params = ParameterSet(q * q + 1, q * (q * q + 1), q * q, q, q - 1)
     params.check_identities()
     return FamilyParams("Suzuki", q, params, f"Mersenne({q - 1})",

@@ -100,7 +100,7 @@ class Permutation:
         return out
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def __repr__(self):
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"

@@ -72,3 +72,53 @@ def coset_action_images(G, H_gens):
                             for r in reps])
 
     return [Permutation(img) for img in images], [hom(h) for h in H_gens]
+
+
+def normalize_point(field, coords):
+    """A projective point scaled so its first nonzero coordinate is 1."""
+    coords = tuple(coords)
+    for c in coords:
+        if c:
+            inv = field.inv(c)
+            return tuple(field.mul(inv, x) for x in coords)
+    raise InputError("projective point must be nonzero")
+
+
+def apply_matrix(field, vec, mat):
+    """The row vector `vec` times the 4x4 matrix `mat` over the field."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        vi = vec[i]
+        if vi:
+            row = mat[i]
+            for j in range(4):
+                if row[j]:
+                    out[j] ^= field.mul(vi, row[j])
+    return tuple(out)
+
+
+def ovoid_generator_images(ov, matrices):
+    """Image lists of the matrices on the ovoid points, one point at a
+    time."""
+    index = {p: i for i, p in enumerate(ov.points)}
+    return [[index[normalize_point(ov.field, apply_matrix(ov.field, p, mat))]
+             for p in ov.points] for mat in matrices]
+
+
+def plane_sections(ov):
+    """The secant plane sections of the ovoid as a sorted list of point
+    index tuples, one plane at a time."""
+    q, field = ov.q, ov.field
+    pts = np.array(ov.points, dtype=np.int64)
+    planes = [(0, 0, 0, 1)]
+    planes += [(0, 0, 1, c) for c in range(q)]
+    planes += [(0, 1, c, d) for c in range(q) for d in range(q)]
+    planes += [(1, c, d, e) for c in range(q) for d in range(q) for e in range(q)]
+    out = []
+    for d in np.array(planes, dtype=np.int64):
+        prods = field.mul_array(pts, d[None, :])
+        dots = prods[:, 0] ^ prods[:, 1] ^ prods[:, 2] ^ prods[:, 3]
+        sec = np.flatnonzero(dots == 0)
+        if len(sec) == q + 1:
+            out.append(tuple(int(x) for x in sec))
+    return sorted(out)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ftdesigns import designs
 from ftdesigns.actions import GroupAction
-from ftdesigns.designs import (Design, ParameterSet, _stabilized_orbit, design_to_text,
+from ftdesigns.bsgs import orbits
+from ftdesigns.designs import (Design, ParameterSet, _rows_through, design_to_text,
                                is_flag_transitive, set_orbit, verify_2design)
 from ftdesigns.perm import parse_cycles
 from ftdesigns.errors import DesignError, InputError, ResourceLimitError
@@ -136,23 +137,25 @@ def test_set_orbit_limit_boundary(m11_action12, m11_design):
 
 
 def test_distinguished_point_matches_orbit_length_definition(suzuki8):
-    # the point of a circle fixed by its stabilizer is the one puncture whose
-    # block orbit has length q(q^2+1)
+    # a circle through alpha is distinguished at alpha, by the definition
+    # that removing alpha leaves a block orbit of length q(q^2+1), exactly
+    # when its orbit under the stabilizer of alpha has length q
     act, design = suzuki8
-    q, circ0 = 8, circles(8)[0]
+    q, circ = 8, circles(8)
     longest = q * (q * q + 1)
+    alpha, alpha_stab = act.base_stabilizer()
+    through, stab = _rows_through(circ, alpha, alpha_stab)
     by_length = []
-    for p in circ0:
+    for i, c in enumerate(through.tolist()):
         try:
-            ob = set_orbit(act.generators, [x for x in circ0 if x != p], limit=longest)
+            ob = set_orbit(act.generators, [x for x in c if x != alpha], limit=longest)
         except ResourceLimitError:
             continue
         if len(ob) == longest:
-            by_length.append(p)
-    rows, fixed = _stabilized_orbit(act.generators, np.array(circ0))
-    assert tuple(rows[0].tolist()) == circ0
-    assert by_length == [circ0[i] for i in fixed]
-    punctured = set_orbit(act.generators, [x for x in circ0 if x not in by_length])
+            by_length.append(i)
+    by_orbit = [o for o in orbits(stab, len(through)) if len(o) == q]
+    assert len(by_orbit) == 1 and sorted(by_orbit[0]) == by_length
+    punctured = set_orbit(act.generators, [x for x in through[by_length[0]] if x != alpha])
     assert sorted(map(tuple, punctured.tolist())) == design.blocks
 
 

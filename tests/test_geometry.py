@@ -1,11 +1,16 @@
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftdesigns import suzuki
 from ftdesigns.errors import ConstructionError, InputError
 from ftdesigns.gfield import GF
-from ftdesigns.suzuki import circles, normalize_point, ovoid_points, suzuki_action
+from ftdesigns.suzuki import _normalise_rows, circles, ovoid_points, suzuki_action
+
+from oracles import apply_matrix, normalize_point, ovoid_generator_images, plane_sections
 
 
 def test_gf2_is_parity():
@@ -87,11 +92,31 @@ def test_ovoid_rejects_bad_q():
             ovoid_points(q)
 
 
-def test_normalization_idempotent():
+@pytest.mark.parametrize("point", [(3, 5, 1, 6), (0, 7, 0, 2), (0, 0, 4, 4), (0, 0, 0, 5)])
+def test_row_normaliser_picks_one_representative(point):
     f = GF(3)
-    p = normalize_point(f, (3, 5, 1, 6))
-    assert normalize_point(f, p) == p
-    assert p[0] == 1
+    scaled = f.mul_array(np.arange(1, 8)[:, None], np.array(point)[None, :])
+    rows = _normalise_rows(f, scaled)
+    assert (rows == rows[0]).all()
+    assert rows[0][np.flatnonzero(rows[0])[0]] == 1
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_generators_match_the_scalar_action(q):
+    reference = ovoid_generator_images(ovoid_points(q), suzuki.suzuki_matrices(q))
+    assert [g.images.tolist() for g in suzuki_action(q).generators] == reference
+
+
+def test_a_matrix_off_the_ovoid_is_rejected(monkeypatch):
+    # swapping the coordinates s and t does not preserve the ovoid
+    swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    ov = ovoid_points(8)
+    first = next(p for p in ov.points
+                 if normalize_point(ov.field, apply_matrix(ov.field, p, swap)) not in ov.points)
+    monkeypatch.setattr(suzuki, "suzuki_matrices", lambda q: [swap])
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"generator matrix does not preserve the ovoid at {first}")):
+        suzuki_action(8)
 
 
 def test_no_three_collinear_q8():
@@ -125,8 +150,14 @@ def test_plane_sections_q8(suzuki8):
     assert all(len(c) == 9 for c in circ)
 
 
-def test_every_pair_on_q_plus_1_circles():
+def test_circles_match_the_per_plane_sections():
     circ = circles(8)
+    assert circ.shape == (520, 9) and circ.dtype == np.uint8
+    assert list(map(tuple, circ.tolist())) == plane_sections(ovoid_points(8))
+
+
+def test_every_pair_on_q_plus_1_circles():
+    circ = circles(8).tolist()
     count = {}
     for c in circ:
         for pr in combinations(c, 2):
@@ -160,7 +191,7 @@ def test_suzuki_two_transitive(suzuki8):
 
 def test_generators_preserve_circles(suzuki8):
     act, _ = suzuki8
-    circ = set(circles(8))
+    circ = set(map(tuple, circles(8).tolist()))
     for g in act.generators:
         for c in circ:
             assert tuple(sorted(g(x) for x in c)) in circ
@@ -170,5 +201,5 @@ def test_circles_single_orbit(suzuki8):
     from ftdesigns.designs import set_orbit
 
     act, _ = suzuki8
-    circ = circles(8)
+    circ = list(map(tuple, circles(8).tolist()))
     assert sorted(map(tuple, set_orbit(act.generators, circ[0]).tolist())) == circ
