@@ -9,6 +9,8 @@
 
 Run:  python demos/sporadic_designs.py
 """
+import numpy as np
+
 from ftdesigns.actions import GroupAction, coset_action, is_primitive
 from ftdesigns.designs import (ParameterSet, block_stabilizer_order,
                                coset_geometry, design_to_text,
@@ -44,7 +46,7 @@ m222 = catalog_entry("M22:2")
 act222 = GroupAction.natural("M22:2", m222.generators)
 design222 = orbit_block_search(act222, 6, ParameterSet(22, 77, 21, 6, 5))[0]
 show("M22:2 on 22 points", act222, design222)
-print("  same block set as under M22:", design222.blocks == design22.blocks)
+print("  same block set as under M22:", np.array_equal(design222.blocks, design22.blocks))
 
 hs = catalog_entry("HS")
 hs_nat = GroupAction.natural("HS", hs.generators)

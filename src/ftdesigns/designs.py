@@ -10,8 +10,8 @@ array with one sorted block per row, in the narrowest unsigned dtype
 that holds the points; a generator acts on a whole set of rows at once
 as `images[rows]`.  Rows are compared through one opaque byte key per
 row, so sorting, deduplicating and looking up blocks are numpy sorts and
-binary searches.  `Design` keeps its sorted list of tuples, which is the
-form the text format and the callers see.
+binary searches.  `Design` holds its blocks in the same form, with the
+rows in lexicographic order.
 """
 from __future__ import annotations
 
@@ -66,23 +66,36 @@ class ParameterSet:
 
 @dataclass
 class Design:
-    """Point count plus a lexicographically sorted list of sorted blocks."""
+    """Point count plus the blocks as one `(b, k)` array of dtype
+    `point_dtype(v)`, rows sorted and in lexicographic order, built from an
+    array or from sequences of one length."""
 
     v: int
-    blocks: list[tuple[int, ...]]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        self.blocks = sorted(tuple(sorted(b)) for b in self.blocks)
-        for b in self.blocks:
-            if b and (b[0] < 0 or b[-1] >= self.v):
+        rows = self.blocks
+        if not isinstance(rows, np.ndarray):
+            rows = sorted(tuple(sorted(b)) for b in rows)
+            k = len(rows[0]) if rows else 0
+            odd = next((b for b in rows if len(b) != k), None)
+            if odd is not None:
+                raise InputError(f"not k-uniform: block sizes {k} and {len(odd)}")
+            rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        rows = np.sort(rows, axis=1)
+        if rows.shape[1]:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            outside = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= self.v))
+            if outside.size:
+                b = tuple(rows[outside[0]].tolist())
                 raise InputError(f"block {b} outside point range 0..{self.v - 1}")
+        self.blocks = rows.astype(point_dtype(self.v))
 
 
 @dataclass
 class FlagReport:
     flag_transitive: bool
     r_witness: int
-    orbit_counts: list[int]
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +116,13 @@ def verify_2design(design: Design) -> ParameterSet:
     parameters.  Raises DesignError with a witness on any failure; the
     witness is the first failing block, point or pair in lexicographic
     order."""
-    v, blocks = design.v, design.blocks
-    if v < 3 or not blocks:
+    v, rows = design.v, design.blocks
+    if v < 3 or not len(rows):
         raise InputError("need v >= 3 and at least one block")
-    dup = next((a for a, b in zip(blocks, blocks[1:]) if a == b), None)
-    if dup is not None:
+    repeats = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    if repeats.size:
+        dup = tuple(rows[repeats[0]].tolist())
         raise DesignError(f"repeated block {dup}", witness=dup)
-    k = len(blocks[0])
-    odd = next((b for b in blocks if len(b) != k), None)
-    if odd is not None:
-        raise DesignError(
-            f"not k-uniform: block sizes {k} and {len(odd)}",
-            witness=(blocks[0], odd))
-    rows = np.array(blocks, dtype=point_dtype(v)).reshape(len(blocks), k)
     r_count = np.bincount(rows.ravel(), minlength=v)
     r = int(r_count[0])
     off = np.flatnonzero(r_count != r)
@@ -124,7 +131,7 @@ def verify_2design(design: Design) -> ParameterSet:
         raise DesignError(
             f"replication not constant: r(0)={r}, r({x})={int(r_count[x])}",
             witness=(0, x))
-    params = ParameterSet(v, len(blocks), r, k, _pair_coverage(rows, v))
+    params = ParameterSet(v, len(rows), r, rows.shape[1], _pair_coverage(rows, v))
     # counted values must satisfy the arithmetic identities
     if params.r * (params.k - 1) != params.lam * (params.v - 1):
         raise DesignError(f"counted parameters violate r(k-1)=lambda(v-1): {params}")
@@ -189,7 +196,7 @@ def set_orbit(gens, base_set, limit=None) -> np.ndarray:
     blowup, so ResourceLimitError is raised as soon as the orbit would
     exceed `limit` rows (BLOCK_ORBIT_LIMIT when not given)."""
     limit = BLOCK_ORBIT_LIMIT if limit is None else limit
-    base = sorted(base_set)
+    base = sorted(int(x) for x in base_set)
     n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
     images = [g.images.astype(point_dtype(n)) for g in gens]
     frontier = np.array([base], dtype=point_dtype(n))
@@ -227,7 +234,7 @@ def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens) -> Des
         raise InputError(
             f"|K|={k_order} is not a multiple of the base block size {len(base_block)}")
     blocks = set_orbit(point_action.generators, base_block)
-    return Design(point_action.degree, blocks.tolist())
+    return Design(point_action.degree, blocks)
 
 
 def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
@@ -270,7 +277,7 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Des
         reached[colex_rank(ob)] = True
         if len(ob) != target.b:
             continue
-        design = Design(n, ob.tolist())
+        design = Design(n, ob)
         try:
             params = verify_2design(design)
         except DesignError:
@@ -295,24 +302,20 @@ def _rows_through(rows, alpha, alpha_stab):
 def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     """Point-transitivity plus transitivity of the point stabilizer on the
     blocks through the point."""
-    k = len(design.blocks[0]) if design.blocks else 0
-    if any(len(b) != k for b in design.blocks):
-        raise InputError("flag-transitivity needs blocks of one size")
     dtype = point_dtype(max(A.degree, design.v))
-    rows = np.array(design.blocks, dtype=dtype).reshape(-1, k)
+    rows = design.blocks.astype(dtype, copy=False)
     keys = np.sort(row_keys(rows))
     for g in A.generators:
         _, hit = _lookup(keys, row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
         if not hit.all():
-            b = design.blocks[int(np.flatnonzero(~hit)[0])]
+            b = tuple(rows[int(np.flatnonzero(~hit)[0])].tolist())
             raise InputError(
                 f"generator {g!r} maps block {b} outside the design")
     if not is_transitive(A):
-        return FlagReport(False, 0, [])
+        return FlagReport(False, 0)
     alpha, alpha_stab = A.base_stabilizer()
     through, stab = _rows_through(rows, alpha, alpha_stab)
-    orbit_counts = [len(o) for o in orbits(stab, len(through))]
-    return FlagReport(len(orbit_counts) == 1, len(through), orbit_counts)
+    return FlagReport(len(orbits(stab, len(through))) == 1, len(through))
 
 
 @dataclass
@@ -361,8 +364,7 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
         raise DesignError(
             f"expected exactly one distinguished point per circle, found {len(distinguished)}")
     circle = through[distinguished[0][0]]
-    blocks = set_orbit(act.generators, circle[circle != alpha])
-    design = Design(act.degree, blocks.tolist())
+    design = Design(act.degree, set_orbit(act.generators, circle[circle != alpha]))
 
     params = verify_2design(design)
     if params != expected.params:
@@ -373,13 +375,11 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
     # the base block lies in a unique circle and omits exactly one of its
     # points; the group permutes both the blocks and the circles
     # transitively, so this holds for every block
-    member = np.zeros(act.degree, dtype=bool)
-    member[blocks[0]] = True
-    meets = member[circ].sum(axis=1)
+    meets = np.isin(circ, design.blocks[0]).sum(axis=1)
     hosts = np.flatnonzero(meets >= 3)
     if len(hosts) != 1 or meets[hosts[0]] != q:
         raise DesignError(
-            f"block {tuple(sorted(blocks[0].tolist()))} not a once-punctured circle")
+            f"block {tuple(design.blocks[0].tolist())} not a once-punctured circle")
     return SuzukiConstruction(act, design, params, report)
 
 
@@ -408,22 +408,19 @@ def iso_check(d1: Design, d2: Design) -> bool:
     new colour, together with each point of d2 in that cell in turn.  A
     colouring with one point of each design per colour is a bijection,
     accepted if it maps the blocks of d1 onto those of d2."""
-    v = d1.v
-    if d2.v != v or sorted(map(len, d1.blocks)) != sorted(map(len, d2.blocks)):
+    v, (b, k) = d1.v, d1.blocks.shape
+    if d2.v != v or len(d2.blocks) != b or d2.blocks.size != d1.blocks.size:
         return False
-    blocks = d1.blocks + d2.blocks
-    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-    points = np.fromiter(chain.from_iterable(blocks), dtype=point_dtype(2 * v + 1),
-                         count=int(sizes.sum()))
-    points[int(sizes[:len(d1.blocks)].sum()):] += v
-    block_points = _padded(sizes, points, 2 * v)
-    block_of = np.repeat(np.arange(len(blocks), dtype=point_dtype(len(blocks) + 1)),
-                         sizes)[np.argsort(points, kind="stable")]
-    point_blocks = _padded(np.bincount(points, minlength=2 * v), block_of, len(blocks))
+    if not d1.blocks.size:    # no incidences: every bijection will do
+        return True
+    block_points = np.concatenate([d1.blocks, d2.blocks.astype(point_dtype(2 * v)) + v])
+    points = block_points.ravel()
+    block_of = (np.argsort(points, kind="stable") // k).astype(point_dtype(2 * b + 1))
+    point_blocks = _padded(np.bincount(points, minlength=2 * v), block_of, 2 * b)
 
     def refine(colour):
         while True:
-            block_colour = _ranks(np.sort(_with_pad(colour)[block_points], axis=1))
+            block_colour = _ranks(np.sort(colour[block_points], axis=1))
             through = np.sort(_with_pad(block_colour)[point_blocks], axis=1)
             finer = _ranks(np.column_stack([colour, through]))
             if not np.array_equal(np.sort(finer[:v]), np.sort(finer[v:])):
@@ -438,6 +435,7 @@ def iso_check(d1: Design, d2: Design) -> bool:
             split[[x, y]] = colour.max() + 1
             yield split
 
+    target = np.sort(row_keys(d2.blocks))
     stack = [iter([np.zeros(2 * v, dtype=point_dtype(2 * v + 1))])]
     while stack:
         colour = next(stack[-1], None)
@@ -452,8 +450,8 @@ def iso_check(d1: Design, d2: Design) -> bool:
             x = int(np.flatnonzero(colour[:v] == cells[0])[0])
             stack.append(individualised(colour, x, v + np.flatnonzero(colour[v:] == cells[0])))
             continue
-        image = np.argsort(colour[v:])[colour[:v]]
-        if sorted(tuple(sorted(image[list(b)].tolist())) for b in d1.blocks) == d2.blocks:
+        image = np.argsort(colour[v:])[colour[:v]].astype(d2.blocks.dtype)
+        if np.array_equal(np.sort(row_keys(np.sort(image[d1.blocks], axis=1))), target):
             return True
     return False
 
@@ -485,9 +483,8 @@ def _with_pad(colour):
 
 def design_to_text(design: Design) -> str:
     """Canonical text form: `v <n>` then one block per line, 1-indexed."""
-    lines = [f"v {design.v}"]
-    for b in design.blocks:
-        lines.append(" ".join(str(x + 1) for x in b))
+    rows = design.blocks.astype(np.int64) + 1    # uint8 would wrap at v = 256
+    lines = [f"v {design.v}"] + [" ".join(map(str, row)) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -510,7 +507,10 @@ def design_from_text(text: str) -> Design:
             raise ParseError(f"point {outside} outside 1..{v}", line=no)
         if len(set(block)) != len(block):
             raise ParseError("a point is repeated in the block", line=no)
-        blocks.append(tuple(block))
+        if blocks and len(block) != len(blocks[0]):
+            raise ParseError(
+                f"not k-uniform: block sizes {len(blocks[0])} and {len(block)}", line=no)
+        blocks.append(block)
     if not blocks:
         raise ParseError("the design has no blocks")
     return Design(v, blocks)

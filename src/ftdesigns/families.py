@@ -5,6 +5,7 @@ coset geometry."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .designs import ParameterSet
 from .errors import InputError
@@ -12,29 +13,40 @@ from .suzuki import _check_q
 
 
 def is_mersenne_prime(m: int) -> bool:
-    """True iff m = 2^p - 1 for some p and m is prime."""
+    """True iff m = 2^p - 1 for some p and m is prime.
+
+    2^p - 1 is composite for composite p.  For an odd prime p the
+    Lucas-Lehmer test decides it: with s = 4 and s -> s^2 - 2, 2^p - 1
+    is prime iff s is 0 mod 2^p - 1 after p - 2 steps."""
     if m < 1:
         raise InputError("argument must be positive")
     if m & (m + 1):  # not of the form 2^p - 1
         return False
-    from sympy import isprime  # sympy takes most of the package's import time
-
-    return bool(isprime(m))
+    p = m.bit_length()
+    if p < 3:  # 2^1 - 1 = 1 is not prime, 2^2 - 1 = 3 is
+        return p == 2
+    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        return False
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def is_fermat_prime(m: int) -> bool:
-    """True iff m = 2^(2^t) + 1 and m is prime."""
+    """True iff m = 2^(2^t) + 1 and m is prime.
+
+    F_0 = 3 is prime.  For t >= 1 Pepin's test decides it: F is prime iff
+    3^((F-1)/2) is -1 mod F."""
     if m < 2:
         raise InputError("argument must be at least 2")
     e = m - 1
     if e & (e - 1):  # m - 1 not a power of two
         return False
-    t = e.bit_length() - 1
-    if t & (t - 1) and t != 1:  # exponent itself must be a power of two
+    n = e.bit_length() - 1  # m = 2^n + 1
+    if n == 0 or n & (n - 1):  # n itself must be a power of two
         return False
-    from sympy import isprime
-
-    return bool(isprime(m))
+    return m == 3 or pow(3, e // 2, m) == m - 1
 
 
 def _log2_even_q(q: int) -> int:

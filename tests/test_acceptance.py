@@ -7,6 +7,7 @@ budget.
 import time
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ftdesigns.actions import is_primitive
@@ -109,7 +110,7 @@ def test_criterion_4_sporadic_designs():
     # the same 77-block design under the doubled group
     m222 = GroupAction.natural("M22:2", catalog_entry("M22:2").generators)
     found = orbit_block_search(m222, 6, ParameterSet(22, 77, 21, 6, 5))
-    assert len(found) == 1 and found[0].blocks == m22_designs[0].blocks
+    assert len(found) == 1 and np.array_equal(found[0].blocks, m22_designs[0].blocks)
     cases.append((m222, found[0], (22, 77, 21, 6, 5)))
 
     for action, design, expected in cases:
@@ -200,8 +201,7 @@ def test_criterion_7_property_suites(catalog, m11_design, m22_design, hs_design,
     # (d) single-block deletion always breaks verification
     for design in (m11_design, m22_design, hs_design):
         for drop in range(len(design.blocks)):
-            mutated = Design(design.v,
-                             design.blocks[:drop] + design.blocks[drop + 1:])
+            mutated = Design(design.v, np.delete(design.blocks, drop, axis=0))
             with pytest.raises(DesignError):
                 verify_2design(mutated)
     _report(7, t0, 60)

@@ -59,7 +59,8 @@ def test_design_verify_bad_file(tmp_path):
     ("v 12\n\n1 2 2 4 5 6\n", "error: line 3: a point is repeated in the block\n"),
     ("v 2\n1 2\n", "error: line 1: a 2-design needs v >= 3, not 2\n"),
     ("v 5\n", "error: the design has no blocks\n"),
-], ids=["token", "range", "header", "repeat", "small-v", "no-blocks"])
+    ("v 5\n1 2 3\n1 2 3 4\n", "error: line 3: not k-uniform: block sizes 3 and 4\n"),
+], ids=["token", "range", "header", "repeat", "small-v", "no-blocks", "mixed"])
 def test_design_verify_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "malformed.design"
     bad.write_text(text)

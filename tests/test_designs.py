@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from ftdesigns.designs import (Design, ParameterSet, block_stabilizer_order,
                                is_flag_transitive, iso_check, orbit_block_search,
                                suzuki_design, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ParseError, ResourceLimitError
-from ftdesigns.perm import parse_cycles
+from ftdesigns.perm import parse_cycles, point_dtype
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -42,9 +43,41 @@ def test_repeated_block_rejected():
 
 
 def test_non_uniform_block_sizes():
-    with pytest.raises(DesignError) as err:
-        verify_2design(Design(5, [(0, 1, 2), (0, 1, 2, 3)]))
-    assert "uniform" in str(err.value)
+    with pytest.raises(InputError) as err:
+        Design(5, [(0, 1, 2, 3), (0, 1, 2)])
+    assert str(err.value) == "not k-uniform: block sizes 3 and 4"
+
+
+def test_design_rejects_points_out_of_range():
+    for blocks in ([(0, 1, 5)], [(-1, 1, 2)], np.array([[4, 1, 5]])):
+        with pytest.raises(InputError, match="outside point range 0..4"):
+            Design(5, blocks)
+
+
+@st.composite
+def _block_rows(draw):
+    """v up to 300, across the uint8 and uint16 dtypes, and up to 12 blocks
+    of one size k >= 0 as an int64 array."""
+    v = draw(st.integers(3, 300))
+    k = draw(st.integers(0, min(v, 8)))
+    block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    rows = draw(st.lists(block, min_size=1, max_size=12))
+    return v, np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_rows(), st.randoms(use_true_random=False))
+def test_design_blocks_are_one_sorted_array(case, rnd):
+    v, rows = case
+    expected = Design(v, rows).blocks
+    assert expected.dtype == point_dtype(v)
+    assert expected.tolist() == sorted(sorted(row) for row in rows.tolist())
+    shuffled = rows[rnd.sample(range(len(rows)), len(rows))]
+    permuted = np.array([rnd.sample(row, len(row)) for row in rows.tolist()],
+                        dtype=np.int64).reshape(rows.shape)
+    for blocks in (shuffled, permuted, rows.tolist()):
+        got = Design(v, blocks).blocks
+        assert got.dtype == point_dtype(v) and np.array_equal(got, expected)
 
 
 def test_parameter_identities():
@@ -59,7 +92,7 @@ def test_coset_geometry_pairs():
     chain = bsgs_build(S4)
     act = GroupAction.natural("S4", S4)
     design = coset_geometry(chain, act, [parse_cycles("(1,2)", 4)])
-    assert design.blocks[0] == (0, 1)
+    assert np.array_equal(design.blocks[0], (0, 1))
     assert verify_2design(design).astuple() == (4, 6, 3, 2, 1)
 
 
@@ -94,13 +127,13 @@ def test_orbit_block_search_s4():
     act = GroupAction.natural("S4", S4)
     found = orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1))
     assert len(found) == 1
-    assert found[0].blocks == sorted(combinations(range(4), 2))
+    assert np.array_equal(found[0].blocks, sorted(combinations(range(4), 2)))
 
 
 def test_orbit_block_search_m11_unique(m11_design, m11_action12):
     found = orbit_block_search(m11_action12, 6, ParameterSet(12, 22, 11, 6, 5))
     assert len(found) == 1
-    assert found[0].blocks == m11_design.blocks
+    assert np.array_equal(found[0].blocks, m11_design.blocks)
 
 
 def test_orbit_block_search_m22_unique(m22_design):
@@ -244,19 +277,21 @@ def test_iso_check_backtracks_past_a_wrong_first_choice():
 
 @st.composite
 def _structure_pairs(draw):
-    """Two structures on v <= 9 points: a relabelling or an independent
-    draw, with blocks of one size or of mixed sizes."""
+    """Two structures on v <= 9 points, each with one block size drawn for
+    it: a relabelling or an independent draw."""
     v = draw(st.integers(1, 9))
-    uniform = draw(st.booleans())
-    k = draw(st.integers(0, v))
-    block = st.lists(st.integers(0, v - 1), min_size=k if uniform else 0,
-                     max_size=k if uniform else v, unique=True)
     n_blocks = draw(st.integers(0, 10))
-    d1 = Design(v, draw(st.lists(block, min_size=n_blocks, max_size=n_blocks)))
+
+    def structure():
+        k = draw(st.integers(0, v))
+        block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+        return Design(v, draw(st.lists(block, min_size=n_blocks, max_size=n_blocks)))
+
+    d1 = structure()
     if draw(st.booleans()):
         relabel = draw(st.permutations(range(v)))
         return d1, Design(v, [tuple(relabel[x] for x in b) for b in d1.blocks])
-    return d1, Design(v, draw(st.lists(block, min_size=n_blocks, max_size=n_blocks)))
+    return d1, structure()
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,13 +305,17 @@ def test_design_text_round_trip(m11_design):
     text = design_to_text(m11_design)
     again = design_from_text(text)
     assert again.v == m11_design.v
-    assert again.blocks == m11_design.blocks
+    assert np.array_equal(again.blocks, m11_design.blocks)
     assert design_to_text(again) == text
 
 
 def test_design_text_is_one_indexed():
     text = design_to_text(Design(3, [(0, 1, 2)]))
     assert text == "v 3\n1 2 3\n"
+
+
+def test_design_text_past_the_uint8_range():
+    assert design_to_text(Design(256, [(0, 254, 255)])) == "v 256\n1 255 256\n"
 
 
 # Tokens of the design format, so that fuzzed text reaches past the

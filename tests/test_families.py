@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ftdesigns.errors import InputError
@@ -15,14 +20,35 @@ def test_mersenne():
     assert not is_mersenne_prime(15)
 
 
+def test_mersenne_exponents_up_to_127():
+    primes = [p for p in range(1, 128) if is_mersenne_prime(2**p - 1)]
+    assert primes == [2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127]
+
+
 def test_fermat():
     assert is_fermat_prime(5)
     assert is_fermat_prime(17)
     assert is_fermat_prime(3)
     assert is_fermat_prime(257)
+    assert not is_fermat_prime(2)        # 2^0 + 1, but 0 is not 2^t
     assert not is_fermat_prime(9)
     assert not is_fermat_prime(33)       # 2^5 + 1, exponent not a power of 2
     assert not is_fermat_prime(4294967297)  # F5 = 641 * 6700417
+
+
+def test_fermat_numbers_f0_to_f10():
+    prime = [is_fermat_prime(2**2**t + 1) for t in range(11)]
+    assert prime == [True] * 5 + [False] * 6
+
+
+def test_family_arithmetic_does_not_load_sympy():
+    code = ("import sys; from ftdesigns.families import suzuki_params; "
+            "suzuki_params(32); print('sympy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_suzuki_params_q8():
