@@ -8,8 +8,10 @@ of representative image tuples is equality of cosets.  Representatives
 are canonicalised as rows of arrays, in batches of at most
 `_BATCH_ENTRIES` image entries, one chain level at a time: an argmin
 over the level's orbit and a gather through the chosen transversal
-element.  Cosets are enumerated breadth first, and their labels are the
-order in which they are first reached.
+element.  The canonicaliser reads each level's orbit array and
+transversal matrix as the chain of H stores them, with no copy.  Cosets
+are enumerated breadth first, and their labels are the order in which
+they are first reached.
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
@@ -25,7 +27,7 @@ import numpy as np
 from .bsgs import (StabilizerChain, bsgs_build, orbit, orbit_transversal, orbits,
                    stabilizer_gens)
 from .errors import InputError, ResourceLimitError
-from .perm import Permutation, compose, inverse, point_dtype, row_keys
+from .perm import Permutation, compose, inverse, row_keys
 
 COSET_INDEX_LIMIT = 100_000
 # image entries canonicalised at once: bounds the (rows, degree) temporaries
@@ -108,23 +110,16 @@ class SubdegreeProfile:
 class _Canonicaliser:
     """Minimal-image representatives of right cosets of H, many at once.
 
-    Keeps, for each level of a chain of H with an orbit longer than 1, the
-    orbit as an index array and its transversal stacked as an
-    (|orbit|, degree) matrix.  A row u stands for the coset H*u; at each
-    level the orbit point x with the least u[x] is chosen and u becomes
-    u[t_x], where t_x is the transversal element carrying the level's base
-    point to x (Holt, Eick and O'Brien, Handbook of CGT, 2005, ch. 4)."""
+    Reads, for each level of a chain of H with an orbit longer than 1, the
+    orbit index array and the (|orbit|, degree) transversal matrix that
+    the chain stores.  A row u stands for the coset H*u; at each level the
+    orbit point x with the least u[x] is chosen and u becomes u[t_x],
+    where t_x is the transversal element carrying the level's base point
+    to x (Holt, Eick and O'Brien, Handbook of CGT, 2005, ch. 4)."""
 
     def __init__(self, hchain):
-        self.dtype = point_dtype(hchain.degree)
-        self.levels = []
-        for lvl in hchain.levels:
-            if len(lvl.orbit) == 1:
-                continue
-            trans = np.empty((len(lvl.orbit), hchain.degree), dtype=self.dtype)
-            for row, x in zip(trans, lvl.orbit):
-                row[:] = lvl.transversal[x].images
-            self.levels.append((np.array(lvl.orbit, dtype=np.intp), trans))
+        self.dtype = hchain.dtype
+        self.levels = [(lvl.orbit, lvl.trans) for lvl in hchain.levels if len(lvl.orbit) > 1]
 
     def __call__(self, rows):
         """The canonical representative of each row of an (m, degree)
@@ -197,8 +192,8 @@ def is_transitive(A: GroupAction) -> bool:
     return len(orbit(A.generators, 0, A.degree)) == A.degree
 
 
-def _minimal_block_size(gens, n, beta):
-    """Size of the smallest block containing {0, beta} (union-find join)."""
+def _minimal_block_size(gens, n, alpha, beta):
+    """Size of the smallest block containing {alpha, beta} (union-find join)."""
     parent = list(range(n))
 
     def find(x):
@@ -214,8 +209,8 @@ def _minimal_block_size(gens, n, beta):
         parent[rb] = ra
         return (ra, rb)
 
-    stack = [(0, beta)]
-    union(0, beta)
+    stack = [(alpha, beta)]
+    union(alpha, beta)
     images = [g.images for g in gens]
     while stack:
         a, b = stack.pop()
@@ -223,18 +218,24 @@ def _minimal_block_size(gens, n, beta):
             merged = union(int(img[a]), int(img[b]))
             if merged:
                 stack.append(merged)
-    root = find(0)
+    root = find(alpha)
     return sum(1 for x in range(n) if find(x) == root)
 
 
 def is_primitive(A: GroupAction) -> bool:
-    """No nontrivial proper block system; minimal-block test from each pair."""
+    """No nontrivial proper block system: the smallest block through
+    {alpha, beta} is the whole set for one beta in each orbit of the
+    stabilizer of alpha, the point of `A.base_stabilizer()`.  The block
+    through {alpha, beta^h}, h fixing alpha, is the h-image of the block
+    through {alpha, beta}, so the other betas add nothing."""
     if A.degree < 2:
         raise InputError("primitivity needs degree >= 2")
     if not is_transitive(A):
         raise InputError("primitivity is defined for transitive actions only")
-    for beta in range(1, A.degree):
-        if _minimal_block_size(A.generators, A.degree, beta) < A.degree:
+    alpha, stab = A.base_stabilizer()
+    for orb in orbits(stab, A.degree):
+        if orb[0] != alpha and _minimal_block_size(A.generators, A.degree, alpha,
+                                                   orb[0]) < A.degree:
             return False
     return True
 
@@ -248,7 +249,8 @@ def point_stabilizer_gens(A: GroupAction, point: int):
     if not 0 <= point < A.degree:
         raise InputError(f"point {point} out of range for degree {A.degree}")
     base, stab = A.base_stabilizer()
-    u = orbit_transversal(A.generators, base, A.degree)[1][point]
+    _, rows, trans = orbit_transversal(A.generators, base, A.degree)
+    u = Permutation(trans[rows[point]])
     u_inv = inverse(u)
     return [compose(compose(u_inv, s), u) for s in stab]
 

@@ -2,35 +2,77 @@
 
 The construction is the deterministic Schreier-Sims algorithm: no
 randomization anywhere, so identical generator lists always produce
-identical chains.  Transversals are stored as explicit image arrays,
-which is cheap at the degrees this package works with (<= a few
-thousand points).
+identical chains.
+
+Storage.  A level keeps its orbit as an index array in breadth-first
+order, a point -> row lookup into it (-1 off the orbit), and its
+transversal as one (|orbit|, degree) matrix in the narrowest unsigned
+dtype that holds the points (`perm.point_dtype`): row r maps the base
+point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
+sits beside it, because sifting multiplies by u^-1.  Both are filled
+layer by layer of a breadth-first search in which a point is reached
+first from the earlier frontier point, then the earlier generator.  A
+level whose orbit is only its base point has no lookup and shares one
+identity row.
+
+Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
+as rows, by gathers, for a batch of (x, g) pairs in x-major order, and
+the whole batch is sifted through the lower levels, one level at a time.
+The first pair whose residue is not the identity gives the next strong
+generator, so the chain is the one that sifting one pair at a time
+gives.  A batch holds at most `_BATCH_ENTRIES` image entries; it starts
+at one row and doubles, so a pair that fails early wastes little.
+
+Resumable verification.  Levels are verified bottom first.  A residue
+found at level i is installed below it and leaves level i's generators
+as they were, so level i keeps its orbit and transversal and resumes at
+the pair that failed: the earlier pairs sifted to the identity through a
+subgroup of the new lower group, and still do.  A level whose generators
+changed is rebuilt and verified from its first pair.  A level whose orbit
+is only its base point is complete at once: its Schreier generators are
+its generators, which `_install` has put on the level below.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InputError
-from .perm import Permutation, compose, identity, inverse
+from .perm import Permutation, point_dtype
 
 __all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbits",
-           "stabilizer_gens"]
+           "orbit_transversal", "stabilizer_gens"]
+
+# image entries per batch: bounds every (rows, degree) temporary
+_BATCH_ENTRIES = 1 << 18
 
 
 class _Level:
     """One level of the chain: a base point, its strong generators, and
-    the Schreier tree for its orbit (transversal as explicit arrays)."""
+    its orbit with the transversal and inverse-transversal matrices."""
 
-    __slots__ = ("point", "gens", "orbit", "transversal")
+    __slots__ = ("point", "gens", "orbit", "rows", "trans", "inv", "_built", "_resume")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
-        self.orbit: list[int] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.orbit = self.rows = self.trans = self.inv = None
+        self._built = -1   # len(gens) when the orbit was last built
+        self._resume = 0   # first (x, g) pair not yet known to sift to the identity
 
-    def rebuild(self, degree):
-        """Breadth-first orbit of the base point; u_x maps point -> x."""
-        self.orbit = self.transversal = None  # free the old tree first
-        self.orbit, self.transversal = orbit_transversal(self.gens, self.point, degree)
+    def rebuild(self, chain):
+        self._built, self._resume = len(self.gens), 0
+        self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
+        if all(g.images[self.point] == self.point for g in self.gens):
+            self.orbit = np.array([self.point], dtype=np.intp)
+            self.trans = self.inv = chain._identity_row
+            return
+        self.orbit, self.rows, self.trans = orbit_transversal(self.gens, self.point, chain.degree)
+        self.inv = np.empty_like(self.trans)
+        step = _batch_rows(chain.degree)
+        values = np.arange(chain.degree, dtype=chain.dtype)
+        for lo in range(0, len(self.orbit), step):
+            part = self.trans[lo:lo + step]
+            self.inv[lo:lo + step][np.arange(len(part))[:, None], part] = values
 
 
 class StabilizerChain:
@@ -38,7 +80,10 @@ class StabilizerChain:
 
     def __init__(self, degree):
         self.degree = degree
+        self.dtype = point_dtype(degree)
         self.levels: list[_Level] = []
+        self._identity_row = np.arange(degree, dtype=self.dtype)[None, :]
+        self._identity_row.setflags(write=False)
 
     @property
     def base(self):
@@ -69,15 +114,16 @@ class StabilizerChain:
         """
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
+        img = p.images
         for i, lvl in enumerate(self.levels):
-            x = p(lvl.point)
+            x = int(img[lvl.point])
             if x == lvl.point:
                 continue
-            ux = lvl.transversal.get(x)
-            if ux is None:
-                return p, i
-            p = compose(p, inverse(ux))
-        return p, len(self.levels)
+            row = -1 if lvl.rows is None else int(lvl.rows[x])
+            if row < 0:
+                return _residue(p, img), i
+            img = lvl.inv[row][img]
+        return _residue(p, img), len(self.levels)
 
     def __contains__(self, p):
         residue, _ = self.sift(p)
@@ -90,11 +136,19 @@ class StabilizerChain:
         """
         if not 0 <= index < self.order():
             raise InputError("element index out of range")
-        g = identity(self.degree)
+        g = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             index, r = divmod(index, len(lvl.orbit))
-            g = compose(lvl.transversal[lvl.orbit[r]], g)
-        return g
+            g = g[lvl.trans[r]]
+        return Permutation._wrap(g)
+
+
+def _residue(p, img):
+    return p if img is p.images else Permutation._wrap(img.astype(np.int64))
+
+
+def _batch_rows(degree):
+    return max(1, _BATCH_ENTRIES // max(1, degree))
 
 
 def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
@@ -102,9 +156,10 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
 
     Without a hint, each new base point is the smallest point moved by
     the strong generator that forced the level, which yields an
-    ascending base.  ``base_hint`` forces a base prefix (used where a
-    chain relative to the natural point order 0,1,2,... is required);
-    hinted levels with trivial orbits are pruned afterwards.
+    ascending base.  ``base_hint`` forces a base prefix of distinct
+    points (used where a chain relative to the natural point order
+    0,1,2,... is required); hinted levels with trivial orbits are pruned
+    afterwards.
     """
     gens = list(gens)
     if degree is None:
@@ -116,15 +171,17 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
 
     chain = StabilizerChain(degree)
     if base_hint is not None:
-        for b in base_hint:
-            chain.levels.append(_Level(int(b)))
+        hint = [int(b) for b in base_hint]
+        bad = [b for b in hint if not 0 <= b < degree]
+        if bad:
+            raise InputError(f"base point {bad[0]} out of range for degree {degree}")
+        if len(set(hint)) != len(hint):
+            raise InputError("base hint repeats a point")
+        chain.levels = [_Level(b) for b in hint]
 
     for g in gens:
         if not g.is_identity():
             _install(chain, g, 0)
-
-    for lvl in chain.levels:
-        lvl.rebuild(degree)
 
     # Holt-style verification loop, bottom level first.
     i = len(chain.levels) - 1
@@ -155,42 +212,71 @@ def _install(chain, g, from_level):
 
 
 def _verify_level(chain, i):
-    """Sift every Schreier generator of level i through the lower chain.
+    """Sift the Schreier generators of level i through the lower chain,
+    a batch of (orbit point, generator) pairs at a time, from the pair
+    where the last verification of the level stopped.
 
-    On failure the residue is installed as a new strong generator and
-    the level index to re-verify from is returned; None means level i
-    is complete.
+    On failure the residue of the first failing pair is installed as a
+    new strong generator and the level index to re-verify from is
+    returned; None means level i is complete.
     """
     lvl = chain.levels[i]
-    lvl.rebuild(chain.degree)
-    for x in lvl.orbit:
-        ux = lvl.transversal[x]
-        for g in lvl.gens:
-            y = g(x)
-            uy = lvl.transversal[y]
-            schreier = compose(compose(ux, g), inverse(uy))
-            if schreier.is_identity():
-                continue
-            residue = schreier
-            stop = len(chain.levels)
-            for j in range(i + 1, len(chain.levels)):
-                sub = chain.levels[j]
-                z = residue(sub.point)
-                if z == sub.point:
-                    continue
-                uz = sub.transversal.get(z)
-                if uz is None:
-                    stop = j
-                    break
-                residue = compose(residue, inverse(uz))
-            else:
-                if residue.is_identity():
-                    continue
-            j = _install(chain, residue, i + 1)
-            for l in range(i + 1, j + 1):
-                chain.levels[l].rebuild(chain.degree)
-            return j
+    if lvl._built != len(lvl.gens):
+        lvl.rebuild(chain)
+    if lvl.rows is None:
+        return None
+    k = len(lvl.gens)
+    gmat = np.array([g.images for g in lvl.gens], dtype=chain.dtype)
+    pairs = len(lvl.orbit) * k
+    cap, step = _batch_rows(chain.degree), 1
+    start = lvl._resume
+    while start < pairs:
+        xr, gi = np.divmod(np.arange(start, min(start + step, pairs)), k)
+        yr = lvl.rows[gmat[gi, lvl.orbit[xr]]]
+        # row m is u_x g u_y^-1 for the pair (x, g) with y = xg
+        res = lvl.inv[yr[:, None], gmat[gi[:, None], lvl.trans[xr]]]
+        through = _strip(chain.levels, i + 1, res)
+        failed = ~through | (res != chain._identity_row).any(axis=1)
+        if failed.any():
+            first = int(failed.argmax())
+            lvl._resume = start + first
+            return _install(chain, Permutation._wrap(res[first].astype(np.int64)), i + 1)
+        start += len(res)
+        step = min(2 * step, cap)
+    lvl._resume = pairs
     return None
+
+
+def _strip(levels, first, res):
+    """Sift the rows of `res` in place through levels[first:], one level
+    at a time.  A row that reaches a level whose orbit misses the row's
+    image of the base point stays as it is there.  Returns a mask of the
+    rows that went through every level."""
+    through = np.ones(len(res), dtype=bool)
+    live = np.arange(len(res))
+    j, n = first, len(levels)
+    while j < n and live.size:
+        if levels[j].rows is None:
+            # a run of one-point orbits: a row stops at the first base point it moves
+            k = j + 1
+            while k < n and levels[k].rows is None:
+                k += 1
+            points = np.array([lvl.point for lvl in levels[j:k]], dtype=np.intp)
+            moved = (res[live[:, None], points] != points).any(axis=1)
+            through[live[moved]] = False
+            live = live[~moved]
+            j = k
+            continue
+        lvl = levels[j]
+        rows = lvl.rows[res[live, lvl.point]]
+        through[live[rows < 0]] = False
+        live, rows = live[rows >= 0], rows[rows >= 0]
+        moving = rows > 0          # row 0 is the identity
+        if moving.any():
+            sel = live[moving]
+            res[sel] = lvl.inv[rows[moving][:, None], res[sel]]
+        j += 1
+    return through
 
 
 def contains(chain: StabilizerChain, p: Permutation) -> bool:
@@ -237,20 +323,40 @@ def orbits(gens, degree):
 
 
 def orbit_transversal(gens, point, degree):
-    """Orbit with coset representatives u_x (u_x maps point -> x)."""
-    out = [point]
-    transversal = {point: identity(degree)}
-    queue = 0
-    while queue < len(out):
-        x = out[queue]
-        queue += 1
-        ux = transversal[x]
-        for g in gens:
-            y = g(x)
-            if y not in transversal:
-                transversal[y] = compose(ux, g)
-                out.append(y)
-    return out, transversal
+    """Orbit of a point with its transversal, as arrays: the orbit in
+    breadth-first order (intp), the row of each point in it (-1 off the
+    orbit), and the (|orbit|, degree) matrix in `point_dtype(degree)`
+    whose row r maps point to orbit[r].
+
+    The search goes a layer at a time; a new point is taken in the order
+    of its first image in (frontier point, generator) order, and its row
+    is its parent's row followed by that generator."""
+    dtype = point_dtype(degree)
+    gmat = np.array([g.images for g in gens], dtype=dtype).reshape(len(gens), degree)
+    k = len(gens)
+    rows = np.full(degree, -1, dtype=np.min_scalar_type(-degree))
+    rows[point] = 0
+    layers = [np.array([point], dtype=np.intp)]
+    steps = []                    # per later layer: (parent rows, generator indices)
+    lo, found = 0, 1
+    while k and len(layers[-1]):
+        cand = gmat[:, layers[-1]].T.ravel()      # (frontier point, generator) order
+        pts, first = np.unique(cand, return_index=True)
+        first = np.sort(first[rows[pts] < 0])
+        new = cand[first].astype(np.intp)
+        rows[new] = np.arange(found, found + len(new))
+        steps.append((lo + first // k, first % k))
+        layers.append(new)
+        lo, found = found, found + len(new)
+    trans = np.empty((found, degree), dtype=dtype)
+    trans[0] = np.arange(degree)
+    step, row = _batch_rows(degree), 1
+    for parent, via in steps:
+        for s in range(0, len(parent), step):
+            p, v = parent[s:s + step], via[s:s + step]
+            trans[row:row + len(p)] = gmat[v[:, None], trans[p]]
+            row += len(p)
+    return np.concatenate(layers), rows, trans
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):
@@ -262,4 +368,3 @@ def stabilizer_gens(chain: StabilizerChain, point: int):
     if chain.base[:1] != [point]:
         chain = bsgs_build(chain.strong_generators(), chain.degree, base_hint=[point])
     return list(chain.levels[1].gens) if len(chain.levels) > 1 else []
-

@@ -144,29 +144,26 @@ def _cmd_search(args, out):
 
 
 def _named_design(name):
-    from .designs import (Design, ParameterSet, coset_geometry,
-                          orbit_block_search)
+    from .designs import ParameterSet, coset_geometry, orbit_block_search
     from .groupdata import catalog_entry
     from .actions import GroupAction, coset_action
 
     if name == "m11":
         entry = catalog_entry("M11")
-        natural = GroupAction.natural("M11", entry.generators)
-        action = coset_action(natural.chain, entry.subgroup("L2(11)").generators,
+        action = coset_action(entry.chain, entry.subgroup("L2(11)").generators,
                               name="M11 on 12 points")
         designs = orbit_block_search(action, 6, ParameterSet(12, 22, 11, 6, 5))
         return action, designs[0]
     if name in ("m22", "m22:2"):
         entry = catalog_entry("M22" if name == "m22" else "M22:2")
-        action = GroupAction.natural(entry.name, entry.generators)
+        action = GroupAction(entry.name, entry.degree, entry.generators, _chain=entry.chain)
         designs = orbit_block_search(action, 6, ParameterSet(22, 77, 21, 6, 5))
         return action, designs[0]
     if name == "hs":
         entry = catalog_entry("HS")
-        natural = GroupAction.natural("HS", entry.generators)
-        action = coset_action(natural.chain, entry.subgroup("U3(5).2").generators,
+        action = coset_action(entry.chain, entry.subgroup("U3(5).2").generators,
                               name="HS on 176 points")
-        design = coset_geometry(natural.chain, action, entry.subgroup("S8").generators)
+        design = coset_geometry(entry.chain, action, entry.subgroup("S8").generators)
         return action, design
     raise InputError(f"unknown design name {name!r}")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
-from .bsgs import bsgs_build, contains
+from .bsgs import StabilizerChain, bsgs_build, contains
 from .errors import InputError, ParseError
 from .perm import Permutation, format_cycles, parse_cycles
 
@@ -49,6 +49,14 @@ class CatalogEntry:
     order: int
     generators: list[Permutation] = field(default_factory=list)
     subgroups: list[SubgroupData] = field(default_factory=list)
+    _chain: StabilizerChain = field(default=None, repr=False, compare=False)
+
+    @property
+    def chain(self):
+        """The stabilizer chain of the generators, built on first use."""
+        if self._chain is None:
+            self._chain = bsgs_build(self.generators, self.degree)
+        return self._chain
 
     def subgroup(self, name):
         for s in self.subgroups:
@@ -170,7 +178,7 @@ class ValidationReport:
 def validate_entry(entry: CatalogEntry) -> ValidationReport:
     """Recompute orders and containments; failures are report content."""
     checks = []
-    chain = bsgs_build(entry.generators, entry.degree)
+    chain = entry.chain
     got = chain.order()
     checks.append(ValidationCheck(
         "group order", got == entry.order, f"declared {entry.order}, computed {got}"))

@@ -187,15 +187,14 @@ PROFILE_SOURCES = {
 def action_for(entry_name: str, subgroup_name: str | None,
                subgroup_nr: int | None = None) -> GroupAction:
     """The natural catalog action, or the coset action on a bundled
-    subgroup's cosets."""
+    subgroup's cosets; both read the entry's chain."""
     entry = catalog_entry(entry_name)
-    natural = GroupAction.natural(entry.name, entry.generators, entry.degree)
     if subgroup_name is None:
-        return natural
+        return GroupAction(entry.name, entry.degree, entry.generators, _chain=entry.chain)
     sub = next(s for s in entry.subgroups
                if s.name == subgroup_name
                and (subgroup_nr is None or s.nr == subgroup_nr))
-    return coset_action(natural.chain, sub.generators,
+    return coset_action(entry.chain, sub.generators,
                         name=f"{entry.name} on cosets of {sub.name}")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from ftdesigns.bsgs import bsgs_build
 from ftdesigns.errors import InputError
-from ftdesigns.perm import Permutation, compose, identity
+from ftdesigns.perm import Permutation, compose, identity, inverse
 
 
 def element_closure(gens, degree=None, limit=2_000_000):
@@ -32,6 +32,118 @@ def element_closure(gens, degree=None, limit=2_000_000):
     return elements
 
 
+class ScalarLevel:
+    """One level of a scalar chain: a base point, its strong generators,
+    and its orbit with a dict transversal (u_x maps point -> x)."""
+
+    def __init__(self, point):
+        self.point = point
+        self.gens = []
+        self.orbit = []
+        self.transversal = {}
+
+    def rebuild(self, degree):
+        self.orbit = [self.point]
+        self.transversal = {self.point: identity(degree)}
+        queue = 0
+        while queue < len(self.orbit):
+            x = self.orbit[queue]
+            queue += 1
+            for g in self.gens:
+                y = g(x)
+                if y not in self.transversal:
+                    self.transversal[y] = compose(self.transversal[x], g)
+                    self.orbit.append(y)
+
+
+def scalar_bsgs_build(gens, degree, base_hint=None):
+    """Deterministic Schreier-Sims one permutation at a time: every level is
+    rebuilt and verified from its first (orbit point, generator) pair after
+    each new strong generator.  Returns the list of levels."""
+    levels = [ScalarLevel(int(b)) for b in base_hint] if base_hint is not None else []
+
+    def install(g, j):
+        while j < len(levels):
+            levels[j].gens.append(g)
+            if g(levels[j].point) != levels[j].point:
+                return j
+            j += 1
+        levels.append(ScalarLevel(g.smallest_moved()))
+        levels[-1].gens.append(g)
+        return len(levels) - 1
+
+    def verify(i):
+        lvl = levels[i]
+        lvl.rebuild(degree)
+        for x in lvl.orbit:
+            for g in lvl.gens:
+                residue = compose(compose(lvl.transversal[x], g),
+                                  inverse(lvl.transversal[g(x)]))
+                if residue.is_identity():
+                    continue
+                for sub in levels[i + 1:]:
+                    z = residue(sub.point)
+                    if z == sub.point:
+                        continue
+                    if z not in sub.transversal:
+                        break
+                    residue = compose(residue, inverse(sub.transversal[z]))
+                else:
+                    if residue.is_identity():
+                        continue
+                j = install(residue, i + 1)
+                for l in range(i + 1, j + 1):
+                    levels[l].rebuild(degree)
+                return j
+        return None
+
+    for g in gens:
+        if not g.is_identity():
+            install(g, 0)
+    for lvl in levels:
+        lvl.rebuild(degree)
+    i = len(levels) - 1
+    while i >= 0:
+        stuck = verify(i)
+        i = i - 1 if stuck is None else stuck
+    if base_hint is not None:
+        levels = [lvl for lvl in levels if len(lvl.orbit) > 1 or lvl.gens]
+    return levels
+
+
+def scalar_sift(levels, p):
+    """Strip p through scalar levels: (residue, level where it stopped)."""
+    for i, lvl in enumerate(levels):
+        z = p(lvl.point)
+        if z == lvl.point:
+            continue
+        if z not in lvl.transversal:
+            return p, i
+        p = compose(p, inverse(lvl.transversal[z]))
+    return p, len(levels)
+
+
+def assert_chain_matches(chain, levels):
+    """The chain has the scalar levels' base, strong generators in order,
+    orbits in order, and transversal rows."""
+    assert chain.base == [lvl.point for lvl in levels]
+    for got, want in zip(chain.levels, levels):
+        assert got.gens == want.gens, got.point
+        assert got.orbit.tolist() == want.orbit, got.point
+        assert got.trans.shape == (len(want.orbit), chain.degree), got.point
+        for row, x in zip(got.trans, want.orbit):
+            assert np.array_equal(row, want.transversal[x].images), (got.point, x)
+
+
+def all_pairs_is_primitive(A):
+    """Primitivity of a transitive action from the smallest block through
+    {0, beta} for every beta, one union-find each."""
+    from ftdesigns.actions import _minimal_block_size
+
+    return all(_minimal_block_size(A.generators, A.degree, 0, beta) == A.degree
+               for beta in range(1, A.degree))
+
+
 def canonical_rep(hchain, images):
     """Minimal image-tuple representative of the coset H * (permutation
     with the given images), one level and one orbit point at a time."""
@@ -39,9 +151,9 @@ def canonical_rep(hchain, images):
     for lvl in hchain.levels:
         if len(lvl.orbit) == 1:
             continue
-        x_star = min(lvl.orbit, key=lambda x: u[x])
-        if x_star != lvl.point:
-            u = u[lvl.transversal[x_star].images]
+        orbit = lvl.orbit.tolist()
+        r = min(range(len(orbit)), key=lambda r: u[orbit[r]])
+        u = u[lvl.trans[r]]
     return u
 
 

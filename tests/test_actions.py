@@ -12,7 +12,7 @@ from ftdesigns.bsgs import bsgs_build, orbit, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import parse_cycles
-from oracles import canonical_rep, coset_action_images
+from oracles import all_pairs_is_primitive, canonical_rep, coset_action_images
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -172,30 +172,71 @@ def test_point_stabilizer_generators_fix_the_point(request, which):
 
 
 def test_profile_actions_build_no_extra_chain(monkeypatch):
-    # point 0 of a coset action is H, whose image generates its stabilizer,
-    # so neither the action nor its subdegrees need Schreier-Sims on the
-    # image; a natural action builds its own chain once and reads the
-    # stabilizer off it
-    from ftdesigns import bsgs
+    # validation and the ten profiles build each catalog group's chain once,
+    # on its catalog entry; point 0 of a coset action is H, whose image
+    # generates its stabilizer, so neither the action nor its subdegrees need
+    # Schreier-Sims on the image, and a natural action reads the entry's chain
+    from ftdesigns import bsgs, groupdata
     from ftdesigns.pipeline import PROFILE_SOURCES, action_for
 
-    degrees = []
+    fresh = tuple(groupdata.parse_catalog(groupdata._data_text("catalog.txt")))
+    monkeypatch.setattr(groupdata, "_bundled_catalog", lambda: fresh)
+    calls = []
 
     def recording(gens, degree=None, base_hint=None, _build=bsgs.bsgs_build):
         chain = _build(gens, degree, base_hint)
-        degrees.append(chain.degree)
+        calls.append((list(gens), chain.degree, base_hint))
         return chain
 
-    monkeypatch.setattr(bsgs, "bsgs_build", recording)
-    monkeypatch.setattr(actions, "bsgs_build", recording)
+    for module in (bsgs, actions, groupdata):
+        monkeypatch.setattr(module, "bsgs_build", recording)
+    for entry in fresh:
+        assert groupdata.validate_entry(entry).passed, entry.name
     for key, source in sorted(PROFILE_SOURCES.items()):
-        degrees.clear()
+        before = len(calls)
         act = action_for(*source)
         assert subdegrees(act).total() == act.degree, key
+        new = calls[before:]
         if source[1] is None:
-            assert degrees == [act.degree], key
+            assert new == [], key
+            assert act.chain is groupdata.catalog_entry(source[0]).chain, key
         else:
-            assert act.degree not in degrees, key
+            assert all(degree != act.degree for _, degree, _ in new), key
+    for entry in fresh:
+        built = [c for c in calls if c[2] is None and c[0] == entry.generators]
+        assert len(built) == 1, entry.name
+
+
+SMALL_ACTIONS = {
+    "C4": [parse_cycles("(1,2,3,4)", 4)],
+    "D8 based at 1": [parse_cycles("(2,4)", 4), parse_cycles("(1,2,3,4)", 4)],
+    "S4 based at 1": [parse_cycles("(2,3)", 4), parse_cycles("(1,2,3,4)", 4)],
+    "S3wrC2": [parse_cycles("(1,2,3)", 6), parse_cycles("(1,2)", 6),
+               parse_cycles("(1,4)(2,5)(3,6)", 6)],
+    "C2xC2": [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)],
+    "A5": [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2,3)", 5)],
+}
+
+
+@pytest.mark.parametrize("which", [*SMALL_ACTIONS, "M11", "M22", "m11_action12",
+                                   "hs_action176", "suzuki8", "M23 on 253", "M11 on 110"])
+def test_is_primitive_matches_the_all_pairs_reference(request, catalog, natural, which):
+    if which in SMALL_ACTIONS:
+        act = GroupAction.natural(which, SMALL_ACTIONS[which])
+    elif which in ("M11", "M22"):
+        act = natural(which)
+    elif which == "M23 on 253":
+        act = coset_action(natural("M23").chain,
+                           catalog["M23"].subgroup("L3(4).2_2").generators)
+    elif which == "M11 on 110":
+        # cosets of a two-point stabilizer: blocks of 2 and of 10 cosets
+        chain = natural("M11").chain
+        act = coset_action(chain, chain.levels[2].gens)
+        assert act.degree == 110 and not is_primitive(act)
+    else:
+        act = request.getfixturevalue(which)
+        act = act[0] if which == "suzuki8" else act
+    assert is_primitive(act) == all_pairs_is_primitive(act)
 
 
 def test_is_transitive():

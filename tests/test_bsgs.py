@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ftdesigns.bsgs import bsgs_build, contains, orbit, stabilizer_gens
+from ftdesigns import bsgs
+from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabilizer_gens
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
-from oracles import element_closure
+from oracles import assert_chain_matches, element_closure, scalar_bsgs_build, scalar_sift
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -157,8 +160,109 @@ def test_determinism():
     a = bsgs_build(S4)
     b = bsgs_build(S4)
     assert a.base == b.base
-    assert [sorted(l.transversal) for l in a.levels] == [sorted(l.transversal) for l in b.levels]
+    for la, lb in zip(a.levels, b.levels):
+        assert np.array_equal(la.orbit, lb.orbit)
+        assert np.array_equal(la.trans, lb.trans)
+        assert np.array_equal(la.inv, lb.inv)
     assert a.strong_generators() == b.strong_generators()
+
+
+def test_level_storage():
+    chain = bsgs_build(S4)
+    for lvl in chain.levels:
+        assert lvl.trans.dtype == lvl.inv.dtype == chain.dtype == np.uint8
+        assert lvl.orbit[0] == lvl.point
+        assert np.array_equal(lvl.trans[0], np.arange(4))
+        for r, x in enumerate(lvl.orbit):
+            assert lvl.trans[r][lvl.point] == x
+            assert np.array_equal(lvl.inv[r][lvl.trans[r]], np.arange(4))
+            if lvl.rows is not None:
+                assert lvl.rows[x] == r
+        if lvl.rows is not None:
+            off = np.setdiff1d(np.arange(4), lvl.orbit)
+            assert (lvl.rows[off] == -1).all()
+
+
+def test_orbit_transversal_rows():
+    gens = [parse_cycles("(1,2,3)(4,5)", 6), parse_cycles("(3,4)", 6)]
+    orb, rows, trans = orbit_transversal(gens, 0, 6)
+    assert orb.tolist() == orbit(gens, 0, 6) == [0, 1, 2, 3, 4]
+    assert rows.tolist() == [0, 1, 2, 3, 4, -1]
+    assert trans.shape == (5, 6) and trans.dtype == np.uint8
+    for r, x in enumerate(orb):
+        assert trans[r][0] == x
+    # 3 is first reached from 2 by the second generator, so u_3 = u_2 * (3,4)
+    assert np.array_equal(trans[3], compose(Permutation(trans[2]), gens[1]).images)
+
+
+@pytest.mark.parametrize("hint,message", [([-1], "out of range"), ([7], "out of range"),
+                                          ([0, 2, 0], "repeats")])
+def test_bad_base_hint(hint, message):
+    s4_on_5 = [parse_cycles("(1,2,3,4)", 5), parse_cycles("(1,2)", 5)]
+    with pytest.raises(InputError, match=message):
+        bsgs_build(s4_on_5, 5, base_hint=hint)
+    assert bsgs_build(s4_on_5, 5, base_hint=[4, 3]).order() == 24
+
+
+def test_catalog_chains_match_the_scalar_oracle(catalog):
+    for entry in catalog.values():
+        assert_chain_matches(bsgs_build(entry.generators, entry.degree),
+                             scalar_bsgs_build(entry.generators, entry.degree))
+        for sub in entry.subgroups:
+            if sub.generators:
+                assert_chain_matches(bsgs_build(sub.generators, entry.degree),
+                                     scalar_bsgs_build(sub.generators, entry.degree))
+
+
+def test_hinted_coset_action_chains_match_the_scalar_oracle(catalog):
+    from ftdesigns.pipeline import PROFILE_SOURCES
+
+    hinted = [source for source in PROFILE_SOURCES.values() if source[1] is not None]
+    assert len(hinted) == 7
+    for group, name, nr in hinted:
+        entry = catalog[group]
+        sub = next(s for s in entry.subgroups if s.name == name and s.nr == nr)
+        hint = range(entry.degree)
+        assert_chain_matches(bsgs_build(sub.generators, entry.degree, base_hint=hint),
+                             scalar_bsgs_build(sub.generators, entry.degree, base_hint=hint))
+
+
+def test_suzuki_chain_matches_the_scalar_oracle(suzuki8):
+    gens = suzuki8[0].generators
+    chain = suzuki8[0].chain
+    assert_chain_matches(chain, scalar_bsgs_build(gens, 65, base_hint=[0]))
+    assert chain.order() == 29120
+
+
+def test_chain_does_not_depend_on_the_batch_size(monkeypatch, catalog):
+    entry = catalog["HS"]
+    reference = scalar_bsgs_build(entry.generators, entry.degree)
+    # one Schreier generator per batch, then batches of 3 rows
+    for entries in (1, 3 * entry.degree):
+        monkeypatch.setattr(bsgs, "_BATCH_ENTRIES", entries)
+        assert_chain_matches(bsgs_build(entry.generators, entry.degree), reference)
+
+
+@st.composite
+def _groups_with_hints(draw):
+    degree = draw(st.integers(1, 12))
+    perms = st.permutations(range(degree)).map(Permutation)
+    gens = draw(st.lists(perms, min_size=0, max_size=3))
+    hint = draw(st.none() | st.lists(st.integers(0, degree - 1), unique=True, max_size=degree))
+    return gens, degree, hint, draw(perms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups_with_hints())
+def test_random_chains_match_the_scalar_oracle(case):
+    gens, degree, hint, p = case
+    chain = bsgs_build(gens, degree, base_hint=hint)
+    levels = scalar_bsgs_build(gens, degree, base_hint=hint)
+    assert_chain_matches(chain, levels)
+    assert chain.sift(p) == scalar_sift(levels, p)
+    assert all(g in chain for g in gens)
+    if chain.order() > 1:
+        assert chain.element_at(chain.order() - 1) in chain
 
 
 def test_element_at_enumerates_group():

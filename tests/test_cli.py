@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ftdesigns
 from ftdesigns.cli import main
 
 GOLDENS = Path(__file__).resolve().parents[1] / "src/ftdesigns/data/goldens"
@@ -171,7 +172,10 @@ def test_help_snapshots(name, argv, monkeypatch):
 
 
 def test_help_lists_all_flags():
-    monkey_env = dict(os.environ, COLUMNS="100")
+    # the child imports the package these tests import, installed or not
+    src = str(Path(ftdesigns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkey_env = dict(os.environ, COLUMNS="100", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "ftdesigns.cli", "search", "run", "--help"],
         capture_output=True, text=True, env=monkey_env)
