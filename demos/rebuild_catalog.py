@@ -185,14 +185,13 @@ from ftdesigns.perm import parse_cycles
 m11b = parse_cycles(m11b_cycles, 11)
 ch11 = bsgs_build([m11a, m11b])
 assert ch11.order() == 7920
-l211 = None
-for idx in range(ch11.order()):
-    t = ch11.element_at(idx)
-    if not t.is_identity() and compose(t, t).is_identity():
-        if bsgs_build([m11a, t], 11).order() == 660:
-            l211 = [m11a, t]
-            break
-assert l211 is not None
+# The involution is stated, as m11b is: more than one involution of M11
+# generates a 660-element subgroup with m11a, and the labels of M11's 12
+# cosets, and so the bundled 12-point design, depend on which is taken.
+t = parse_cycles("(2,6)(4,9)(5,11)(8,10)", 11)
+assert t in ch11 and not t.is_identity() and compose(t, t).is_identity()
+l211 = [m11a, t]
+assert bsgs_build(l211, 11).order() == 660
 log("M11 and its 660-element subgroup")
 
 # base block of the 12-point design, for its stabilizer of order 360

@@ -1,21 +1,24 @@
 """Build the three sporadic flag-transitive designs and verify everything.
 
-- 2-(12,22,11,6,5): hexad orbit on 12 points, found by exhaustive
-  6-subset search under the 7920-element group.
-- 2-(22,77,21,6,5): the hexads of the triple system on 22 points, found
-  the same way under the 443520-element group and its double.
-- 2-(176,1100,50,8,2): the octad geometry on 176 points, realized as a
-  coset geometry with the bundled 40320-element block stabilizer.
+Each design is found by `block_search`: for a prime p that divides the
+group order but not the block count, a block stabilizer holds a Sylow
+p-subgroup, so some block is a union of cycles of an element of order
+p, and the orbits of those few unions are built and verified.
+
+- 2-(12,22,11,6,5): hexad orbit on 12 points under the 7920-element
+  group.
+- 2-(22,77,21,6,5): the hexads of the triple system on 22 points, under
+  the 443520-element group and its double.
+- 2-(176,1100,50,8,2): the octad geometry on 176 points, whose block
+  stabilizer has order 40320.
 
 Run:  python demos/sporadic_designs.py
 """
 import numpy as np
 
 from ftdesigns.actions import GroupAction, coset_action, is_primitive
-from ftdesigns.designs import (ParameterSet, block_stabilizer_order,
-                               coset_geometry, design_to_text,
-                               is_flag_transitive, orbit_block_search,
-                               verify_2design)
+from ftdesigns.designs import (ParameterSet, block_search, block_stabilizer_order,
+                               design_to_text, is_flag_transitive, verify_2design)
 from ftdesigns.groupdata import catalog_entry
 
 
@@ -32,19 +35,19 @@ m11 = catalog_entry("M11")
 natural = GroupAction.natural("M11", m11.generators)
 act12 = coset_action(natural.chain, m11.subgroup("L2(11)").generators,
                      name="M11 on 12 points")
-design = orbit_block_search(act12, 6, ParameterSet(12, 22, 11, 6, 5))[0]
+design = block_search(act12, ParameterSet(12, 22, 11, 6, 5))[0]
 show("M11 on 12 points", act12, design)
 print("  canonical export starts:",
       design_to_text(design).splitlines()[1], "...")
 
 m22 = catalog_entry("M22")
 act22 = GroupAction.natural("M22", m22.generators)
-design22 = orbit_block_search(act22, 6, ParameterSet(22, 77, 21, 6, 5))[0]
+design22 = block_search(act22, ParameterSet(22, 77, 21, 6, 5))[0]
 show("M22 on 22 points", act22, design22)
 
 m222 = catalog_entry("M22:2")
 act222 = GroupAction.natural("M22:2", m222.generators)
-design222 = orbit_block_search(act222, 6, ParameterSet(22, 77, 21, 6, 5))[0]
+design222 = block_search(act222, ParameterSet(22, 77, 21, 6, 5))[0]
 show("M22:2 on 22 points", act222, design222)
 print("  same block set as under M22:", np.array_equal(design222.blocks, design22.blocks))
 
@@ -52,5 +55,5 @@ hs = catalog_entry("HS")
 hs_nat = GroupAction.natural("HS", hs.generators)
 act176 = coset_action(hs_nat.chain, hs.subgroup("U3(5).2").generators,
                       name="HS on 176 points")
-design176 = coset_geometry(hs_nat.chain, act176, hs.subgroup("S8").generators)
+design176 = block_search(act176, ParameterSet(176, 1100, 50, 8, 2))[0]
 show("HS on 176 points", act176, design176)

@@ -9,7 +9,7 @@ from .bsgs import StabilizerChain, bsgs_build, contains, orbit, stabilizer_gens
 from .actions import (GroupAction, SubdegreeProfile, coset_action,
                       is_primitive, is_transitive, subdegrees)
 from .designs import (Design, FlagReport, ParameterSet, SuzukiConstruction,
-                      coset_geometry, design_from_text, design_to_text,
+                      block_search, coset_geometry, design_from_text, design_to_text,
                       is_flag_transitive, iso_check, orbit_block_search,
                       suzuki_construction, suzuki_design, verify_2design)
 from .families import (FamilyParams, OrbitForcing, g2_orbit_forcing, g2_params,

@@ -132,15 +132,18 @@ class StabilizerChain:
     def element_at(self, index: int) -> Permutation:
         """The index-th element in the mixed-radix enumeration by transversals.
 
-        Deterministic; used for reproducible sampling without an RNG.
+        A bijection from range(order) onto the group: the digits of index,
+        deepest level first, pick one transversal element per level, and
+        the deepest is applied first.  Deterministic; used for reproducible
+        sampling.
         """
         if not 0 <= index < self.order():
             raise InputError("element index out of range")
         g = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             index, r = divmod(index, len(lvl.orbit))
-            g = g[lvl.trans[r]]
-        return Permutation._wrap(g)
+            g = lvl.trans[r][g]
+        return Permutation._wrap(g.astype(np.int64))
 
 
 def _residue(p, img):

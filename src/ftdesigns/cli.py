@@ -94,6 +94,8 @@ def _cmd_catalog_validate(args, out):
     if args.catalog:
         with open(args.catalog) as f:
             entries = parse_catalog(f.read())
+        if not entries:
+            raise ParseError(f"{args.catalog}: no group block to validate")
     else:
         entries = load_catalog()
     ok = True
@@ -144,7 +146,7 @@ def _cmd_search(args, out):
 
 
 def _named_design(name):
-    from .designs import ParameterSet, coset_geometry, orbit_block_search
+    from .designs import ParameterSet, block_search
     from .groupdata import catalog_entry
     from .actions import GroupAction, coset_action
 
@@ -152,20 +154,19 @@ def _named_design(name):
         entry = catalog_entry("M11")
         action = coset_action(entry.chain, entry.subgroup("L2(11)").generators,
                               name="M11 on 12 points")
-        designs = orbit_block_search(action, 6, ParameterSet(12, 22, 11, 6, 5))
-        return action, designs[0]
-    if name in ("m22", "m22:2"):
+        target = ParameterSet(12, 22, 11, 6, 5)
+    elif name in ("m22", "m22:2"):
         entry = catalog_entry("M22" if name == "m22" else "M22:2")
         action = GroupAction(entry.name, entry.degree, entry.generators, _chain=entry.chain)
-        designs = orbit_block_search(action, 6, ParameterSet(22, 77, 21, 6, 5))
-        return action, designs[0]
-    if name == "hs":
+        target = ParameterSet(22, 77, 21, 6, 5)
+    elif name == "hs":
         entry = catalog_entry("HS")
         action = coset_action(entry.chain, entry.subgroup("U3(5).2").generators,
                               name="HS on 176 points")
-        design = coset_geometry(entry.chain, action, entry.subgroup("S8").generators)
-        return action, design
-    raise InputError(f"unknown design name {name!r}")
+        target = ParameterSet(176, 1100, 50, 8, 2)
+    else:
+        raise InputError(f"unknown design name {name!r}")
+    return action, block_search(action, target)[0]
 
 
 def _cmd_design(args, out):

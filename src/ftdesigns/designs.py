@@ -12,9 +12,18 @@ as `images[rows]`.  Rows are compared through one opaque byte key per
 row, so sorting, deduplicating and looking up blocks are numpy sorts and
 binary searches.  `Design` holds its blocks in the same form, with the
 rows in lexicographic order.
+
+Designs that are one orbit of blocks are found by `block_search`.  For a
+prime p dividing |G| but not b, each block stabilizer has order |G|/b
+and so holds a Sylow p-subgroup, and some block is a union of cycles of
+any given element of order p.  The prime whose element has the fewest
+such unions is used, and only the orbits of those unions are built.
+`orbit_block_search`, which tries every k-subset, is the exhaustive
+reference it is tested against.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -245,16 +254,17 @@ def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
 
 def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Design]:
     """All A-orbits of k-subsets that verify as 2-designs with the target
-    parameters, by exhaustive enumeration of k-subsets.  Orbits are
-    started from the first k-subset in lexicographic order not yet
-    reached; reached subsets are marked by their colex rank, the sum of
-    C(c_i, i) over the sorted points c_1 < ... < c_k."""
+    parameters, by exhaustive enumeration of k-subsets: the reference
+    that `block_search` is tested against.  Orbits are started from the
+    first k-subset in lexicographic order not yet reached; reached
+    subsets are marked by their colex rank, the sum of C(c_i, i) over the
+    sorted points c_1 < ... < c_k."""
     n = A.degree
     total = comb(n, k)
     if total > SUBSET_ENUM_LIMIT:
         raise ResourceLimitError(
             f"C({n},{k}) = {total} exceeds the enumeration bound {SUBSET_ENUM_LIMIT}; "
-            "use coset_geometry with explicit block-stabilizer generators")
+            "use block_search, which enumerates unions of cycles of a p-element")
     binom = np.array([[comb(x, i) for i in range(1, k + 1)] for x in range(n)],
                      dtype=np.int64).reshape(n, k)
     columns = np.arange(k)
@@ -262,8 +272,7 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Des
     def colex_rank(rows):
         return binom[rows, columns].sum(axis=1)
 
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)),
-                          dtype=point_dtype(n), count=total * k).reshape(total, k)
+    subsets = _combination_rows(n, k)
     lex_rank = colex_rank(subsets)
     reached = np.zeros(total, dtype=bool)
     found = []
@@ -284,6 +293,127 @@ def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Des
             continue
         if params == target:
             found.append(design)
+
+
+def block_search(A: GroupAction, target: ParameterSet) -> list[Design]:
+    """All A-orbits of k-sets that verify as 2-designs with the target
+    parameters, ordered by their least block.
+
+    Let p be a prime that divides |A| but not b.  A design that is an
+    A-orbit has |A_B| = |A|/b for each block B, so A_B holds a Sylow
+    p-subgroup of A.  An element g of order p lies in some Sylow
+    p-subgroup, so some block is g-invariant: a union of cycles of g,
+    fixed points included.  Building the orbit of every such union of k
+    points therefore finds every design (Kramer and Mesner, "t-designs
+    on hypergraphs", 1976, for the orbit model).
+
+    For each such p, g is the power of order p of the first element, in
+    draws from a fixed-seed generator, whose order p divides; at least
+    1/n of the elements of a permutation group of degree n qualify
+    (Isaacs, Kantor and Spaltenstein, 1995).  The prime whose g has the
+    fewest unions, sum over m of C(cycles, m) * C(fixed, k - m p), is
+    used.  InputError is raised when b does not divide |A| or no prime
+    qualifies, and ResourceLimitError when the unions exceed
+    SUBSET_ENUM_LIMIT, both before any orbit is built.  An orbit is
+    abandoned once it exceeds b sets, and a union already inside an orbit
+    built before is skipped."""
+    n, b, k = A.degree, target.b, target.k
+    if target.v != n:
+        raise InputError(f"target has v={target.v}, the action has degree {n}")
+    order = A.order
+    if order % b:
+        raise InputError(f"b={b} does not divide |A|={order}")
+    primes = [p for p in _prime_divisors(order, n) if b % p]
+    if not primes:
+        raise InputError(f"every prime dividing |A|={order} divides b={b}")
+    rng = random.Random(0)
+    elements = [_element_of_order(A.chain, p, rng) for p in primes]
+    counts = [_union_count(g, k) for g in elements]
+    count = min(counts)
+    g = elements[counts.index(count)]
+    if count > SUBSET_ENUM_LIMIT:
+        raise ResourceLimitError(
+            f"{count} unions of cycles exceed the enumeration bound {SUBSET_ENUM_LIMIT}")
+    if not count:
+        return []
+    unions = _cycle_unions(g, k)
+    keys = row_keys(unions)
+    todo = np.ones(len(unions), dtype=bool)
+    found = []
+    while todo.any():
+        start = int(np.flatnonzero(todo)[0])
+        todo[start] = False
+        try:
+            ob = set_orbit(A.generators, unions[start], limit=b)
+        except ResourceLimitError:
+            continue
+        todo &= ~_lookup(np.sort(row_keys(ob)), keys)[1]
+        if len(ob) != b:
+            continue
+        design = Design(n, ob)
+        try:
+            params = verify_2design(design)
+        except DesignError:
+            continue
+        if params == target:
+            found.append(design)
+    return sorted(found, key=lambda d: d.blocks[0].tolist())
+
+
+def _prime_divisors(order, n):
+    """The primes dividing the order of a group of degree n, each at most n."""
+    primes = []
+    for p in range(2, n + 1):
+        if order % p == 0:
+            primes.append(p)
+            while order % p == 0:
+                order //= p
+    return primes
+
+
+def _element_of_order(chain: StabilizerChain, p, rng):
+    """An element of order p, the power of the first drawn element whose
+    order p divides."""
+    while True:
+        g = chain.element_at(rng.randrange(chain.order()))
+        m = g.order()
+        if m % p == 0:
+            return g ** (m // p)
+
+
+def _union_count(g, k):
+    """The number of k-sets that are unions of cycles of g, which has prime
+    order p."""
+    cycles = g.cycles()
+    fixed = g.degree - sum(map(len, cycles))
+    p = len(cycles[0])
+    return sum(comb(len(cycles), m) * comb(fixed, k - m * p) for m in range(k // p + 1))
+
+
+def _cycle_unions(g, k):
+    """Every k-set that is a union of cycles of g, of prime order p, as
+    sorted rows: m of its p-cycles and k - m p of its fixed points."""
+    cycles = np.array(g.cycles())
+    fixed = np.flatnonzero(g.images == np.arange(g.degree))
+    p = cycles.shape[1]
+    parts = []
+    for m in range(min(len(cycles), k // p) + 1):
+        if k - m * p > len(fixed):
+            continue
+        chosen = _combination_rows(len(cycles), m)
+        moved = cycles[chosen].reshape(len(chosen), m * p)
+        still = fixed[_combination_rows(len(fixed), k - m * p)]
+        parts.append(np.concatenate([np.repeat(moved, len(still), axis=0),
+                                     np.tile(still, (len(moved), 1))], axis=1))
+    return np.sort(np.concatenate(parts), axis=1).astype(point_dtype(g.degree))
+
+
+def _combination_rows(n, r):
+    """The r-subsets of range(n) in lexicographic order, one per row, in
+    the narrowest unsigned dtype that holds the points."""
+    total = comb(n, r)
+    return np.fromiter(chain.from_iterable(combinations(range(n), r)),
+                       dtype=point_dtype(n), count=total * r).reshape(total, r)
 
 
 def _rows_through(rows, alpha, alpha_stab):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ftdesigns import bsgs
 from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabilizer_gens
 from ftdesigns.errors import InputError
+from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
 from oracles import assert_chain_matches, element_closure, scalar_bsgs_build, scalar_sift
 
@@ -266,11 +267,13 @@ def test_random_chains_match_the_scalar_oracle(case):
 
 
 def test_element_at_enumerates_group():
-    chain = bsgs_build(S4)
-    elements = {chain.element_at(i) for i in range(24)}
-    assert len(elements) == 24
-    with pytest.raises(InputError):
-        chain.element_at(24)
+    for gens in (S4, catalog_entry("M11").generators):
+        chain = bsgs_build(gens)
+        elements = {chain.element_at(i) for i in range(chain.order())}
+        assert len(elements) == chain.order()
+        assert all(g in chain for g in elements)
+        with pytest.raises(InputError):
+            chain.element_at(chain.order())
 
 
 def test_degree_preserved():

@@ -130,6 +130,16 @@ def test_catalog_validate_rejects_corrupt(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+def test_catalog_validate_rejects_a_file_with_no_group(tmp_path, capsys, text, fmt):
+    empty = tmp_path / "cat.txt"
+    empty.write_text(text)
+    code, out = call("catalog", "validate", "--catalog", str(empty), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: {empty}: no group block to validate\n"
+
+
 def test_determinism_byte_identical():
     _, first = call("search", "run")
     _, second = call("search", "run")

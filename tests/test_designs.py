@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ftdesigns import designs
 from ftdesigns.actions import GroupAction, coset_action
 from ftdesigns.bsgs import bsgs_build
-from ftdesigns.designs import (Design, ParameterSet, block_stabilizer_order,
+from ftdesigns.designs import (Design, ParameterSet, block_search, block_stabilizer_order,
                                coset_geometry, design_from_text, design_to_text,
                                is_flag_transitive, iso_check, orbit_block_search,
                                suzuki_design, verify_2design)
@@ -145,6 +145,74 @@ def test_orbit_block_search_bound(monkeypatch):
     act = GroupAction.natural("S4", S4)
     with pytest.raises(ResourceLimitError):
         orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1))
+
+
+@pytest.mark.parametrize("name", ["M11 on 12 points", "M22", "M22:2"])
+def test_block_search_matches_the_exhaustive_search(name, m11_action12, m11_design,
+                                                    natural, m22_design):
+    if name == "M11 on 12 points":
+        action, expected = m11_action12, [m11_design]
+    elif name == "M22":
+        action, expected = natural("M22"), [m22_design]
+    else:
+        action = natural("M22:2")
+        expected = orbit_block_search(action, 6, ParameterSet(22, 77, 21, 6, 5))
+    found = block_search(action, verify_2design(expected[0]))
+    assert len(found) == len(expected) == 1
+    assert np.array_equal(found[0].blocks, expected[0].blocks)
+
+
+def test_block_search_matches_the_coset_geometry(hs_action176, hs_design):
+    found = block_search(hs_action176, ParameterSet(176, 1100, 50, 8, 2))
+    assert len(found) == 1
+    assert np.array_equal(found[0].blocks, hs_design.blocks)
+
+
+def test_block_search_finds_the_suzuki_tits_design(suzuki8):
+    act, design = suzuki8
+    found = block_search(act, ParameterSet(65, 520, 64, 8, 7))
+    assert len(found) == 1
+    assert np.array_equal(found[0].blocks, design.blocks)
+
+
+def test_block_search_finds_the_f20_design_of_sz8(suzuki8):
+    # blocks are orbits of a C5 whose stabilizer is the Frobenius group 5:4
+    act, _ = suzuki8
+    found = block_search(act, ParameterSet(65, 1456, 112, 5, 7))
+    assert len(found) == 1
+    assert verify_2design(found[0]).astuple() == (65, 1456, 112, 5, 7)
+    assert is_flag_transitive(act, found[0]).flag_transitive
+    assert block_stabilizer_order(act, found[0]) == 20
+
+
+def test_block_search_finds_nothing_where_no_design_exists(suzuki8):
+    act, _ = suzuki8
+    assert block_search(act, ParameterSet(65, 1040, 80, 5, 5)) == []
+
+
+@pytest.mark.parametrize("action,target", [
+    # b does not divide |Sz(8)| = 29120
+    ("Sz(8)", ParameterSet(65, 2704, 208, 5, 13)),
+    # both primes of |S4| = 24 divide b = 6
+    ("S4", ParameterSet(4, 6, 3, 2, 1)),
+])
+def test_block_search_refusals(action, target, suzuki8, monkeypatch):
+    act = suzuki8[0] if action == "Sz(8)" else GroupAction.natural("S4", S4)
+    monkeypatch.setattr(designs, "set_orbit", _no_orbit)
+    with pytest.raises(InputError):
+        block_search(act, target)
+
+
+def test_block_search_bound(monkeypatch, m11_action12):
+    # M11 on 12 points has 4 unions of cycles of its order-5 elements
+    monkeypatch.setattr(designs, "SUBSET_ENUM_LIMIT", 3)
+    monkeypatch.setattr(designs, "set_orbit", _no_orbit)
+    with pytest.raises(ResourceLimitError):
+        block_search(m11_action12, ParameterSet(12, 22, 11, 6, 5))
+
+
+def _no_orbit(*args, **kwargs):
+    raise AssertionError("an orbit was built before the refusal")
 
 
 def test_flag_transitive_pairs():

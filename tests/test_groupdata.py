@@ -204,16 +204,30 @@ def test_bundled_catalog_is_parsed_once():
     assert catalog_entry("M11") is next(e for e in first if e.name == "M11")
 
 
-def test_rebuild_catalog_demo_reproduces_the_bundled_catalog():
-    # The demo derives every group and subgroup of the catalog from first
-    # principles in about 11 s on a 2-core host; the budget allows for a
-    # slower or busier machine.
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(script):
+    """Run a demo script against the source tree; it must exit 0.  The
+    slowest, the catalog rebuild, takes about 3 s on a 2-core host; the
+    budget allows for a slower or busier machine."""
     budget_s = 120
-    root = Path(__file__).resolve().parent.parent
-    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
-        [sys.executable, str(root / "demos" / "rebuild_catalog.py")],
-        cwd=root, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        [sys.executable, str(ROOT / "demos" / script)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=budget_s)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "identical to bundled: True" in proc.stdout
+    return proc.stdout
+
+
+def test_rebuild_catalog_demo_reproduces_the_bundled_catalog():
+    # the demo derives every group and subgroup of the catalog from first
+    # principles
+    assert "identical to bundled: True" in run_demo("rebuild_catalog.py")
+
+
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (ROOT / "demos").glob("*.py") if p.name != "rebuild_catalog.py"))
+def test_demo_runs(script):
+    run_demo(script)
