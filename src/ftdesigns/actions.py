@@ -4,14 +4,9 @@ A coset action is labelled by canonical coset representatives.  The
 canonical representative of Hg is the element of Hg whose image tuple
 is lexicographically minimal; it is found by descending a stabilizer
 chain of H whose base is forced to the natural point order, so equality
-of representative image tuples is equality of cosets.  Representatives
-are canonicalised as rows of arrays, in batches of at most
-`_BATCH_ENTRIES` image entries, one chain level at a time: an argmin
-over the level's orbit and a gather through the chosen transversal
-element.  The canonicaliser reads each level's orbit array and
-transversal matrix as the chain of H stores them, with no copy.  Cosets
-are enumerated breadth first, and their labels are the order in which
-they are first reached.
+of representative image tuples is equality of cosets.  The cosets are
+the `row_orbit` of the identity under G with `_Canonicaliser` as
+canonical form, and their labels are its row order.
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
@@ -24,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bsgs_build, orbit, orbit_transversal, orbits,
-                   stabilizer_gens)
+from .bsgs import (StabilizerChain, _batch_rows, bfs_tree, bsgs_build, image_matrix,
+                   orbit, orbits, row_orbit, stabilizer_gens)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
 COSET_INDEX_LIMIT = 100_000
-# image entries canonicalised at once: bounds the (rows, degree) temporaries
-_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -146,41 +139,24 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction
         raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
     canon = _Canonicaliser(hchain)
-    dtype = canon.dtype
-    gens = np.array([g.images for g in G.strong_generators()], dtype=dtype).reshape(-1, degree)
-    reps = np.empty((index, degree), dtype=dtype)
-    reps[0] = canon(np.arange(degree)[None, :])[0]
-    keys = {reps[0].tobytes(): 0}
-    images = np.empty((len(gens), index), dtype=np.int64)
-    chunk = max(1, _BATCH_ENTRIES // max(1, gens.size))
-    found, q = 1, 0
-    while q < found:
-        block = reps[q:min(q + chunk, found)]
-        # rows in (rep, generator) order, so that new cosets are labelled
-        # as a queue taking one rep and one generator at a time would
-        rows = canon(gens[:, block].swapaxes(0, 1).reshape(-1, degree))
-        labels = np.empty(len(rows), dtype=np.int64)
-        for j, key in enumerate(row_keys(rows).tolist()):
-            label = keys.get(key)
-            if label is None:
-                if found == index:
-                    raise AssertionError("coset enumeration does not match the index")
-                label = keys[key] = found
-                reps[found] = rows[j]
-                found += 1
-            labels[j] = label
-        images[:, q:q + len(block)] = labels.reshape(len(block), -1).T
-        q += len(block)
-    if found != index:
+    base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
+    try:
+        reps, images = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
+                                 canon, index, lambda rows: row_keys(rows[:, base]))
+    except ResourceLimitError:
+        reps = None
+    if reps is None or len(reps) != index:
         raise AssertionError("coset enumeration does not match the index")
+    order = np.argsort(row_keys(reps[:, base]))
+    keys = row_keys(reps[:, base])[order]
 
     def hom(g):
         if g not in G:
             raise InputError("element outside G has no image")
-        img = g.images.astype(dtype)
-        step = max(1, _BATCH_ENTRIES // degree)
-        return Permutation([keys[key] for lo in range(0, index, step)
-                            for key in row_keys(canon(img[reps[lo:lo + step]])).tolist()])
+        img, step = g.images.astype(canon.dtype), _batch_rows(degree)
+        return Permutation(np.concatenate([
+            order[np.searchsorted(keys, row_keys(canon(img[reps[lo:lo + step]])[:, base]))]
+            for lo in range(0, index, step)]))
 
     return GroupAction(name, index, [Permutation(img) for img in images], _hom=hom,
                        _stabilizer=[hom(h) for h in H_gens])
@@ -249,10 +225,14 @@ def point_stabilizer_gens(A: GroupAction, point: int):
     if not 0 <= point < A.degree:
         raise InputError(f"point {point} out of range for degree {A.degree}")
     base, stab = A.base_stabilizer()
-    _, rows, trans = orbit_transversal(A.generators, base, A.degree)
-    u = Permutation(trans[rows[point]])
-    u_inv = inverse(u)
-    return [compose(compose(u_inv, s), u) for s in stab]
+    images = image_matrix(A.generators, A.degree)
+    rows, action = row_orbit(images, [base])
+    (parent, via), u = bfs_tree(action), np.arange(A.degree)
+    j = int(np.flatnonzero(rows[:, 0] == point)[0])
+    while j:   # up the tree from the point, so u applies the generators root first
+        u, j = u[images[via[j]]], parent[j]
+    u = Permutation(u)
+    return [compose(compose(inverse(u), s), u) for s in stab]
 
 
 def subdegrees(A: GroupAction) -> SubdegreeProfile:

@@ -4,16 +4,13 @@ The construction is the deterministic Schreier-Sims algorithm: no
 randomization anywhere, so identical generator lists always produce
 identical chains.
 
-Storage.  A level keeps its orbit as an index array in breadth-first
+Storage.  A level keeps its orbit as an index array in `row_orbit`
 order, a point -> row lookup into it (-1 off the orbit), and its
 transversal as one (|orbit|, degree) matrix in the narrowest unsigned
 dtype that holds the points (`perm.point_dtype`): row r maps the base
 point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
-sits beside it, because sifting multiplies by u^-1.  Both are filled
-layer by layer of a breadth-first search in which a point is reached
-first from the earlier frontier point, then the earlier generator.  A
-level whose orbit is only its base point has no lookup and shares one
-identity row.
+sits beside it, because sifting multiplies by u^-1.  A level whose orbit
+is only its base point has no lookup and shares one identity row.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
 as rows, by gathers, for a batch of (x, g) pairs in x-major order, and
@@ -36,13 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .perm import Permutation, point_dtype
+from .errors import InputError, ResourceLimitError
+from .perm import Permutation, point_dtype, row_keys
 
 __all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbits",
-           "orbit_transversal", "stabilizer_gens"]
+           "orbit_transversal", "row_orbit", "stabilizer_gens"]
 
-# image entries per batch: bounds every (rows, degree) temporary
+# image entries per batch: bounds every (rows, width) temporary
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -229,7 +226,7 @@ def _verify_level(chain, i):
     if lvl.rows is None:
         return None
     k = len(lvl.gens)
-    gmat = np.array([g.images for g in lvl.gens], dtype=chain.dtype)
+    gmat = image_matrix(lvl.gens, chain.degree)
     pairs = len(lvl.orbit) * k
     cap, step = _batch_rows(chain.degree), 1
     start = lvl._resume
@@ -287,9 +284,85 @@ def contains(chain: StabilizerChain, p: Permutation) -> bool:
     return p in chain
 
 
+def row_orbit(images, start, canon=None, limit=None, key=None):
+    """Orbit of a row under generators acting entrywise, row -> img[row].
+
+    `images` holds the k generators' images of n points.  `canon` maps an
+    (m, width) array of rows to canonical rows (a row sort for point sets,
+    coset representatives for permutations), and `start` and every image
+    go through it.  `key` maps rows to keys, equal exactly for equal rows
+    (by default the point of a one-point row, else `perm.row_keys`).
+    Returns the orbit as rows in the dtype of `images` and the (k, m) intp
+    array `action`: action[g, i] is the index of row i's image under g.
+
+    Rows come in first-reach order of a first-in first-out queue taking
+    one row, then one generator, at a time: breadth first, and `bfs_tree`
+    reads the tree off `action`.  The keys found are kept sorted with their
+    rows' indices.  A batch of images, at most `_BATCH_ENTRIES` entries
+    from the next rows of the queue, looks its distinct keys up there, and
+    the new ones are merged in at once; the result does not depend on the
+    bound.  Rows are reserved at `limit` (n by default, the bound for an
+    orbit of points; only pages written count), and ResourceLimitError is
+    raised once the orbit would exceed it."""
+    images = np.asarray(images)
+    k, width = len(images), len(start)
+    limit = images.shape[1] if limit is None else limit
+    canon = canon or (lambda rows: rows)
+    key = key or ((lambda rows: rows[:, 0]) if width == 1 else row_keys)
+    rows = np.empty((max(limit, 1), width), dtype=images.dtype)
+    rows[0] = start
+    rows[:1] = canon(rows[:1])
+    seen, label, action = key(rows[:1]), np.zeros(1, dtype=np.intp), []
+    step, q, found = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1
+    while k and q < found:
+        cand = canon(images[:, rows[q:min(q + step, found)]].swapaxes(0, 1).reshape(-1, width))
+        keys, first, inverse = np.unique(key(cand), return_index=True, return_inverse=True)
+        pos, hit = sorted_lookup(seen, keys)
+        labels = label.take(pos, mode="clip")       # right where hit
+        new = np.flatnonzero(~hit)
+        if len(new):
+            if found + len(new) > len(rows):
+                raise ResourceLimitError(f"orbit exceeds limit {limit}")
+            reach = new[np.argsort(first[new])]    # the new rows in first-reach order
+            labels[reach] = np.arange(found, found + len(new))
+            rows[found:found + len(new)] = cand[first[reach]]
+            found += len(new)
+            at = pos[new] + np.arange(len(new))    # their places once merged
+            keep = np.ones(len(seen) + len(new), dtype=bool)
+            keep[at], merged = False, []
+            for old, add in ((seen, keys[new]), (label, labels[new])):
+                merged.append(np.empty(len(keep), dtype=old.dtype))
+                merged[-1][at], merged[-1][keep] = add, old
+            seen, label = merged
+        action.append(labels[inverse].reshape(-1, k))
+        q += len(action[-1])
+    action = np.concatenate(action).T if action else np.empty((k, found), dtype=np.intp)
+    return rows[:found], np.ascontiguousarray(action)
+
+
+def sorted_lookup(seen, keys):
+    """Insertion positions of `keys` in the sorted array `seen`, and hits."""
+    pos = np.searchsorted(seen, keys)
+    # a key past the end is above seen[-1], so the clipped compare is False
+    return pos, seen.take(pos, mode="clip") == keys
+
+
+def bfs_tree(action):
+    """The row and the generator that first reach each row of a `row_orbit`,
+    (-1, -1) at the root, read off its `action`; parents are nondecreasing."""
+    _, first = np.unique(action.T.ravel(), return_index=True)
+    parent, via = np.divmod(first, max(len(action), 1))
+    parent[:1] = via[:1] = -1
+    return parent, via
+
+
+def image_matrix(gens, degree):
+    """The generators' image arrays as a (k, degree) `point_dtype` matrix."""
+    return np.array([g.images for g in gens], dtype=point_dtype(degree)).reshape(len(gens), degree)
+
+
 def orbit(gens, point, degree=None):
-    """Orbit of a point under the generated group, in breadth-first
-    discovery order."""
+    """Orbit of a point under the generated group, in `row_orbit` order."""
     gens = list(gens)
     if degree is None:
         if not gens:
@@ -297,69 +370,40 @@ def orbit(gens, point, degree=None):
         degree = gens[0].degree
     if not 0 <= point < degree:
         raise InputError(f"point {point} out of range for degree {degree}")
-    out = [point]
-    seen = {point}
-    queue = 0
-    images = [g.images for g in gens]
-    while queue < len(out):
-        x = out[queue]
-        queue += 1
-        for img in images:
-            y = int(img[x])
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-    return out
+    return row_orbit(image_matrix(gens, degree), [point])[0][:, 0].tolist()
 
 
 def orbits(gens, degree):
-    """The orbits of the generated group on {0..degree-1}, each in
-    breadth-first order from its smallest point, in the order of their
-    smallest points."""
-    seen, out = set(), []
+    """The orbits of the generated group on {0..degree-1} by least point,
+    each in `row_orbit` order from its least point."""
+    images, reached, out = image_matrix(gens, degree), np.zeros(degree, dtype=bool), []
     for p in range(degree):
-        if p not in seen:
-            orb = orbit(gens, p, degree)
-            seen.update(orb)
-            out.append(orb)
+        if not reached[p]:
+            rows, _ = row_orbit(images, [p])
+            reached[rows[:, 0]] = True
+            out.append(rows[:, 0].tolist())
     return out
 
 
 def orbit_transversal(gens, point, degree):
-    """Orbit of a point with its transversal, as arrays: the orbit in
-    breadth-first order (intp), the row of each point in it (-1 off the
-    orbit), and the (|orbit|, degree) matrix in `point_dtype(degree)`
-    whose row r maps point to orbit[r].
-
-    The search goes a layer at a time; a new point is taken in the order
-    of its first image in (frontier point, generator) order, and its row
-    is its parent's row followed by that generator."""
-    dtype = point_dtype(degree)
-    gmat = np.array([g.images for g in gens], dtype=dtype).reshape(len(gens), degree)
-    k = len(gens)
+    """Orbit of a point in `row_orbit` order (intp), the row of each point
+    in it (-1 off the orbit), and the (|orbit|, degree) transversal matrix
+    in `point_dtype(degree)`: row r maps point to orbit[r], and is its
+    parent's row in `bfs_tree` followed by the generator reaching it."""
+    images = image_matrix(gens, degree)
+    orb, action = row_orbit(images, [point])
+    orb = orb[:, 0].astype(np.intp)
     rows = np.full(degree, -1, dtype=np.min_scalar_type(-degree))
-    rows[point] = 0
-    layers = [np.array([point], dtype=np.intp)]
-    steps = []                    # per later layer: (parent rows, generator indices)
-    lo, found = 0, 1
-    while k and len(layers[-1]):
-        cand = gmat[:, layers[-1]].T.ravel()      # (frontier point, generator) order
-        pts, first = np.unique(cand, return_index=True)
-        first = np.sort(first[rows[pts] < 0])
-        new = cand[first].astype(np.intp)
-        rows[new] = np.arange(found, found + len(new))
-        steps.append((lo + first // k, first % k))
-        layers.append(new)
-        lo, found = found, found + len(new)
-    trans = np.empty((found, degree), dtype=dtype)
+    rows[orb] = np.arange(len(orb))
+    trans = np.empty((len(orb), degree), dtype=images.dtype)
     trans[0] = np.arange(degree)
-    step, row = _batch_rows(degree), 1
-    for parent, via in steps:
-        for s in range(0, len(parent), step):
-            p, v = parent[s:s + step], via[s:s + step]
-            trans[row:row + len(p)] = gmat[v[:, None], trans[p]]
-            row += len(p)
-    return np.concatenate(layers), rows, trans
+    (parent, via), step, lo = bfs_tree(action), _batch_rows(degree), 1
+    while lo < len(orb):
+        # rows lo..hi-1 have their parents before lo, which are filled
+        hi = min(lo + step, int(np.searchsorted(parent, lo)))
+        trans[lo:hi] = images[via[lo:hi, None], trans[parent[lo:hi]]]
+        lo = hi
+    return orb, rows, trans
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):

@@ -5,13 +5,10 @@ and per-pair coverage are all tallied directly, never inferred from the
 arithmetic identities.  The identities are checked afterwards against
 the counted values.
 
-The block layer works on arrays.  A block orbit is a `(b, k)` integer
-array with one sorted block per row, in the narrowest unsigned dtype
-that holds the points; a generator acts on a whole set of rows at once
-as `images[rows]`.  Rows are compared through one opaque byte key per
-row, so sorting, deduplicating and looking up blocks are numpy sorts and
-binary searches.  `Design` holds its blocks in the same form, with the
-rows in lexicographic order.
+The block layer works on arrays.  A block orbit is a `(b, k)` array of
+sorted blocks in the narrowest unsigned dtype that holds the points: the
+`bsgs.row_orbit` of a block, with a row sort as canonical form.  `Design`
+holds its blocks the same way, the rows in lexicographic order.
 
 Designs that are one orbit of blocks are found by `block_search`.  For a
 prime p dividing |G| but not b, each block stabilizer has order |G|/b
@@ -25,13 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
 from .actions import GroupAction, is_transitive
-from .bsgs import StabilizerChain, bsgs_build, orbit, orbits
+from .bsgs import (StabilizerChain, bsgs_build, image_matrix, orbit, orbits, row_orbit,
+                   sorted_lookup)
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
 from .perm import Permutation, point_dtype, row_keys
 
@@ -39,6 +38,7 @@ BLOCK_ORBIT_LIMIT = 2_000_000
 SUBSET_ENUM_LIMIT = 1_000_000
 PAIR_TABLE_SIZE = 1 << 22    # pair counters held at once by verify_2design
 PAIR_CHUNK_SIZE = 1 << 20    # pair codes counted by one bincount call
+TEXT_CHUNK_SIZE = 1 << 16    # block points formatted by one design_to_text step
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,6 @@ class FlagReport:
     r_witness: int
 
 
-# ---------------------------------------------------------------------------
-# rows of point sets
-
-
-def _lookup(seen, keys):
-    """Insertion positions of `keys` in the sorted key array `seen`, and
-    whether each key is already there."""
-    pos = np.searchsorted(seen, keys)
-    hit = pos < len(seen)
-    hit[hit] = seen[pos[hit]] == keys[hit]
-    return pos, hit
-
-
 def verify_2design(design: Design) -> ParameterSet:
     """Exhaustively verify the 2-design axioms and return the counted
     parameters.  Raises DesignError with a witness on any failure; the
@@ -132,6 +119,10 @@ def verify_2design(design: Design) -> ParameterSet:
     if repeats.size:
         dup = tuple(rows[repeats[0]].tolist())
         raise DesignError(f"repeated block {dup}", witness=dup)
+    if v > rows.size:   # some point is in no block: find the least without v counters
+        covered = np.unique(rows).astype(np.int64)
+        x = int(np.searchsorted(covered - np.arange(len(covered)), 1))
+        raise DesignError(f"point {x} lies in no block", witness=x)
     r_count = np.bincount(rows.ravel(), minlength=v)
     r = int(r_count[0])
     off = np.flatnonzero(r_count != r)
@@ -196,34 +187,14 @@ def _pair_coverage(rows, v):
 def set_orbit(gens, base_set, limit=None) -> np.ndarray:
     """Orbit of a point set under the generated group, as a `(b, k)`
     array of sorted rows in the narrowest unsigned dtype that holds the
-    points.
-
-    The orbit grows in breadth-first layers: row 0 is the sorted base
-    set, and each later layer holds, in key order, the images of the
-    layer before it that were not reached earlier.  Every generator acts
-    on a whole layer at once.  None of the callers tolerate an unbounded
-    blowup, so ResourceLimitError is raised as soon as the orbit would
-    exceed `limit` rows (BLOCK_ORBIT_LIMIT when not given)."""
-    limit = BLOCK_ORBIT_LIMIT if limit is None else limit
-    base = sorted(int(x) for x in base_set)
+    points, in `row_orbit` order from the sorted base set.  None of the
+    callers tolerate an unbounded blowup, so ResourceLimitError is raised
+    as soon as the orbit would exceed `limit` rows (BLOCK_ORBIT_LIMIT when
+    not given)."""
+    base = [int(x) for x in base_set]
     n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
-    images = [g.images.astype(point_dtype(n)) for g in gens]
-    frontier = np.array([base], dtype=point_dtype(n))
-    layers = [frontier]
-    seen = row_keys(frontier)
-    size = 1
-    while images and len(frontier):
-        cand = np.sort(np.concatenate([img[frontier] for img in images]), axis=1)
-        keys, first = np.unique(row_keys(cand), return_index=True)
-        pos, hit = _lookup(seen, keys)
-        fresh = ~hit
-        size += int(fresh.sum())
-        if size > limit:
-            raise ResourceLimitError(f"block orbit exceeds limit {limit}")
-        frontier = cand[first[fresh]]
-        seen = np.insert(seen, pos[fresh], keys[fresh])
-        layers.append(frontier)
-    return np.concatenate(layers)
+    limit = BLOCK_ORBIT_LIMIT if limit is None else limit
+    return row_orbit(image_matrix(gens, n), base, partial(np.sort, axis=1), limit)[0]
 
 
 def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens) -> Design:
@@ -347,7 +318,7 @@ def block_search(A: GroupAction, target: ParameterSet) -> list[Design]:
             ob = set_orbit(A.generators, unions[start], limit=b)
         except ResourceLimitError:
             continue
-        todo &= ~_lookup(np.sort(row_keys(ob)), keys)[1]
+        todo &= ~sorted_lookup(np.sort(row_keys(ob)), keys)[1]
         if len(ob) != b:
             continue
         design = Design(n, ob)
@@ -436,7 +407,7 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     rows = design.blocks.astype(dtype, copy=False)
     keys = np.sort(row_keys(rows))
     for g in A.generators:
-        _, hit = _lookup(keys, row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
+        _, hit = sorted_lookup(keys, row_keys(np.sort(g.images.astype(dtype)[rows], axis=1)))
         if not hit.all():
             b = tuple(rows[int(np.flatnonzero(~hit)[0])].tolist())
             raise InputError(
@@ -612,10 +583,14 @@ def _with_pad(colour):
 
 
 def design_to_text(design: Design) -> str:
-    """Canonical text form: `v <n>` then one block per line, 1-indexed."""
-    rows = design.blocks.astype(np.int64) + 1    # uint8 would wrap at v = 256
-    lines = [f"v {design.v}"] + [" ".join(map(str, row)) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+    """Canonical text form: `v <n>` then one block per line, 1-indexed,
+    formatted TEXT_CHUNK_SIZE points at a time."""
+    blocks = design.blocks
+    step = max(1, TEXT_CHUNK_SIZE // max(1, blocks.shape[1]))
+    # int64, since uint8 would wrap at v = 256
+    chunks = (blocks[lo:lo + step].astype(np.int64) + 1 for lo in range(0, len(blocks), step))
+    return f"v {design.v}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                       for rows in chunks for row in rows.tolist())
 
 
 def design_from_text(text: str) -> Design:

@@ -32,6 +32,21 @@ def element_closure(gens, degree=None, limit=2_000_000):
     return elements
 
 
+def scalar_orbit(gens, point):
+    """Orbit of a point by a set of reached points and a first-in first-out
+    queue, taking one point and then one generator at a time."""
+    out, seen, queue = [point], {point}, 0
+    while queue < len(out):
+        x = out[queue]
+        queue += 1
+        for g in gens:
+            y = g(x)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 class ScalarLevel:
     """One level of a scalar chain: a base point, its strong generators,
     and its orbit with a dict transversal (u_x maps point -> x)."""

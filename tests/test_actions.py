@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftdesigns import actions
+from ftdesigns import actions, bsgs
 from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
                                is_primitive, is_transitive, point_stabilizer_gens,
                                subdegrees)
-from ftdesigns.bsgs import bsgs_build, orbit, stabilizer_gens
+from ftdesigns.bsgs import bsgs_build, orbit, orbit_transversal, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
-from ftdesigns.perm import parse_cycles
+from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
+from ftdesigns.pipeline import action_for
 from oracles import all_pairs_is_primitive, canonical_rep, coset_action_images
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
@@ -132,7 +133,7 @@ def test_coset_action_does_not_depend_on_the_batch_size(monkeypatch, catalog, na
     assert any(size % 7 for size in _bfs_layer_sizes(reference))
     per_rep = len(chain.strong_generators()) * chain.degree
     for entries in (1, 7 * per_rep):
-        monkeypatch.setattr(actions, "_BATCH_ENTRIES", entries)
+        monkeypatch.setattr(bsgs, "_BATCH_ENTRIES", entries)
         act = coset_action(chain, h)
         assert act.generators == reference.generators, entries
         assert act.base_stabilizer() == reference.base_stabilizer(), entries
@@ -169,6 +170,26 @@ def test_point_stabilizer_generators_fix_the_point(request, which):
         assert bsgs_build(stab, act.degree).order() * act.degree == act.order, pt
     with pytest.raises(InputError):
         point_stabilizer_gens(act, act.degree)
+
+
+def transversal_stabilizer_gens(act, point):
+    """The stabilizer generators at the base point conjugated by the row of
+    `orbit_transversal` that carries the base point to `point`."""
+    base, stab = act.base_stabilizer()
+    _, rows, trans = orbit_transversal(act.generators, base, act.degree)
+    u = Permutation(trans[rows[point]])
+    return [compose(compose(inverse(u), s), u) for s in stab]
+
+
+@pytest.mark.parametrize("which", ["HS on 176", "McL on 2025"])
+def test_point_stabilizer_gens_follow_the_transversal(request, which):
+    if which == "HS on 176":
+        act = request.getfixturevalue("hs_action176")
+    else:
+        act = action_for("McL", "M22", 2)
+    assert act.degree == int(which.split()[-1])
+    for point in (0, 1, 17, act.degree // 2, act.degree - 1):
+        assert point_stabilizer_gens(act, point) == transversal_stabilizer_gens(act, point)
 
 
 def test_profile_actions_build_no_extra_chain(monkeypatch):

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftdesigns import designs
+from ftdesigns import bsgs, designs
 from ftdesigns.bsgs import orbits
 from ftdesigns.designs import (Design, ParameterSet, _rows_through, design_to_text,
                                set_orbit, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ResourceLimitError
+from ftdesigns.perm import Permutation
 from ftdesigns.suzuki import circles
 
 # sha256 of `design build --name m22 --out` as written by the tuple-based search
@@ -22,9 +23,10 @@ BUNDLED_M11 = Path(__file__).resolve().parents[1] / "src/ftdesigns/data/designs/
 
 def dict_verify_2design(design: Design) -> ParameterSet:
     """The dict-based verifier the array code replaced, kept as the oracle.
-    One change: an unevenly covered pair is reported as the first in
+    Two changes: an unevenly covered pair is reported as the first in
     lexicographic order, where the old code took the first in the order
-    the pairs were met."""
+    the pairs were met, and with fewer incidences than points the least
+    point in no block is reported before replication is counted."""
     v, blocks = design.v, list(map(tuple, design.blocks.tolist()))
     if v < 3 or not blocks:
         raise InputError("need v >= 3 and at least one block")
@@ -32,6 +34,9 @@ def dict_verify_2design(design: Design) -> ParameterSet:
         dup = next(b for i, b in enumerate(blocks) if b in blocks[:i])
         raise DesignError(f"repeated block {dup}", witness=dup)
     k = dict_uniform_size(blocks)
+    if v > len(blocks) * k:
+        x = min(set(range(v)) - {p for b in blocks for p in b})
+        raise DesignError(f"point {x} lies in no block", witness=x)
     r_count = [0] * v
     pair_count = {}
     for b in blocks:
@@ -144,6 +149,40 @@ def test_set_orbit_limit_boundary(m11_action12, m11_design):
     assert len(set_orbit(m11_action12.generators, base, limit=22)) == 22
     with pytest.raises(ResourceLimitError):
         set_orbit(m11_action12.generators, base, limit=21)
+
+
+@st.composite
+def groups_and_sets(draw):
+    """A few random permutations of degree at most 12 and a point set."""
+    degree = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(degree)).map(Permutation), max_size=3))
+    return gens, draw(st.sets(st.integers(0, degree - 1), min_size=1))
+
+
+def set_closure(gens, base):
+    """Every image of the base set under words in the generators, as
+    sorted tuples, by repeated application until nothing new turns up."""
+    reached, todo = {tuple(sorted(base))}, [tuple(sorted(base))]
+    while todo:
+        s = todo.pop()
+        for g in gens:
+            t = tuple(sorted(g(x) for x in s))
+            if t not in reached:
+                reached.add(t)
+                todo.append(t)
+    return reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_and_sets())
+def test_set_orbit_is_the_closure_of_the_base_set(case):
+    gens, base = case
+    whole = set_orbit(gens, base)
+    assert whole[0].tolist() == sorted(base)
+    assert sorted(map(tuple, whole.tolist())) == sorted(set_closure(gens, base))
+    # one row per batch: the same rows in the same order
+    with mock.patch.object(bsgs, "_BATCH_ENTRIES", 1):
+        assert np.array_equal(set_orbit(gens, base), whole)
 
 
 def test_distinguished_point_matches_orbit_length_definition(suzuki8):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
-from oracles import assert_chain_matches, element_closure, scalar_bsgs_build, scalar_sift
+from oracles import (assert_chain_matches, element_closure, scalar_bsgs_build, scalar_orbit,
+                     scalar_sift)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -281,3 +283,18 @@ def test_degree_preserved():
     assert all(g.degree == 4 for g in chain.strong_generators())
     with pytest.raises(InputError):
         chain.sift(identity(5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups_with_hints(), st.data())
+def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
+    gens, degree, _, _ = case
+    point = data.draw(st.integers(0, degree - 1))
+    images = bsgs.image_matrix(gens, degree)
+    for entries in (bsgs._BATCH_ENTRIES, 1):
+        with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
+            rows, action = bsgs.row_orbit(images, [point])
+        assert rows[:, 0].tolist() == scalar_orbit(gens, point), entries
+        assert action.shape == (len(gens), len(rows))
+        for g, img in enumerate(images):
+            assert np.array_equal(rows[action[g], 0], img[rows[:, 0]]), entries

@@ -53,6 +53,16 @@ def test_design_verify_bad_file(tmp_path):
     assert code == 3
 
 
+def test_design_verify_reports_a_point_in_no_block_before_counting(tmp_path, capsys):
+    # 3 points per block, 2 blocks and v = 10^11: counting the replication
+    # of every point would take an array of 10^11 counters
+    sparse = tmp_path / "sparse.design"
+    sparse.write_text("v 100000000000\n1 2 3\n2 3 4\n")
+    code, out = call("design", "verify", "--in", str(sparse))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: point 4 lies in no block\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("v 12\n1 2 3 4 5 6\n1 2 x 4 5 6\n", "error: line 3: not an integer: 'x'\n"),
     ("v 12\n1 2 3 4 5 13\n", "error: line 2: point 13 outside 1..12\n"),
