@@ -5,8 +5,15 @@ canonical representative of Hg is the element of Hg whose image tuple
 is lexicographically minimal; it is found by descending a stabilizer
 chain of H whose base is forced to the natural point order, so equality
 of representative image tuples is equality of cosets.  The cosets are
-the `row_orbit` of the identity under G with `_Canonicaliser` as
-canonical form, and their labels are its row order.
+the `row_orbit` of the identity under G's strong generators with
+`_Canonicaliser` as canonical form, and their labels are its row order;
+the representatives are not kept once the generators' images are known.
+
+Any other element g of G is mapped by a tree word: sifting g through G's
+chain writes it as a product of transversal elements, each the product
+of the strong generators on its Schreier-tree path, and the image of g
+is the same product of the generators' images (Holt, Eick and O'Brien,
+Handbook of CGT, 2005, ch. 4).
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
@@ -19,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, _batch_rows, bfs_tree, bsgs_build, image_matrix,
-                   orbit, orbits, row_orbit, stabilizer_gens)
+from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, orbit, orbits,
+                   row_orbit, stabilizer_gens, tree_word)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
@@ -31,7 +38,9 @@ COSET_INDEX_LIMIT = 100_000
 class GroupAction:
     """A named generating set acting on {0..degree-1}.  The chain, and so
     `order`, is built on first use.  A coset action keeps the images of
-    H's generators, which generate the stabilizer of its point 0, H."""
+    H's generators, which generate the stabilizer of its point 0, H, and
+    maps elements of G by tree words over the images of G's strong
+    generators, keeping no coset representatives."""
 
     name: str
     degree: int
@@ -140,26 +149,31 @@ def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction
 
     canon = _Canonicaliser(hchain)
     base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
+    gens = G.strong_generators()
     try:
-        reps, images = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
+        reps, images = row_orbit(image_matrix(gens, degree), np.arange(degree),
                                  canon, index, lambda rows: row_keys(rows[:, base]))
     except ResourceLimitError:
         reps = None
     if reps is None or len(reps) != index:
         raise AssertionError("coset enumeration does not match the index")
-    order = np.argsort(row_keys(reps[:, base]))
-    keys = row_keys(reps[:, base])[order]
+    # G's elements map by tree words: g = u_m ... u_1 by sifting, each u the
+    # product of the strong generators on its level's Schreier-tree path
+    column = {g: s for s, g in enumerate(gens)}
+    words = [(lvl, [column[g] for g in lvl.gens]) for lvl in reversed(G.levels)]
 
-    def hom(g):
-        if g not in G:
+    def image_of(g):
+        rows = G.transversal_rows(g)
+        if rows is None:
             raise InputError("element outside G has no image")
-        img, step = g.images.astype(canon.dtype), _batch_rows(degree)
-        return Permutation(np.concatenate([
-            order[np.searchsorted(keys, row_keys(canon(img[reps[lo:lo + step]])[:, base]))]
-            for lo in range(0, index, step)]))
+        img = np.arange(index)
+        for (lvl, cols), r in zip(words, reversed(rows)):
+            for s in tree_word(lvl.parent, lvl.via, r):
+                img = images[cols[s]][img]
+        return Permutation(img)
 
-    return GroupAction(name, index, [Permutation(img) for img in images], _hom=hom,
-                       _stabilizer=[hom(h) for h in H_gens])
+    return GroupAction(name, index, [Permutation(img) for img in images], _hom=image_of,
+                       _stabilizer=[image_of(h) for h in H_gens])
 
 
 def is_transitive(A: GroupAction) -> bool:
@@ -227,10 +241,9 @@ def point_stabilizer_gens(A: GroupAction, point: int):
     base, stab = A.base_stabilizer()
     images = image_matrix(A.generators, A.degree)
     rows, action = row_orbit(images, [base])
-    (parent, via), u = bfs_tree(action), np.arange(A.degree)
-    j = int(np.flatnonzero(rows[:, 0] == point)[0])
-    while j:   # up the tree from the point, so u applies the generators root first
-        u, j = u[images[via[j]]], parent[j]
+    u = np.arange(A.degree)
+    for s in tree_word(*bfs_tree(action), int(np.flatnonzero(rows[:, 0] == point)[0])):
+        u = images[s][u]
     u = Permutation(u)
     return [compose(compose(inverse(u), s), u) for s in stab]
 

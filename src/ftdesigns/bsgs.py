@@ -9,8 +9,12 @@ order, a point -> row lookup into it (-1 off the orbit), and its
 transversal as one (|orbit|, degree) matrix in the narrowest unsigned
 dtype that holds the points (`perm.point_dtype`): row r maps the base
 point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
-sits beside it, because sifting multiplies by u^-1.  A level whose orbit
-is only its base point has no lookup and shares one identity row.
+sits beside it, because sifting multiplies by u^-1.  A level also keeps
+the breadth-first Schreier tree of its orbit, `parent` and `via` from
+`bfs_tree`: row r is reached from row parent[r] by generator via[r], and
+u_r is the product of the generators on the tree path from the root, the
+root's first (its tree word).  A level whose orbit is only its base point
+has no lookup and shares one identity row.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
 as rows, by gathers, for a batch of (x, g) pairs in x-major order, and
@@ -20,14 +24,23 @@ generator, so the chain is the one that sifting one pair at a time
 gives.  A batch holds at most `_BATCH_ENTRIES` image entries; it starts
 at one row and doubles, so a pair that fails early wastes little.
 
+Tree edges.  The |orbit| - 1 pairs (parent[y], via[y]) are never formed:
+there u_x g is u_y by the construction of the transversal, so their
+Schreier generator is the identity (Seress, Permutation Group
+Algorithms, 2003, ch. 4).  An identity residue never fails, so leaving
+these pairs out cannot move the first failing pair, and the chain (base,
+strong generators in order, orbits and transversal rows) is the one that
+sifting every pair gives.
+
 Resumable verification.  Levels are verified bottom first.  A residue
 found at level i is installed below it and leaves level i's generators
 as they were, so level i keeps its orbit and transversal and resumes at
-the pair that failed: the earlier pairs sifted to the identity through a
-subgroup of the new lower group, and still do.  A level whose generators
-changed is rebuilt and verified from its first pair.  A level whose orbit
-is only its base point is complete at once: its Schreier generators are
-its generators, which `_install` has put on the level below.
+the pair that failed, counted among the pairs off the tree: the earlier
+pairs sifted to the identity through a subgroup of the new lower group,
+and still do.  A level whose generators changed is rebuilt and verified
+from its first pair.  A level whose orbit is only its base point is
+complete at once: its Schreier generators are its generators, which
+`_install` has put on the level below.
 """
 from __future__ import annotations
 
@@ -47,29 +60,41 @@ class _Level:
     """One level of the chain: a base point, its strong generators, and
     its orbit with the transversal and inverse-transversal matrices."""
 
-    __slots__ = ("point", "gens", "orbit", "rows", "trans", "inv", "_built", "_resume")
+    __slots__ = ("point", "gens", "orbit", "rows", "trans", "inv", "parent", "via",
+                 "_built", "_resume")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
-        self.orbit = self.rows = self.trans = self.inv = None
+        self.orbit = self.rows = self.trans = self.inv = self.parent = self.via = None
         self._built = -1   # len(gens) when the orbit was last built
-        self._resume = 0   # first (x, g) pair not yet known to sift to the identity
+        self._resume = 0   # first off-tree pair not yet known to sift to the identity
 
     def rebuild(self, chain):
         self._built, self._resume = len(self.gens), 0
         self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
         if all(g.images[self.point] == self.point for g in self.gens):
             self.orbit = np.array([self.point], dtype=np.intp)
+            self.parent = self.via = np.full(1, -1, dtype=np.intp)
             self.trans = self.inv = chain._identity_row
             return
-        self.orbit, self.rows, self.trans = orbit_transversal(self.gens, self.point, chain.degree)
+        self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
+            self.gens, self.point, chain.degree)
         self.inv = np.empty_like(self.trans)
         step = _batch_rows(chain.degree)
         values = np.arange(chain.degree, dtype=chain.dtype)
         for lo in range(0, len(self.orbit), step):
             part = self.trans[lo:lo + step]
             self.inv[lo:lo + step][np.arange(len(part))[:, None], part] = values
+
+    def schreier_pairs(self):
+        """The (x, g) pairs whose Schreier generators are sifted, as indices
+        x_row * len(gens) + g in x-major order: every pair but the tree
+        edges (parent[y], via[y])."""
+        k = len(self.gens)
+        keep = np.ones(len(self.orbit) * k, dtype=bool)
+        keep[self.parent[1:] * k + self.via[1:]] = False
+        return np.flatnonzero(keep)
 
 
 class StabilizerChain:
@@ -109,18 +134,33 @@ class StabilizerChain:
         transversal parts, and the level at which stripping stopped
         (== len(levels) when p sifts all the way through).
         """
+        img, rows = self._sift_rows(p)
+        return _residue(p, img), len(rows)
+
+    def transversal_rows(self, p: Permutation):
+        """The transversal row r_i at each level i with p = u_m ... u_1, the
+        deepest applied first (the digits of `element_at`), or None when p
+        is not in the group."""
+        img, rows = self._sift_rows(p)
+        if len(rows) < len(self.levels) or not np.array_equal(img, np.arange(self.degree)):
+            return None
+        return rows
+
+    def _sift_rows(self, p):
+        """The image array left after stripping p, and the transversal row
+        taken at each level passed (0 where p fixes the base point)."""
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
-        img = p.images
-        for i, lvl in enumerate(self.levels):
+        img, rows = p.images, []
+        for lvl in self.levels:
             x = int(img[lvl.point])
-            if x == lvl.point:
-                continue
-            row = -1 if lvl.rows is None else int(lvl.rows[x])
+            row = 0 if x == lvl.point else -1 if lvl.rows is None else int(lvl.rows[x])
             if row < 0:
-                return _residue(p, img), i
-            img = lvl.inv[row][img]
-        return _residue(p, img), len(self.levels)
+                break
+            if row:
+                img = lvl.inv[row][img]
+            rows.append(row)
+        return img, rows
 
     def __contains__(self, p):
         residue, _ = self.sift(p)
@@ -213,8 +253,8 @@ def _install(chain, g, from_level):
 
 def _verify_level(chain, i):
     """Sift the Schreier generators of level i through the lower chain,
-    a batch of (orbit point, generator) pairs at a time, from the pair
-    where the last verification of the level stopped.
+    a batch of (orbit point, generator) pairs off the Schreier tree at a
+    time, from the pair where the last verification of the level stopped.
 
     On failure the residue of the first failing pair is installed as a
     new strong generator and the level index to re-verify from is
@@ -227,11 +267,11 @@ def _verify_level(chain, i):
         return None
     k = len(lvl.gens)
     gmat = image_matrix(lvl.gens, chain.degree)
-    pairs = len(lvl.orbit) * k
+    pairs = lvl.schreier_pairs()
     cap, step = _batch_rows(chain.degree), 1
     start = lvl._resume
-    while start < pairs:
-        xr, gi = np.divmod(np.arange(start, min(start + step, pairs)), k)
+    while start < len(pairs):
+        xr, gi = np.divmod(pairs[start:start + step], k)
         yr = lvl.rows[gmat[gi, lvl.orbit[xr]]]
         # row m is u_x g u_y^-1 for the pair (x, g) with y = xg
         res = lvl.inv[yr[:, None], gmat[gi[:, None], lvl.trans[xr]]]
@@ -243,7 +283,7 @@ def _verify_level(chain, i):
             return _install(chain, Permutation._wrap(res[first].astype(np.int64)), i + 1)
         start += len(res)
         step = min(2 * step, cap)
-    lvl._resume = pairs
+    lvl._resume = len(pairs)
     return None
 
 
@@ -356,6 +396,17 @@ def bfs_tree(action):
     return parent, via
 
 
+def tree_word(parent, via, row):
+    """The generators on the `bfs_tree` path from the root to `row`, root
+    first: the product of the generators they index, in this order, carries
+    the root to the row."""
+    word = []
+    while row > 0:
+        word.append(int(via[row]))
+        row = parent[row]
+    return word[::-1]
+
+
 def image_matrix(gens, degree):
     """The generators' image arrays as a (k, degree) `point_dtype` matrix."""
     return np.array([g.images for g in gens], dtype=point_dtype(degree)).reshape(len(gens), degree)
@@ -390,6 +441,11 @@ def orbit_transversal(gens, point, degree):
     in it (-1 off the orbit), and the (|orbit|, degree) transversal matrix
     in `point_dtype(degree)`: row r maps point to orbit[r], and is its
     parent's row in `bfs_tree` followed by the generator reaching it."""
+    return _orbit_tree(gens, point, degree)[:3]
+
+
+def _orbit_tree(gens, point, degree):
+    """`orbit_transversal` and the `bfs_tree` its rows were built along."""
     images = image_matrix(gens, degree)
     orb, action = row_orbit(images, [point])
     orb = orb[:, 0].astype(np.intp)
@@ -403,7 +459,7 @@ def orbit_transversal(gens, point, degree):
         hi = min(lo + step, int(np.searchsorted(parent, lo)))
         trans[lo:hi] = images[via[lo:hi, None], trans[parent[lo:hi]]]
         lo = hi
-    return orb, rows, trans
+    return orb, rows, trans, (parent, via)
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):

@@ -177,7 +177,10 @@ def _cmd_design(args, out):
     if args.subcommand == "verify":
         with open(args.infile) as f:
             design = design_from_text(f.read())
-        params = verify_2design(design)
+        try:
+            params = verify_2design(design)
+        except DesignError as exc:   # name points as the file does, from 1
+            raise DesignError(exc.labelled(1), exc.witness) from None
         out.write(f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n")
         return EXIT_OK
     action, design = _named_design(args.name)

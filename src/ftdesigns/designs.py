@@ -118,19 +118,19 @@ def verify_2design(design: Design) -> ParameterSet:
     repeats = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
     if repeats.size:
         dup = tuple(rows[repeats[0]].tolist())
-        raise DesignError(f"repeated block {dup}", witness=dup)
+        raise DesignError("repeated block {}", witness=dup, points=[dup])
     if v > rows.size:   # some point is in no block: find the least without v counters
         covered = np.unique(rows).astype(np.int64)
         x = int(np.searchsorted(covered - np.arange(len(covered)), 1))
-        raise DesignError(f"point {x} lies in no block", witness=x)
+        raise DesignError("point {} lies in no block", witness=x, points=[x])
     r_count = np.bincount(rows.ravel(), minlength=v)
     r = int(r_count[0])
     off = np.flatnonzero(r_count != r)
     if off.size:
         x = int(off[0])
         raise DesignError(
-            f"replication not constant: r(0)={r}, r({x})={int(r_count[x])}",
-            witness=(0, x))
+            f"replication not constant: r({{}})={r}, r({{}})={int(r_count[x])}",
+            witness=(0, x), points=(0, x))
     params = ParameterSet(v, len(rows), r, rows.shape[1], _pair_coverage(rows, v))
     # counted values must satisfy the arithmetic identities
     if params.r * (params.k - 1) != params.lam * (params.v - 1):
@@ -169,7 +169,7 @@ def _pair_coverage(rows, v):
         if missing.size:
             x, y = divmod(int(missing[0]), v)
             pair = (x0 + x, y)
-            raise DesignError(f"pair {pair} lies in no block", witness=pair)
+            raise DesignError("pair {} lies in no block", witness=pair, points=[pair])
         if lam is None:
             lam = int(counts[0, 1])
         if uneven is None:
@@ -180,7 +180,8 @@ def _pair_coverage(rows, v):
     if uneven is not None:
         pair, c = uneven
         raise DesignError(
-            f"pair coverage not constant: {pair} lies in {c} blocks", witness=pair)
+            f"pair coverage not constant: {{}} lies in {c} blocks", witness=pair,
+            points=[pair])
     return lam
 
 

@@ -23,12 +23,24 @@ class DesignError(ValueError):
     """Raised when an incidence structure fails a 2-design axiom.
 
     The offending blocks, points, or point pair are kept on the exception
-    so negative tests can assert on the witness.
+    so negative tests can assert on the witness.  A message that names
+    points is a template with one `{}` per entry of `points` (a point or a
+    tuple of points): str() numbers them from 0, as the package does, and
+    `labelled(1)` from 1, as design files do.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
+    def __init__(self, message, witness=None, points=()):
+        self.template, self.points = message, tuple(points)
+        super().__init__(self.labelled(0))
         self.witness = witness
+
+    def labelled(self, first):
+        """The message with its points numbered from `first`."""
+        if not self.points:
+            return self.template
+        return self.template.format(*(
+            p + first if isinstance(p, int) else tuple(x + first for x in p)
+            for p in self.points))
 
 
 class ConstructionError(RuntimeError):

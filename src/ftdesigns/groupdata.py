@@ -30,8 +30,12 @@ from functools import cache
 from importlib import resources
 
 from .bsgs import StabilizerChain, bsgs_build, contains
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResourceLimitError
 from .perm import Permutation, format_cycles, parse_cycles
+
+# largest catalog degree: a chain level of a transitive group holds a
+# (degree, degree) transversal matrix, 200 MB at this bound
+CATALOG_DEGREE_LIMIT = 10_000
 
 
 @dataclass
@@ -97,7 +101,13 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                 if name in names:
                     raise InputError(f"duplicate group name {name!r}")
                 names.add(name)
-                entry = CatalogEntry(name, int(tokens[3]), int(tokens[5]))
+                degree = int(tokens[3])
+                if degree < 1:
+                    raise ParseError(f"degree {degree} is not positive", lineno)
+                if degree > CATALOG_DEGREE_LIMIT:
+                    raise ResourceLimitError(
+                        f"line {lineno}: degree {degree} exceeds limit {CATALOG_DEGREE_LIMIT}")
+                entry = CatalogEntry(name, degree, int(tokens[5]))
             elif kind == "subgroup":
                 if entry is None or sub is not None:
                     raise ParseError("subgroup block outside a group", lineno)

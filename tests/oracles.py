@@ -201,6 +201,33 @@ def coset_action_images(G, H_gens):
     return [Permutation(img) for img in images], [hom(h) for h in H_gens]
 
 
+def canonical_hom(G, H_gens):
+    """Image of an element of G on the right cosets of H = <H_gens>, labelled
+    as `coset_action` labels them, by canonicalising the coset of every
+    representative times the element and looking its label up."""
+    from ftdesigns.actions import _Canonicaliser
+    from ftdesigns.bsgs import _batch_rows, image_matrix, row_orbit
+    from ftdesigns.perm import row_keys
+
+    degree = G.degree
+    hchain = bsgs_build(H_gens, degree, base_hint=range(degree))
+    canon, base = _Canonicaliser(hchain), G.base or [0]
+    reps, _ = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
+                        canon, G.order() // hchain.order(), lambda rows: row_keys(rows[:, base]))
+    order = np.argsort(row_keys(reps[:, base]))
+    keys = row_keys(reps[:, base])[order]
+
+    def hom(g):
+        if g not in G:
+            raise InputError("element outside G has no image")
+        img, step = g.images.astype(canon.dtype), _batch_rows(degree)
+        return Permutation(np.concatenate([
+            order[np.searchsorted(keys, row_keys(canon(img[reps[lo:lo + step]])[:, base]))]
+            for lo in range(0, len(reps), step)]))
+
+    return hom
+
+
 def normalize_point(field, coords):
     """A projective point scaled so its first nonzero coordinate is 1."""
     coords = tuple(coords)

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from ftdesigns.bsgs import bsgs_build, orbit, orbit_transversal, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
-from ftdesigns.pipeline import action_for
-from oracles import all_pairs_is_primitive, canonical_rep, coset_action_images
+from ftdesigns.pipeline import PROFILE_SOURCES, action_for
+from oracles import all_pairs_is_primitive, canonical_hom, canonical_rep, coset_action_images
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -81,6 +82,28 @@ def test_coset_action_matches_the_scalar_queue_enumeration(catalog, natural, gro
     act = coset_action(chain, h)
     assert act.generators == gens
     assert act.base_stabilizer() == (0, stab)
+
+
+IMAGE_CASES = [source for source in PROFILE_SOURCES.values() if source[1] is not None]
+IMAGE_CASES += [("M11", "L2(11)", None), ("HS", "U3(5).2", None)]
+
+
+@pytest.mark.parametrize("group,sub,nr", IMAGE_CASES,
+                         ids=[f"{g}/{s}" + (f"#{n}" if n else "") for g, s, n in IMAGE_CASES])
+def test_tree_word_images_match_the_canonicalising_reference(catalog, group, sub, nr):
+    entry = catalog[group]
+    G = entry.chain
+    h = next(s for s in entry.subgroups if s.name == sub and nr in (None, s.nr)).generators
+    act, reference = coset_action(G, h), canonical_hom(G, h)
+    assert act.base_stabilizer() == (0, [reference(x) for x in h])
+    rng = random.Random(7)
+    draws = [G.element_at(rng.randrange(G.order())) for _ in range(20)]
+    for g in [*h, *entry.generators, *draws]:
+        assert act.image_of(g) == reference(g)
+    outside = parse_cycles("(1,2)", G.degree)   # no group here holds a transposition
+    assert outside not in G
+    with pytest.raises(InputError, match="outside G"):
+        act.image_of(outside)
 
 
 @functools.cache
@@ -226,6 +249,29 @@ def test_profile_actions_build_no_extra_chain(monkeypatch):
     for entry in fresh:
         built = [c for c in calls if c[2] is None and c[0] == entry.generators]
         assert len(built) == 1, entry.name
+
+
+def test_chain_building_sifts_fewer_rows_than_every_pair_needs(monkeypatch):
+    # rows sifted by `catalog validate` and the ten profile actions on fresh
+    # catalog entries; 17,930 when every (x, g) pair is sifted, tree edges
+    # included, so a count at or above it means the edges came back
+    from ftdesigns import groupdata
+    from ftdesigns.cli import main
+
+    fresh = tuple(groupdata.parse_catalog(groupdata._data_text("catalog.txt")))
+    monkeypatch.setattr(groupdata, "_bundled_catalog", lambda: fresh)
+    rows, strip = [], bsgs._strip
+
+    def counting(levels, first, res):
+        rows.append(len(res))
+        return strip(levels, first, res)
+
+    monkeypatch.setattr(bsgs, "_strip", counting)
+    assert main(["catalog", "validate"]) == 0
+    for key, source in sorted(PROFILE_SOURCES.items()):
+        act = action_for(*source)
+        assert subdegrees(act).total() == act.degree, key
+    assert sum(rows) < 17_930, sum(rows)
 
 
 SMALL_ACTIONS = {

@@ -298,3 +298,45 @@ def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
         assert action.shape == (len(gens), len(rows))
         for g, img in enumerate(images):
             assert np.array_equal(rows[action[g], 0], img[rows[:, 0]]), entries
+
+
+def assert_tree_edges_skipped(chain):
+    """Each level sifts every (x, g) pair but the |orbit| - 1 edges of the
+    breadth-first tree (the first pair reaching each new point, as a queue
+    taking one point and then one generator at a time meets them), and the
+    Schreier generator u_x g u_xg^-1 of every edge is the identity."""
+    for lvl in chain.levels:
+        if lvl.rows is None:   # complete at once: no pair is sifted
+            assert len(lvl.orbit) == 1
+            continue
+        orb, k = lvl.orbit.tolist(), len(lvl.gens)
+        row = {x: r for r, x in enumerate(orb)}
+        edges, seen = [], {lvl.point}
+        for x in orb:
+            for gi, g in enumerate(lvl.gens):
+                if g(x) not in seen:
+                    seen.add(g(x))
+                    edges.append(row[x] * k + gi)
+        skipped = np.setdiff1d(np.arange(len(orb) * k), lvl.schreier_pairs())
+        assert len(skipped) == len(orb) - 1, lvl.point
+        assert skipped.tolist() == edges, lvl.point
+        for pair in edges:
+            xr, gi = divmod(pair, k)
+            g = lvl.gens[gi]
+            u_x, u_y = (Permutation(lvl.trans[r]) for r in (xr, row[g(orb[xr])]))
+            assert compose(compose(u_x, g), inverse(u_y)).is_identity(), (lvl.point, pair)
+
+
+def test_catalog_chains_skip_exactly_the_tree_edges(catalog):
+    for entry in catalog.values():
+        assert_tree_edges_skipped(entry.chain)
+        for sub in entry.subgroups:
+            if sub.generators:
+                assert_tree_edges_skipped(bsgs_build(sub.generators, entry.degree))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups_with_hints())
+def test_random_chains_skip_exactly_the_tree_edges(case):
+    gens, degree, hint, _ = case
+    assert_tree_edges_skipped(bsgs_build(gens, degree, base_hint=hint))

@@ -60,7 +60,25 @@ def test_design_verify_reports_a_point_in_no_block_before_counting(tmp_path, cap
     sparse.write_text("v 100000000000\n1 2 3\n2 3 4\n")
     code, out = call("design", "verify", "--in", str(sparse))
     assert (code, out) == (3, "")
-    assert capsys.readouterr().err == "error: point 4 lies in no block\n"
+    assert capsys.readouterr().err == "error: point 5 lies in no block\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 7\n1 2 3\n", "error: point 4 lies in no block\n"),
+    ("v 5\n1 2 3\n1 2 3\n", "error: repeated block (1, 2, 3)\n"),
+    ("v 4\n1 2\n3 4\n", "error: pair (1, 3) lies in no block\n"),
+    ("v 4\n1 2 3\n1 2 4\n", "error: replication not constant: r(1)=2, r(3)=1\n"),
+    ("v 5\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n3 4 5\n",
+     "error: pair coverage not constant: (1, 4) lies in 1 blocks\n"),
+], ids=["uncovered-point", "repeated-block", "uncovered-pair", "uneven-replication",
+        "uneven-pairs"])
+def test_design_verify_names_points_as_the_file_does(tmp_path, capsys, text, message):
+    # design files number points from 1, and so do the verification errors
+    bad = tmp_path / "not-a-design.design"
+    bad.write_text(text)
+    code, out = call("design", "verify", "--in", str(bad))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("text,message", [
@@ -148,6 +166,20 @@ def test_catalog_validate_rejects_a_file_with_no_group(tmp_path, capsys, text, f
     code, out = call("catalog", "validate", "--catalog", str(empty), "--format", fmt)
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == f"error: {empty}: no group block to validate\n"
+
+
+@pytest.mark.parametrize("degree,code,message", [
+    ("3000000000", 1, "error: line 1: degree 3000000000 exceeds limit 10000\n"),
+    ("0", 3, "error: line 1: degree 0 is not positive\n"),
+    ("-3", 3, "error: line 1: degree -3 is not positive\n"),
+], ids=["huge", "zero", "negative"])
+def test_catalog_validate_checks_the_degree(tmp_path, capsys, degree, code, message):
+    # refused at the header, before a generator array of that degree exists
+    bad = tmp_path / "cat.txt"
+    bad.write_text(f"group X degree {degree} order 6\ngen (1,2,3)(4,5)\nend\n")
+    code_got, out = call("catalog", "validate", "--catalog", str(bad))
+    assert (code_got, out) == (code, "")
+    assert capsys.readouterr().err == message
 
 
 def test_determinism_byte_identical():

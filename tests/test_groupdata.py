@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftdesigns.errors import InputError, ParseError
-from ftdesigns.groupdata import (catalog_entry, load_catalog, orders_table,
+from ftdesigns.errors import InputError, ParseError, ResourceLimitError
+from ftdesigns.groupdata import (CATALOG_DEGREE_LIMIT, catalog_entry, load_catalog, orders_table,
                                  parse_catalog, parse_orders, serialize_catalog,
                                  validate_entry)
 
@@ -151,6 +151,13 @@ def test_orders_short_or_non_numeric_line(text, line):
     with pytest.raises(ParseError) as err:
         parse_orders(text)
     assert err.value.line == line
+
+
+def test_catalog_degree_limit_is_inclusive():
+    limit = CATALOG_DEGREE_LIMIT
+    assert parse_catalog(f"group X degree {limit} order 1\nend\n")[0].degree == limit
+    with pytest.raises(ResourceLimitError, match=f"line 2: degree {limit + 1} exceeds"):
+        parse_catalog(f"# header below\ngroup X degree {limit + 1} order 1\nend\n")
 
 
 # Tokens of both formats, so that the fuzzed text reaches past the
