@@ -195,7 +195,7 @@ assert bsgs_build(l211, 11).order() == 660
 log("M11 and its 660-element subgroup")
 
 # base block of the 12-point design, for its stabilizer of order 360
-act12 = coset_action(ch11, l211)
+act12 = coset_action(ch11, bsgs_build(l211, 11))
 block0 = None
 seen = set()
 for b in combinations(range(12), 6):
@@ -507,7 +507,7 @@ log("U3(5).2 as stabilizer of a Hoffman-Singleton split")
 # S8: stabilizer of a base block of the 176-point design.  The block is
 # assembled from the orbits of a 3-point stabilizer of that action.
 hs_nat_chain = ch_hs
-act176 = coset_action(hs_nat_chain, u352)
+act176 = coset_action(hs_nat_chain, bsgs_build(u352, 100))
 act_imgs = [act176.image_of(g) for g in hs_gens]
 
 

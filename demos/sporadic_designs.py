@@ -17,6 +17,7 @@ Run:  python demos/sporadic_designs.py
 import numpy as np
 
 from ftdesigns.actions import GroupAction, coset_action, is_primitive
+from ftdesigns.bsgs import bsgs_build
 from ftdesigns.designs import (ParameterSet, block_search, block_stabilizer_order,
                                design_to_text, is_flag_transitive, verify_2design)
 from ftdesigns.groupdata import catalog_entry
@@ -33,7 +34,7 @@ def show(label, action, design):
 
 m11 = catalog_entry("M11")
 natural = GroupAction.natural("M11", m11.generators)
-act12 = coset_action(natural.chain, m11.subgroup("L2(11)").generators,
+act12 = coset_action(natural.chain, bsgs_build(m11.subgroup("L2(11)").generators, 11),
                      name="M11 on 12 points")
 design = block_search(act12, ParameterSet(12, 22, 11, 6, 5))[0]
 show("M11 on 12 points", act12, design)
@@ -53,7 +54,7 @@ print("  same block set as under M22:", np.array_equal(design222.blocks, design2
 
 hs = catalog_entry("HS")
 hs_nat = GroupAction.natural("HS", hs.generators)
-act176 = coset_action(hs_nat.chain, hs.subgroup("U3(5).2").generators,
+act176 = coset_action(hs_nat.chain, bsgs_build(hs.subgroup("U3(5).2").generators, 100),
                       name="HS on 176 points")
 design176 = block_search(act176, ParameterSet(176, 1100, 50, 8, 2))[0]
 show("HS on 176 points", act176, design176)

@@ -1,13 +1,13 @@
 """Transitive group actions: coset actions, primitivity, subdegrees.
 
-A coset action is labelled by canonical coset representatives.  The
-canonical representative of Hg is the element of Hg whose image tuple
-is lexicographically minimal; it is found by descending a stabilizer
-chain of H whose base is forced to the natural point order, so equality
-of representative image tuples is equality of cosets.  The cosets are
-the `row_orbit` of the identity under G's strong generators with
-`_Canonicaliser` as canonical form, and their labels are its row order;
-the representatives are not kept once the generators' images are known.
+A coset action is labelled by canonical coset representatives, found by
+descending a stabilizer chain of H in any base: each level keeps the
+elements of Hg with the least image of its base point, a set that
+depends on the coset alone, so one element of Hg is left whatever g is.
+The cosets are the `row_orbit` of the identity under G's strong
+generators with `_Canonicaliser` as canonical form, and their labels
+are its first-reach row order, which no choice of base moves; the
+representatives are not kept once the generators' images are known.
 
 Any other element g of G is mapped by a tree word: sifting g through G's
 chain writes it as a product of transversal elements, each the product
@@ -110,14 +110,15 @@ class SubdegreeProfile:
 
 
 class _Canonicaliser:
-    """Minimal-image representatives of right cosets of H, many at once.
+    """Canonical representatives of right cosets of H, many at once.
 
-    Reads, for each level of a chain of H with an orbit longer than 1, the
-    orbit index array and the (|orbit|, degree) transversal matrix that
-    the chain stores.  A row u stands for the coset H*u; at each level the
-    orbit point x with the least u[x] is chosen and u becomes u[t_x],
-    where t_x is the transversal element carrying the level's base point
-    to x (Holt, Eick and O'Brien, Handbook of CGT, 2005, ch. 4)."""
+    Reads, for each level of a chain of H, in any base, with an orbit
+    longer than 1, the orbit index array and the (|orbit|, degree)
+    transversal matrix that the chain stores.  A row u stands for the
+    coset H*u; at each level the orbit point x with the least u[x] is
+    chosen and u becomes u[t_x], where t_x is the transversal element
+    carrying the level's base point to x (Holt, Eick and O'Brien,
+    Handbook of CGT, 2005, ch. 4)."""
 
     def __init__(self, hchain):
         self.dtype = hchain.dtype
@@ -135,19 +136,19 @@ class _Canonicaliser:
         return rows
 
 
-def coset_action(G: StabilizerChain, H_gens, name="coset action") -> GroupAction:
-    """Action of G on the right cosets of H = <H_gens>; point 0 is H."""
-    H_gens = list(H_gens)
-    for h in H_gens:
-        if h not in G:
-            raise InputError("H is not a subgroup of G: generator outside G")
+def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") -> GroupAction:
+    """Action of G on the right cosets of the group of the chain H, in any
+    base; point 0 is H, and its stabilizer is generated by the images of
+    the generators H was built from, those of its first level."""
+    H_gens = H.levels[0].gens if H.levels else []
+    if H.degree != G.degree or any(h not in G for h in H_gens):
+        raise InputError("H is not a subgroup of G")
     degree = G.degree
-    hchain = bsgs_build(H_gens, degree, base_hint=range(degree))
-    index = G.order() // hchain.order()
+    index = G.order() // H.order()
     if index > COSET_INDEX_LIMIT:
         raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
-    canon = _Canonicaliser(hchain)
+    canon = _Canonicaliser(H)
     base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
     gens = G.strong_generators()
     try:

@@ -197,9 +197,8 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
     Without a hint, each new base point is the smallest point moved by
     the strong generator that forced the level, which yields an
     ascending base.  ``base_hint`` forces a base prefix of distinct
-    points (used where a chain relative to the natural point order
-    0,1,2,... is required); hinted levels with trivial orbits are pruned
-    afterwards.
+    points, for a chain whose first level must be the stabilizer of a
+    given point; hinted levels with trivial orbits are pruned afterwards.
     """
     gens = list(gens)
     if degree is None:

@@ -65,14 +65,12 @@ def _build_parser():
     p_design = sub.add_parser("design", help="construct and verify designs")
     design_sub = p_design.add_subparsers(dest="subcommand", required=True)
     p_build = design_sub.add_parser("build", help="construct a named design")
-    p_build.add_argument("--name", required=True,
-                         choices=["m11", "m22", "m22:2", "hs"])
+    p_build.add_argument("--name", required=True, choices=list(_NAMED_DESIGNS))
     p_build.add_argument("--out", help="write the design file here")
     p_verify = design_sub.add_parser("verify", help="verify a design file")
     p_verify.add_argument("--in", dest="infile", required=True)
     p_flags = design_sub.add_parser("flags", help="flag-transitivity report")
-    p_flags.add_argument("--name", required=True,
-                         choices=["m11", "m22", "m22:2", "hs"])
+    p_flags.add_argument("--name", required=True, choices=list(_NAMED_DESIGNS))
 
     p_suzuki = sub.add_parser("suzuki", help="Suzuki-Tits ovoid design")
     suzuki_sub = p_suzuki.add_subparsers(dest="subcommand", required=True)
@@ -145,28 +143,20 @@ def _cmd_search(args, out):
     return EXIT_OK
 
 
+# design name -> (catalog action as `action_for` takes it, target parameters)
+_NAMED_DESIGNS = {"m11": (("M11", "L2(11)"), (12, 22, 11, 6, 5)),
+                  "m22": (("M22", None), (22, 77, 21, 6, 5)),
+                  "m22:2": (("M22:2", None), (22, 77, 21, 6, 5)),
+                  "hs": (("HS", "U3(5).2"), (176, 1100, 50, 8, 2))}
+
+
 def _named_design(name):
     from .designs import ParameterSet, block_search
-    from .groupdata import catalog_entry
-    from .actions import GroupAction, coset_action
+    from .pipeline import action_for
 
-    if name == "m11":
-        entry = catalog_entry("M11")
-        action = coset_action(entry.chain, entry.subgroup("L2(11)").generators,
-                              name="M11 on 12 points")
-        target = ParameterSet(12, 22, 11, 6, 5)
-    elif name in ("m22", "m22:2"):
-        entry = catalog_entry("M22" if name == "m22" else "M22:2")
-        action = GroupAction(entry.name, entry.degree, entry.generators, _chain=entry.chain)
-        target = ParameterSet(22, 77, 21, 6, 5)
-    elif name == "hs":
-        entry = catalog_entry("HS")
-        action = coset_action(entry.chain, entry.subgroup("U3(5).2").generators,
-                              name="HS on 176 points")
-        target = ParameterSet(176, 1100, 50, 8, 2)
-    else:
-        raise InputError(f"unknown design name {name!r}")
-    return action, block_search(action, target)[0]
+    source, target = _NAMED_DESIGNS[name]
+    action = action_for(*source)
+    return action, block_search(action, ParameterSet(*target))[0]
 
 
 def _cmd_design(args, out):

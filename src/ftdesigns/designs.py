@@ -149,6 +149,8 @@ def _pair_coverage(rows, v):
     blocks at a time.  An uncovered pair is reported before an unevenly
     covered one, each the first in lexicographic order."""
     b, k = rows.shape
+    if k * (k - 1) // 2 > PAIR_CHUNK_SIZE:
+        raise ResourceLimitError(f"block size {k} has more than {PAIR_CHUNK_SIZE} point pairs")
     first, second = np.triu_indices(k, 1)
     chunk = max(1, PAIR_CHUNK_SIZE // max(len(first), 1))
     band = max(1, PAIR_TABLE_SIZE // v)

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .designs import ParameterSet
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .suzuki import _check_q
+
+FORCING_TERM_LIMIT = 1 << 16   # orbits, q/2, that g2_orbit_forcing lists
 
 
 def is_mersenne_prime(m: int) -> bool:
@@ -105,25 +107,21 @@ def g2_orbit_forcing(q: int) -> OrbitForcing:
     With orbit lengths q^2(q^3+1) (q/2-1 times) and (q^2-1)(q^3+1), and
     every 1-design having b_j = (q+1)(q^3+1) blocks, the counting
     relations force k_j = q^2 except k_{q/2} = q^2-1, with r_j = q+1
-    throughout."""
+    throughout.  Above FORCING_TERM_LIMIT orbits the q/2 terms are
+    refused before any list is built."""
     _log2_even_q(q)
     half = q // 2
+    if half > FORCING_TERM_LIMIT:
+        raise ResourceLimitError(f"q={q} gives {half} orbits, above limit {FORCING_TERM_LIMIT}")
     lengths = [q * q * (q**3 + 1)] * (half - 1) + [(q * q - 1) * (q**3 + 1)]
     b_j = (q + 1) * (q**3 + 1)
 
     # b_j k_j = |O_j| r_j with gcd(q+1, q^2) = 1 forces q^2 | k_j for j < q/2
-    # and (q-1) | k_last; the total sum q^3/2 - 1 then pins every value.
+    # and (q-1) | k_last; the total q^3/2 - 1 then makes k_last + 1 a positive
+    # multiple of q^2, and q/2 positive multiples of q^2 summing to q^3/2 are
+    # all q^2.
     total = q**3 // 2 - 1
-    # k_last + 1 must be a positive multiple of q^2, and the k'_j >= 1
-    # must satisfy sum k'_j + mu = q/2, so every one of them is 1.
-    n_terms = half  # (half - 1) values k'_j plus mu
-    if n_terms != (half - 1) + 1:
-        raise AssertionError("orbit bookkeeping is wrong")
-    k_prime = [1] * (half - 1)
-    mu = half - sum(k_prime)
-    if mu != 1:
-        raise AssertionError("forcing did not collapse to the unique solution")
-    k_j = [q * q * kp for kp in k_prime] + [mu * q * q - 1]
+    k_j = [q * q] * (half - 1) + [q * q - 1]
     if sum(k_j) != total:
         raise AssertionError("k_j do not sum to k-1")
     r_j = []

@@ -44,6 +44,14 @@ class SubgroupData:
     order: int
     generators: list[Permutation] = field(default_factory=list)
     nr: int | None = None
+    _chain: StabilizerChain = field(default=None, repr=False, compare=False)
+
+    @property
+    def chain(self):
+        """The stabilizer chain of the generators, built on first use."""
+        if self._chain is None:
+            self._chain = bsgs_build(self.generators)
+        return self._chain
 
 
 @dataclass
@@ -199,7 +207,7 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
             continue
         inside = all(contains(chain, g) for g in s.generators)
         checks.append(ValidationCheck(f"subgroup {s.name}: containment", inside))
-        sorder = bsgs_build(s.generators, entry.degree).order()
+        sorder = s.chain.order()
         checks.append(ValidationCheck(
             f"subgroup {s.name}: order", sorder == s.order,
             f"declared {s.order}, computed {sorder}"))

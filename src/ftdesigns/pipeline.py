@@ -194,8 +194,7 @@ def action_for(entry_name: str, subgroup_name: str | None,
     sub = next(s for s in entry.subgroups
                if s.name == subgroup_name
                and (subgroup_nr is None or s.nr == subgroup_nr))
-    return coset_action(entry.chain, sub.generators,
-                        name=f"{entry.name} on cosets of {sub.name}")
+    return coset_action(entry.chain, sub.chain, name=f"{entry.name} on cosets of {sub.name}")
 
 
 def compute_profiles(keys=None):

@@ -1,6 +1,7 @@
 import pytest
 
 from ftdesigns.actions import GroupAction, coset_action
+from ftdesigns.bsgs import bsgs_build
 from ftdesigns.groupdata import load_catalog
 
 
@@ -25,7 +26,8 @@ def natural(catalog):
 @pytest.fixture(scope="session")
 def m11_action12(catalog, natural):
     entry = catalog["M11"]
-    return coset_action(natural("M11").chain, entry.subgroup("L2(11)").generators,
+    return coset_action(natural("M11").chain,
+                        bsgs_build(entry.subgroup("L2(11)").generators, entry.degree),
                         name="M11 on 12 points")
 
 
@@ -50,7 +52,8 @@ def m22_design(natural):
 @pytest.fixture(scope="session")
 def hs_action176(catalog, natural):
     entry = catalog["HS"]
-    return coset_action(natural("HS").chain, entry.subgroup("U3(5).2").generators,
+    return coset_action(natural("HS").chain,
+                        bsgs_build(entry.subgroup("U3(5).2").generators, entry.degree),
                         name="HS on 176 points")
 
 

@@ -86,7 +86,8 @@ def test_criterion_4_sporadic_designs():
 
     m11 = catalog_entry("M11")
     m11_nat = GroupAction.natural("M11", m11.generators)
-    act12 = coset_action(m11_nat.chain, m11.subgroup("L2(11)").generators,
+    act12 = coset_action(m11_nat.chain,
+                         bsgs_build(m11.subgroup("L2(11)").generators, m11.degree),
                          name="M11 on 12 points")
     m11_designs = orbit_block_search(act12, 6, ParameterSet(12, 22, 11, 6, 5))
     assert len(m11_designs) == 1
@@ -98,7 +99,8 @@ def test_criterion_4_sporadic_designs():
 
     hs = catalog_entry("HS")
     hs_nat = GroupAction.natural("HS", hs.generators)
-    act176 = coset_action(hs_nat.chain, hs.subgroup("U3(5).2").generators,
+    act176 = coset_action(hs_nat.chain,
+                          bsgs_build(hs.subgroup("U3(5).2").generators, hs.degree),
                           name="HS on 176 points")
     hs_design = coset_geometry(hs_nat.chain, act176, hs.subgroup("S8").generators)
 

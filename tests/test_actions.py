@@ -22,7 +22,7 @@ S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 def test_coset_action_s4_on_point_stabilizer():
     chain = bsgs_build(S4)
     h = stabilizer_gens(chain, 3)
-    act = coset_action(chain, h)
+    act = coset_action(chain, bsgs_build(h, 4))
     assert act.degree == 4
     assert act.order == 24
     assert is_transitive(act)
@@ -32,7 +32,7 @@ def test_coset_action_s4_on_point_stabilizer():
 
 def test_coset_action_on_whole_group_is_trivial():
     chain = bsgs_build(S4)
-    act = coset_action(chain, S4)
+    act = coset_action(chain, chain)
     assert act.degree == 1
     assert act.order == 1
 
@@ -40,14 +40,14 @@ def test_coset_action_on_whole_group_is_trivial():
 def test_coset_action_rejects_non_subgroup():
     chain = bsgs_build([parse_cycles("(1,2,3)", 4)])
     with pytest.raises(InputError):
-        coset_action(chain, [parse_cycles("(1,2)", 4)])
+        coset_action(chain, bsgs_build([parse_cycles("(1,2)", 4)]))
 
 
 def test_coset_action_index_limit(monkeypatch):
     monkeypatch.setattr(actions, "COSET_INDEX_LIMIT", 10)
     chain = bsgs_build(S4)
     with pytest.raises(ResourceLimitError):
-        coset_action(chain, [])
+        coset_action(chain, bsgs_build([], 4))
 
 
 def test_coset_action_homomorphism_property():
@@ -55,7 +55,7 @@ def test_coset_action_homomorphism_property():
 
     chain = bsgs_build(S4)
     h = stabilizer_gens(chain, 3)
-    act = coset_action(chain, h)
+    act = coset_action(chain, bsgs_build(h, 4))
     for g1 in S4:
         for g2 in S4:
             assert act.image_of(compose(g1, g2)) == compose(act.image_of(g1),
@@ -66,7 +66,7 @@ def test_coset_enumeration_checks_the_index(monkeypatch):
     # a wrong index stops the enumeration: a claimed index of 2 as soon as
     # a third coset turns up, a claimed index of 8 after the 4 cosets
     chain = bsgs_build(S4)
-    h = stabilizer_gens(chain, 3)
+    h = bsgs_build(stabilizer_gens(chain, 3), 4)
     for claimed_order in (12, 48):
         monkeypatch.setattr(chain, "order", lambda: claimed_order)
         with pytest.raises(AssertionError, match="does not match the index"):
@@ -79,7 +79,7 @@ def test_coset_action_matches_the_scalar_queue_enumeration(catalog, natural, gro
     chain = natural(group).chain
     h = catalog[group].subgroup(sub).generators
     gens, stab = coset_action_images(chain, h)
-    act = coset_action(chain, h)
+    act = coset_action(chain, bsgs_build(h, chain.degree))
     assert act.generators == gens
     assert act.base_stabilizer() == (0, stab)
 
@@ -94,7 +94,7 @@ def test_tree_word_images_match_the_canonicalising_reference(catalog, group, sub
     entry = catalog[group]
     G = entry.chain
     h = next(s for s in entry.subgroups if s.name == sub and nr in (None, s.nr)).generators
-    act, reference = coset_action(G, h), canonical_hom(G, h)
+    act, reference = coset_action(G, bsgs_build(h, G.degree)), canonical_hom(G, h)
     assert act.base_stabilizer() == (0, [reference(x) for x in h])
     rng = random.Random(7)
     draws = [G.element_at(rng.randrange(G.order())) for _ in range(20)]
@@ -107,17 +107,17 @@ def test_tree_word_images_match_the_canonicalising_reference(catalog, group, sub
 
 
 @functools.cache
-def _chains(group, sub):
+def _chains(group, sub, hinted):
     entry = catalog_entry(group)
     return (bsgs_build(entry.generators, entry.degree),
             bsgs_build(entry.subgroup(sub).generators, entry.degree,
-                       base_hint=range(entry.degree)))
+                       base_hint=range(entry.degree) if hinted else None))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([("M11", "L2(11)"), ("M23", "M11")]), st.data())
-def test_batched_canonical_reps_match_the_scalar_reference(pair, data):
-    G, hchain = _chains(*pair)
+@given(st.sampled_from([("M11", "L2(11)"), ("M23", "M11")]), st.booleans(), st.data())
+def test_batched_canonical_reps_match_the_scalar_reference(pair, hinted, data):
+    G, hchain = _chains(*pair, hinted)
     picks = data.draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=12))
     h = hchain.element_at(data.draw(st.integers(0, hchain.order() - 1)))
     rows = np.array([G.element_at(i).images for i in picks])
@@ -128,6 +128,20 @@ def test_batched_canonical_reps_match_the_scalar_reference(pair, data):
         assert np.array_equal(rep, canonical_rep(hchain, row))
     # h * g lies in the coset H * g, so it has the same representative
     assert np.array_equal(canon(rows[:, h.images]), batched)
+
+
+@pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("M23", "M11"), ("HS", "U3(5).2")])
+def test_coset_action_does_not_depend_on_the_base_of_H(catalog, group, sub):
+    # a chain of H in any base gives one representative per coset, and the
+    # labels are the first-reach order of the cosets, so the images agree
+    entry = catalog[group]
+    h, n = entry.subgroup(sub).generators, entry.degree
+    chains = [bsgs_build(h, n, base_hint=hint) for hint in (None, range(n), range(n)[::-1])]
+    assert chains[2].base != chains[0].base
+    acts = [coset_action(entry.chain, H) for H in chains]
+    for act in acts[1:]:
+        assert act.generators == acts[0].generators
+        assert act.base_stabilizer() == acts[0].base_stabilizer()
 
 
 def _bfs_layer_sizes(act):
@@ -149,7 +163,7 @@ def _bfs_layer_sizes(act):
 def test_coset_action_does_not_depend_on_the_batch_size(monkeypatch, catalog, natural,
                                                         group, sub):
     chain = natural(group).chain
-    h = catalog[group].subgroup(sub).generators
+    h = bsgs_build(catalog[group].subgroup(sub).generators, chain.degree)
     reference = coset_action(chain, h)
     # batches of one rep (one row in image_of), then of 7 reps, which
     # split a breadth-first layer of cosets between two batches
@@ -168,7 +182,7 @@ def test_m11_coset_action_degree_11(catalog):
     chain = bsgs_build(catalog["M11"].generators)
     h = stabilizer_gens(chain, 0)
     assert bsgs_build(h, 11).order() == 720
-    act = coset_action(chain, h)
+    act = coset_action(chain, bsgs_build(h, 11))
     assert act.degree == 11
     assert act.order == 7920
 
@@ -177,7 +191,7 @@ def test_index_times_subgroup_order(catalog):
     entry = catalog["M23"]
     chain = bsgs_build(entry.generators)
     for sub in entry.subgroups:
-        act = coset_action(chain, sub.generators)
+        act = coset_action(chain, bsgs_build(sub.generators, chain.degree))
         assert act.degree * sub.order == chain.order()
 
 
@@ -216,10 +230,11 @@ def test_point_stabilizer_gens_follow_the_transversal(request, which):
 
 
 def test_profile_actions_build_no_extra_chain(monkeypatch):
-    # validation and the ten profiles build each catalog group's chain once,
-    # on its catalog entry; point 0 of a coset action is H, whose image
-    # generates its stabilizer, so neither the action nor its subdegrees need
-    # Schreier-Sims on the image, and a natural action reads the entry's chain
+    # validation and the ten profiles build each catalog group's and each
+    # catalog subgroup's chain once, on its catalog entry; point 0 of a coset
+    # action is H, whose image generates its stabilizer, so neither the action
+    # nor its subdegrees need Schreier-Sims on the image, and every action
+    # reads the chains that validation built
     from ftdesigns import bsgs, groupdata
     from ftdesigns.pipeline import PROFILE_SOURCES, action_for
 
@@ -228,9 +243,8 @@ def test_profile_actions_build_no_extra_chain(monkeypatch):
     calls = []
 
     def recording(gens, degree=None, base_hint=None, _build=bsgs.bsgs_build):
-        chain = _build(gens, degree, base_hint)
-        calls.append((list(gens), chain.degree, base_hint))
-        return chain
+        calls.append((list(gens), base_hint))
+        return _build(gens, degree, base_hint)
 
     for module in (bsgs, actions, groupdata):
         monkeypatch.setattr(module, "bsgs_build", recording)
@@ -240,15 +254,14 @@ def test_profile_actions_build_no_extra_chain(monkeypatch):
         before = len(calls)
         act = action_for(*source)
         assert subdegrees(act).total() == act.degree, key
-        new = calls[before:]
+        assert calls[before:] == [], key
         if source[1] is None:
-            assert new == [], key
             assert act.chain is groupdata.catalog_entry(source[0]).chain, key
-        else:
-            assert all(degree != act.degree for _, degree, _ in new), key
-    for entry in fresh:
-        built = [c for c in calls if c[2] is None and c[0] == entry.generators]
-        assert len(built) == 1, entry.name
+    built = [e.generators for e in fresh] + [s.generators for e in fresh
+                                             for s in e.subgroups if s.generators]
+    assert len(calls) == len(built) == 22
+    for gens in built:
+        assert calls.count((gens, None)) == 1
 
 
 def test_chain_building_sifts_fewer_rows_than_every_pair_needs(monkeypatch):
@@ -294,11 +307,11 @@ def test_is_primitive_matches_the_all_pairs_reference(request, catalog, natural,
         act = natural(which)
     elif which == "M23 on 253":
         act = coset_action(natural("M23").chain,
-                           catalog["M23"].subgroup("L3(4).2_2").generators)
+                           bsgs_build(catalog["M23"].subgroup("L3(4).2_2").generators, 23))
     elif which == "M11 on 110":
         # cosets of a two-point stabilizer: blocks of 2 and of 10 cosets
         chain = natural("M11").chain
-        act = coset_action(chain, chain.levels[2].gens)
+        act = coset_action(chain, bsgs_build(chain.levels[2].gens, 11))
         assert act.degree == 110 and not is_primitive(act)
     else:
         act = request.getfixturevalue(which)
@@ -333,7 +346,7 @@ def test_primitivity_needs_transitive():
 def test_m23_degree_253_primitive(catalog):
     entry = catalog["M23"]
     chain = bsgs_build(entry.generators)
-    act = coset_action(chain, entry.subgroup("L3(4).2_2").generators)
+    act = coset_action(chain, bsgs_build(entry.subgroup("L3(4).2_2").generators, 23))
     assert act.degree == 253
     assert is_primitive(act)
 
@@ -372,7 +385,7 @@ def test_subdegree_sum_is_degree(profiles):
 def test_subdegrees_base_point_invariance(catalog):
     entry = catalog["M23"]
     chain = bsgs_build(entry.generators)
-    act = coset_action(chain, entry.subgroup("L3(4).2_2").generators)
+    act = coset_action(chain, bsgs_build(entry.subgroup("L3(4).2_2").generators, 23))
     reference = subdegrees(act)
     # subdegrees reads the profile at the first base point only; a spread
     # of 11 of the 253 points shows the stabilizer orbits agree elsewhere

@@ -118,9 +118,11 @@ def test_verify_2design_matches_dict_oracle(structure, banded):
         assert outcome(lambda bs: Design(v, bs), blocks) == sizes
         return
     design = Design(v, blocks)
-    # banded: one row of pair counters and one pair code at a time
-    table, chunk = (design.v, 1) if banded else (designs.PAIR_TABLE_SIZE,
-                                                 designs.PAIR_CHUNK_SIZE)
+    # banded: one row of pair counters and the pair codes of one block at a
+    # time (the least chunk that holds a block's pairs)
+    k = design.blocks.shape[1]
+    table, chunk = (design.v, max(1, k * (k - 1) // 2)) if banded else (
+        designs.PAIR_TABLE_SIZE, designs.PAIR_CHUNK_SIZE)
     with mock.patch.multiple(designs, PAIR_TABLE_SIZE=table, PAIR_CHUNK_SIZE=chunk):
         assert outcome(verify_2design, design) == outcome(dict_verify_2design, design)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -110,6 +111,27 @@ def test_suzuki_build_rejects_q_up_front(capsys, q, message):
     assert time.perf_counter() - start < 10
 
 
+def test_design_verify_refuses_a_block_with_too_many_pairs(tmp_path, capsys):
+    # 2,000 points give 1,999,000 pairs a block, more than one bincount
+    # call counts; refused before the pair index arrays are made
+    big = tmp_path / "big.design"
+    big.write_text("v 4000\n" + "\n".join(" ".join(map(str, range(lo, lo + 2000)))
+                                           for lo in (1, 2001)) + "\n")
+    code, out = call("design", "verify", "--in", str(big))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: block size 2000 has more than 1048576 point pairs\n"
+
+
+def test_family_g2_forcing_refuses_a_huge_q_up_front(capsys):
+    # 2^34 / 2 orbits would be lists of 2^33 terms
+    start = time.perf_counter()
+    code, out = call("family", "g2-forcing", "--q", str(2**34))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: q=17179869184 gives 8589934592 orbits, above limit 65536\n")
+    assert time.perf_counter() - start < 10
+
+
 def test_unknown_subcommand_is_usage_error():
     code, _ = call("frobnicate")
     assert code == 1
@@ -195,6 +217,16 @@ def test_design_build_writes_canonical_file(tmp_path):
     assert "2-(12,22,11,6,5)" in out
     assert "block stabilizer order 360" in out
     assert out_path.read_text() == (DESIGNS / "m11.design").read_text()
+
+
+def test_design_build_hs_file_is_pinned(tmp_path):
+    # the 176 points are cosets of U3(5).2 in HS, labelled in first-reach
+    # order, so the file does not depend on the base of the subgroup's chain
+    out_path = tmp_path / "hs.design"
+    code, out = call("design", "build", "--name", "hs", "--out", str(out_path))
+    assert (code, out) == (0, "2-(176,1100,50,8,2)\nblock stabilizer order 40320\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "943aec1df26ed0d6e0b513d38abe25ad75b231449d94cb27e3327d8abf932aa2")
 
 
 HELP_CASES = [

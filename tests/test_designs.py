@@ -54,6 +54,18 @@ def test_design_rejects_points_out_of_range():
             Design(5, blocks)
 
 
+def test_pair_coverage_refuses_a_block_with_more_pairs_than_a_chunk(monkeypatch):
+    # chunks of 5 pair codes hold the 3 pairs of a Fano line; the 6 pairs of
+    # a 4-point block are refused before any pair array is made
+    monkeypatch.setattr(designs, "PAIR_CHUNK_SIZE", 5)
+    fano = [tuple(sorted((x + i) % 7 for x in (0, 1, 3))) for i in range(7)]
+    assert verify_2design(Design(7, fano)).astuple() == (7, 7, 3, 3, 1)
+    complement = [tuple(sorted(set(range(7)) - set(line))) for line in fano]
+    monkeypatch.setattr(np, "triu_indices", None)
+    with pytest.raises(ResourceLimitError, match="block size 4 has more than 5 point pairs"):
+        verify_2design(Design(7, complement))
+
+
 @st.composite
 def _block_rows(draw):
     """v up to 300, across the uint8 and uint16 dtypes, and up to 12 blocks
