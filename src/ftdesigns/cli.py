@@ -59,8 +59,6 @@ def _build_parser():
                         help="also enumerate lambda = 2")
         sp.add_argument("--coprime-mode", action="store_true",
                         help="require gcd(r, lambda) = 1 instead of lambda | r")
-        sp.add_argument("--defer-fisher", action="store_true",
-                        help="drop the lambda*v < r^2 cut during enumeration")
 
     p_design = sub.add_parser("design", help="construct and verify designs")
     design_sub = p_design.add_subparsers(dest="subcommand", required=True)
@@ -86,12 +84,20 @@ def _build_parser():
     return parser
 
 
+def _read_text(path):
+    """The file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def _cmd_catalog_validate(args, out):
     from .groupdata import load_catalog, parse_catalog, validate_entry
 
     if args.catalog:
-        with open(args.catalog) as f:
-            entries = parse_catalog(f.read())
+        entries = parse_catalog(_read_text(args.catalog))
         if not entries:
             raise ParseError(f"{args.catalog}: no group block to validate")
     else:
@@ -112,34 +118,24 @@ def _cmd_catalog_validate(args, out):
     return EXIT_OK if ok else EXIT_DATA
 
 
-def _compare_golden(text, path):
-    with open(path) as f:
-        golden = f.read()
-    if text != golden:
-        sys.stderr.write("error: output does not match the golden file\n")
-        return EXIT_GOLDEN
-    return EXIT_OK
-
-
 def _cmd_search(args, out):
     from .pipeline import (compute_profiles, emit_count_summary,
                            emit_eliminated, emit_report, enumerate_all,
                            run_filters)
 
     records = enumerate_all(include_lambda_2=args.include_lambda_2,
-                            coprime_mode=args.coprime_mode,
-                            defer_fisher=args.defer_fisher)
+                            coprime_mode=args.coprime_mode)
     if args.subcommand == "run":
         text = emit_count_summary(records, fmt=args.format)
     elif args.subcommand == "report":
         text = emit_report(records, fmt=args.format)
     else:
-        profiles = compute_profiles()
-        filtered = run_filters(records, profiles=profiles)
+        filtered = run_filters(records, profiles=compute_profiles())
         text = emit_eliminated(filtered, fmt=args.format)
     out.write(text)
-    if args.golden:
-        return _compare_golden(text, args.golden)
+    if args.golden and text != _read_text(args.golden):
+        sys.stderr.write("error: output does not match the golden file\n")
+        return EXIT_GOLDEN
     return EXIT_OK
 
 
@@ -165,8 +161,7 @@ def _cmd_design(args, out):
     from .actions import is_primitive
 
     if args.subcommand == "verify":
-        with open(args.infile) as f:
-            design = design_from_text(f.read())
+        design = design_from_text(_read_text(args.infile))
         try:
             params = verify_2design(design)
         except DesignError as exc:   # name points as the file does, from 1

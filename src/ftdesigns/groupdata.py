@@ -88,6 +88,13 @@ def _malformed_as_parse_error(raw, lineno):
         raise ParseError(f"malformed line: {raw.strip()!r}", lineno) from None
 
 
+def _positive(token, what, lineno):
+    value = int(token)
+    if value < 1:
+        raise ParseError(f"{what} {value} is not positive", lineno)
+    return value
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     names = set()
@@ -109,13 +116,11 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                 if name in names:
                     raise InputError(f"duplicate group name {name!r}")
                 names.add(name)
-                degree = int(tokens[3])
-                if degree < 1:
-                    raise ParseError(f"degree {degree} is not positive", lineno)
+                degree = _positive(tokens[3], "degree", lineno)
                 if degree > CATALOG_DEGREE_LIMIT:
                     raise ResourceLimitError(
                         f"line {lineno}: degree {degree} exceeds limit {CATALOG_DEGREE_LIMIT}")
-                entry = CatalogEntry(name, degree, int(tokens[5]))
+                entry = CatalogEntry(name, degree, _positive(tokens[5], "order", lineno))
             elif kind == "subgroup":
                 if entry is None or sub is not None:
                     raise ParseError("subgroup block outside a group", lineno)
@@ -126,7 +131,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                     if tokens[4] != "nr":
                         raise ParseError("malformed subgroup header", lineno)
                     nr = int(tokens[5])
-                sub = SubgroupData(tokens[1], int(tokens[3]), [], nr)
+                sub = SubgroupData(tokens[1], _positive(tokens[3], "order", lineno), [], nr)
             elif kind == "gen":
                 if entry is None:
                     raise ParseError("gen line outside a group", lineno)
@@ -202,8 +207,11 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
         "group order", got == entry.order, f"declared {entry.order}, computed {got}"))
     for s in entry.subgroups:
         if not s.generators:
-            checks.append(ValidationCheck(f"subgroup {s.name}: no generators", True,
-                                          "orders-only entry"))
+            divides = entry.order % s.order == 0
+            checks.append(ValidationCheck(
+                f"subgroup {s.name}: no generators", divides,
+                "orders-only entry" if divides
+                else f"orders-only entry, order {s.order} does not divide {entry.order}"))
             continue
         inside = all(contains(chain, g) for g in s.generators)
         checks.append(ValidationCheck(f"subgroup {s.name}: containment", inside))

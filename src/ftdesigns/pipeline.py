@@ -20,8 +20,6 @@ from .groupdata import OrdersRecord, catalog_entry, orders_table
 STATUS_FEASIBLE = "feasible"
 STATUS_INDEX = "eliminated-by-index"
 STATUS_SUBDEGREE = "eliminated-by-subdegree"
-STATUS_DESIGN = "design-found"
-STATUS_NO_DESIGN = "no-design"
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
 
@@ -71,17 +69,20 @@ def _divisors_of_smooth(n):
 
 
 def enumerate_parameters(order_G: int, order_H: int, lam_set,
-                         coprime_mode: bool = False,
-                         defer_fisher: bool = False) -> list[ParameterSet]:
+                         coprime_mode: bool = False) -> list[ParameterSet]:
     """All feasible parameter sets for a point-stabilizer of the given
     order.
 
     v = |G|/|H|; for each lambda, r runs over the divisors of
     gcd(lambda(v-1), lcm(lambda, |H|)) that lambda divides; a tuple is
     kept when k = 1 + lambda(v-1)/r and b = vr/k are integral,
-    2 < k < v-1, v < b, and lambda v < r^2.  ``coprime_mode`` asks for
-    gcd(r, lambda) = 1 instead of lambda | r; ``defer_fisher`` drops the
-    lambda v < r^2 cut.
+    2 < k < v-1 and v < b.  ``coprime_mode`` asks for gcd(r, lambda) = 1
+    instead of lambda | r.
+
+    Fisher's lambda v < r^2 needs no cut of its own: k < v in
+    r(k-1) = lambda(v-1) gives lambda < r, so lambda v = lambda + r(k-1)
+    < rk, and v < b in vr = bk gives k < r.  ``check_identities`` still
+    checks it, and every other identity, on each tuple kept.
     """
     if order_G % order_H:
         raise InputError(f"|H|={order_H} does not divide |G|={order_G}")
@@ -97,8 +98,6 @@ def enumerate_parameters(order_G: int, order_H: int, lam_set,
                     continue
             elif r % lam:
                 continue
-            if (lam * (v - 1)) % r:
-                continue
             k = 1 + lam * (v - 1) // r
             if not (2 < k < v - 1):
                 continue
@@ -107,19 +106,15 @@ def enumerate_parameters(order_G: int, order_H: int, lam_set,
             b = v * r // k
             if not v < b:
                 continue
-            if not defer_fisher and not lam * v < r * r:
-                continue
             params = ParameterSet(v, b, r, k, lam)
-            if not defer_fisher:
-                params.check_identities()
+            params.check_identities()
             found.append(params)
     return sorted(found, key=lambda p: (p.lam, p.b))
 
 
 def enumerate_all(table: list[OrdersRecord] | None = None,
                   include_lambda_2: bool = False,
-                  coprime_mode: bool = False,
-                  defer_fisher: bool = False) -> list[CandidateRecord]:
+                  coprime_mode: bool = False) -> list[CandidateRecord]:
     """One record per feasible tuple, over every large maximal subgroup
     (per conjugacy class) of every group in the orders table."""
     if table is None:
@@ -130,8 +125,7 @@ def enumerate_all(table: list[OrdersRecord] | None = None,
         if include_lambda_2:
             lam_set = [2] + lam_set
         for m in rec.large_maximals():
-            for params in enumerate_parameters(rec.order, m.order, lam_set,
-                                               coprime_mode, defer_fisher):
+            for params in enumerate_parameters(rec.order, m.order, lam_set, coprime_mode):
                 records.append(CandidateRecord(rec.name, m.name, m.nr, params))
     return sorted(records, key=CandidateRecord.sort_key)
 
@@ -143,15 +137,12 @@ def group_counts(records) -> dict[str, int]:
     return counts
 
 
-def index_divides_filter(rec: CandidateRecord, maximal_orders, order_G):
-    """Keep the record only if some maximal-subgroup index divides b;
-    returns the (possibly eliminated) record and the surviving orders."""
-    if rec.status != STATUS_FEASIBLE:
-        return rec, []
-    survivors = [mo for mo in maximal_orders if rec.params.b % (order_G // mo) == 0]
-    if survivors:
-        return rec, survivors
-    return replace(rec, status=STATUS_INDEX), []
+def index_divides_filter(rec: CandidateRecord, maximal_orders, order_G) -> CandidateRecord:
+    """Eliminate the record unless some maximal-subgroup index divides b."""
+    if rec.status != STATUS_FEASIBLE or any(
+            rec.params.b % (order_G // mo) == 0 for mo in maximal_orders):
+        return rec
+    return replace(rec, status=STATUS_INDEX)
 
 
 def subdegree_filter(rec: CandidateRecord, profile: SubdegreeProfile) -> CandidateRecord:
@@ -197,28 +188,26 @@ def action_for(entry_name: str, subgroup_name: str | None,
     return coset_action(entry.chain, sub.chain, name=f"{entry.name} on cosets of {sub.name}")
 
 
-def compute_profiles(keys=None):
+def compute_profiles():
     """Subdegree profiles for the bundled actions, keyed by
     (group, subgroup, nr)."""
-    profiles = {}
-    for key in sorted(PROFILE_SOURCES if keys is None else keys):
-        profiles[key] = subdegrees(action_for(*PROFILE_SOURCES[key]))
-    return profiles
+    return {key: subdegrees(action_for(*PROFILE_SOURCES[key]))
+            for key in sorted(PROFILE_SOURCES)}
 
 
-def run_filters(records, table=None, profiles=None):
-    """Apply the index filter then the subdegree filter to every record."""
+def run_filters(records, profiles, table=None):
+    """Apply the index filter, then the subdegree filter wherever
+    ``profiles`` has the record's (group, subgroup, nr)."""
     if table is None:
         table = orders_table()
     by_name = {rec.name: rec for rec in table}
     out = []
     for rec in records:
         grp = by_name[rec.group]
-        rec, _ = index_divides_filter(rec, [m.order for m in grp.maximals], grp.order)
-        if profiles is not None:
-            key = (rec.group, rec.subgroup, rec.nr)
-            if key in profiles:
-                rec = subdegree_filter(rec, profiles[key])
+        rec = index_divides_filter(rec, [m.order for m in grp.maximals], grp.order)
+        profile = profiles.get((rec.group, rec.subgroup, rec.nr))
+        if profile is not None:
+            rec = subdegree_filter(rec, profile)
         out.append(rec)
     return out
 
@@ -227,22 +216,26 @@ def run_filters(records, table=None, profiles=None):
 # reporting
 
 
+def _render(header, rows, fmt):
+    """One table of strings as csv or as a markdown table."""
+    if fmt == "csv":
+        lines = [",".join(row) for row in [header, *rows]]
+    elif fmt == "markdown":
+        lines = ["| " + " | ".join(row) + " |" for row in [header, *rows]]
+        lines.insert(1, "|" + "---|" * len(header))
+    else:
+        raise InputError(f"unknown report format {fmt!r}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(records, fmt: str = "csv") -> str:
     """Deterministic rendering of candidate records."""
-    records = sorted(records, key=CandidateRecord.sort_key)
     header = ["group", "subgroup", "nr", "v", "b", "r", "k", "lambda",
               "status", "witness"]
     rows = [[rec.group, rec.subgroup, str(rec.nr), *map(str, rec.params.astuple()),
              rec.status, "" if rec.witness is None else str(rec.witness)]
-            for rec in records]
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "---|" * len(header)]
-        lines += ["| " + " | ".join(r) + " |" for r in rows]
-        return "\n".join(lines) + "\n"
-    raise InputError(f"unknown report format {fmt!r}")
+            for rec in sorted(records, key=CandidateRecord.sort_key)]
+    return _render(header, rows, fmt)
 
 
 def emit_count_summary(records, table=None, fmt: str = "csv") -> str:
@@ -251,15 +244,8 @@ def emit_count_summary(records, table=None, fmt: str = "csv") -> str:
         table = orders_table()
     counts = group_counts(records)
     rows = [(rec.name, counts.get(rec.name, 0)) for rec in table]
-    total = sum(c for _, c in rows)
-    if fmt == "csv":
-        lines = ["group,count"] + [f"{g},{c}" for g, c in rows] + [f"TOTAL,{total}"]
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = ["| group | count |", "|---|---|"]
-        lines += [f"| {g} | {c} |" for g, c in rows] + [f"| TOTAL | {total} |"]
-        return "\n".join(lines) + "\n"
-    raise InputError(f"unknown report format {fmt!r}")
+    rows.append(("TOTAL", sum(c for _, c in rows)))
+    return _render(["group", "count"], [(g, str(c)) for g, c in rows], fmt)
 
 
 def emit_eliminated(records, fmt: str = "csv") -> str:

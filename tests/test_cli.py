@@ -41,6 +41,42 @@ def test_search_report_golden_ok():
     assert code == 0
 
 
+@pytest.mark.parametrize("flags,digest", [
+    (["--include-lambda-2"],
+     "11e35734eff69b11d2015d7dc869c2895c3d021b8af35cc45c68023ab5596f80"),
+    (["--coprime-mode"],
+     "4817f5fd596b7201f2974a8e9c615f8bba4628a8c6da40f1d2fe0f95866080fb"),
+    (["--include-lambda-2", "--coprime-mode"],
+     "98134774c726679d11060fa5f25f246821db8aeafb46e621b51fd34f6a654a70"),
+], ids=["lambda-2", "coprime", "both"])
+def test_search_report_is_pinned_in_the_other_modes(flags, digest):
+    # the default mode is pinned by table5.csv
+    code, out = call("search", "report", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_has_no_defer_fisher_flag(capsys):
+    # lambda v < r^2 follows from the other cuts, so there is no cut to defer
+    code, out = call("search", "run", "--defer-fisher")
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "verify", "--in"],
+    ["catalog", "validate", "--catalog"],
+    ["search", "run", "--golden"],
+], ids=["design-verify", "catalog-validate", "search-golden"])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"v 3\n1 2 \xff\n")
+    code, _ = call(*argv, str(bad))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
+
 def test_design_verify_bundled_m11():
     code, out = call("design", "verify", "--in", str(DESIGNS / "m11.design"))
     assert code == 0
@@ -204,6 +240,30 @@ def test_catalog_validate_checks_the_degree(tmp_path, capsys, degree, code, mess
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("header,message", [
+    ("group X degree 3 order 0", "error: line 1: order 0 is not positive\n"),
+    ("subgroup Y order 0", "error: line 3: order 0 is not positive\n"),
+    ("subgroup Y order -5", "error: line 3: order -5 is not positive\n"),
+], ids=["group-zero", "subgroup-zero", "subgroup-negative"])
+def test_catalog_validate_rejects_an_order_below_one(tmp_path, capsys, header, message):
+    bad = tmp_path / "cat.txt"
+    lines = ["group X degree 3 order 3", "gen (1,2,3)", "subgroup Y order 1", "end", "end"]
+    lines[0 if header.startswith("group") else 2] = header
+    bad.write_text("\n".join(lines) + "\n")
+    code, out = call("catalog", "validate", "--catalog", str(bad))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == message
+
+
+def test_catalog_validate_fails_an_orders_only_subgroup_that_cannot_divide(tmp_path):
+    bad = tmp_path / "cat.txt"
+    bad.write_text("group X degree 3 order 3\ngen (1,2,3)\nsubgroup Y order 2\nend\nend\n")
+    code, out = call("catalog", "validate", "--catalog", str(bad))
+    assert code == 3
+    assert out.startswith("X: FAILED\n")
+    assert "[XX] subgroup Y: no generators (orders-only entry, order 2 does not divide 3)" in out
+
+
 def test_determinism_byte_identical():
     _, first = call("search", "run")
     _, second = call("search", "run")
@@ -263,6 +323,5 @@ def test_help_lists_all_flags():
     proc = subprocess.run(
         [sys.executable, "-m", "ftdesigns.cli", "search", "run", "--help"],
         capture_output=True, text=True, env=monkey_env)
-    for flag in ["--golden", "--format", "--include-lambda-2", "--coprime-mode",
-                 "--defer-fisher"]:
+    for flag in ["--golden", "--format", "--include-lambda-2", "--coprime-mode"]:
         assert flag in proc.stdout

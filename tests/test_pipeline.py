@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ftdesigns.actions import SubdegreeProfile
 from ftdesigns.designs import ParameterSet
@@ -107,22 +110,21 @@ def test_subdegree_filter_idempotent():
 
 def test_index_filter_m11():
     rec = CandidateRecord("M11", "A6.2_3", 1, ParameterSet(11, 22, 11, 5, 5))
-    out, survivors = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
-    assert out.status == STATUS_FEASIBLE
-    assert 720 in survivors   # index 11 divides 22
+    out = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
+    assert out.status == STATUS_FEASIBLE   # index 11 divides 22
 
 
 def test_index_filter_eliminates():
     rec = CandidateRecord("M11", "A6.2_3", 1, ParameterSet(11, 23, 11, 5, 5))
-    out, survivors = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
-    assert out.status == STATUS_INDEX and survivors == []
+    out = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
+    assert out.status == STATUS_INDEX
 
 
 def test_index_filter_group_order_b():
     # b = |G|: every index divides
     rec = CandidateRecord("M11", "A6.2_3", 1, ParameterSet(11, 7920, 11, 5, 5))
-    _, survivors = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
-    assert len(survivors) == 5
+    out = index_divides_filter(rec, [720, 660, 144, 120, 48], 7920)
+    assert out == rec
 
 
 def test_emit_report_empty():
@@ -197,15 +199,35 @@ def test_coprime_mode_runs():
         assert p.lam == 3 and p.r % 3 != 0
 
 
-def test_defer_fisher_changes_nothing_when_lambda_divides_r():
-    # with lambda | r and v < b, lambda*v = lambda + r(k-1) <= rk < r^2,
-    # so deferring that cut must reproduce the same tuples
-    strict = {p.astuple() for p in enumerate_parameters(460815505920, 3753792,
-                                                        [3, 5, 7, 11, 19, 31])}
-    loose = {p.astuple() for p in enumerate_parameters(460815505920, 3753792,
-                                                       [3, 5, 7, 11, 19, 31],
-                                                       defer_fisher=True)}
-    assert strict == loose
+@st.composite
+def _tuples_past_the_other_cuts(draw):
+    """(v, b, r, k, lambda) with r = lambda(v-1)/(k-1) and b = vr/k
+    integral, 2 < k < v-1 and v < b, with lambda | r or gcd(r, lambda) = 1
+    as the pipeline's two modes ask."""
+    lam = draw(st.integers(2, 40))
+    k = draw(st.integers(3, 60))
+    lam_divides_r = draw(st.booleans())
+    # (k-1) | lambda(v-1) exactly when (k-1)/gcd(lambda, k-1) divides v-1
+    step = (k - 1) // gcd(lam, k - 1)
+    found = []
+    for t in range(1, 400):
+        v = 1 + t * step
+        r = lam * (v - 1) // (k - 1)
+        in_mode = r % lam == 0 if lam_divides_r else gcd(r, lam) == 1
+        if in_mode and (v * r) % k == 0 and k < v - 1 and v < v * r // k:
+            found.append((v, v * r // k, r, k, lam))
+    assume(found)
+    return draw(st.sampled_from(found))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tuples_past_the_other_cuts())
+def test_lambda_v_below_r_squared_follows_from_the_other_cuts(t):
+    # k < v gives lambda < r, so lambda v = lambda + r(k-1) < rk, and v < b
+    # gives k < r: the enumeration needs no lambda v < r^2 cut of its own
+    v, b, r, k, lam = t
+    assert lam * v < r * r
+    ParameterSet(*t).check_identities()
 
 
 def test_orders_table_consistency_with_enumeration():
