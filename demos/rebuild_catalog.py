@@ -7,20 +7,26 @@ over GF(11) for J1, and two strongly regular graphs (100 and 275
 vertices) whose automorphism groups deliver HS and McL.  Subgroups are
 extracted as stabilizers of explicit combinatorial objects.
 
+Orbits, transporters and stabilizers come from `bsgs.orbit_stabilizer`,
+`bsgs.generate_to_order`, `bsgs.orbit`, `designs.set_orbit` and
+`actions.coset_action`; only `proj_orbit`, on GF(11) vectors, is the demo's.
+
 Run:  python demos/rebuild_catalog.py
 The script compares the rebuilt catalog text with the bundled file and
 fails unless the two are identical.
 """
 import time
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from ftdesigns.actions import coset_action
-from ftdesigns.bsgs import bsgs_build, orbit
-from ftdesigns.groupdata import parse_catalog, serialize_catalog, validate_entry
-from ftdesigns.perm import Permutation, compose, format_cycles, identity, inverse
+from ftdesigns.bsgs import bsgs_build, generate_to_order, image_matrix, orbit, orbit_stabilizer
+from ftdesigns.designs import set_orbit
+from ftdesigns.groupdata import parse_catalog, validate_entry
+from ftdesigns.perm import Permutation, compose, format_cycles, inverse
 
 T0 = time.time()
 
@@ -40,67 +46,24 @@ def set_image(p, s):
     return tuple(sorted(int(p.images[x]) for x in s))
 
 
-def set_orbit(gens, base_set):
-    start = tuple(sorted(base_set))
-    out, seen, q = [start], {start}, 0
-    while q < len(out):
-        s = out[q]
-        q += 1
-        for g in gens:
-            t = set_image(g, s)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+sort_rows = partial(np.sort, axis=1)
 
 
-def orbit_stabilizer(gens, x0, apply_fn, target_order, degree):
-    """Orbit of x0 plus reduced Schreier generators of its stabilizer,
-    expressed in the source degree."""
-    out, transversal, q = [x0], {x0: identity(degree)}, 0
-    while q < len(out):
-        x = out[q]
-        q += 1
-        ux = transversal[x]
-        for g in gens:
-            y = apply_fn(g, x)
-            if y not in transversal:
-                transversal[y] = compose(ux, g)
-                out.append(y)
-    stab, sub = [], None
-    if target_order == 1:
-        return out, stab
-    for x in out:
-        ux = transversal[x]
-        for g in gens:
-            y = apply_fn(g, x)
-            s = compose(compose(ux, g), inverse(transversal[y]))
-            if s.is_identity() or (sub is not None and s in sub):
-                continue
-            stab.append(s)
-            sub = bsgs_build(stab, degree)
-            if sub.order() == target_order:
-                return out, stab
-    raise AssertionError("stabilizer did not reach the target order")
+def stabilizer(gens, order, x0, canon=None):
+    """Reduced Schreier generators of the stabilizer of a point, set or
+    tuple x0 in the group of the given order."""
+    return orbit_stabilizer(gens, order, image_matrix(gens, gens[0].degree), x0, canon)[2]
 
 
 def element_mapping(chain, src, dst):
-    """A group element mapping the tuple src to dst, via a tuple orbit."""
-    out = [tuple(src)]
-    transversal = {tuple(src): identity(chain.degree)}
-    q = 0
-    while q < len(out):
-        x = out[q]
-        q += 1
-        ux = transversal[x]
-        for g in chain.strong_generators():
-            y = tuple(int(g.images[p]) for p in x)
-            if y not in transversal:
-                transversal[y] = compose(ux, g)
-                out.append(y)
-                if y == tuple(dst):
-                    return transversal[y]
-    raise AssertionError("tuples are not in one orbit")
+    """A group element mapping the tuple src to dst: the transversal row
+    of dst in the orbit of src."""
+    gens = chain.strong_generators()
+    rows, trans, _ = orbit_stabilizer(gens, chain.order(),
+                                      image_matrix(gens, chain.degree), src)
+    hit = np.flatnonzero((rows == dst).all(axis=1))
+    assert len(hit), "tuples are not in one orbit"
+    return Permutation(trans[hit[0]])
 
 
 # --- the 24-point construction ---------------------------------------------
@@ -128,14 +91,12 @@ ch24 = bsgs_build(m24_gens)
 assert ch24.order() == 244823040
 log("M24 built from linear-fractional + quartic maps")
 
-_, m23_gens24 = orbit_stabilizer(ch24.strong_generators(), INF, lambda g, x: g(x),
-                                 ch24.order() // 24, 24)
+m23_gens24 = stabilizer(ch24.strong_generators(), ch24.order(), [INF])
 m23_gens = [restrict(g, range(23)) for g in m23_gens24]
 ch23 = bsgs_build(m23_gens, 23)
 assert ch23.order() == 10200960
 ch23_24 = bsgs_build(m23_gens24, 24)
-_, m22_gens24 = orbit_stabilizer(ch23_24.strong_generators(), 22, lambda g, x: g(x),
-                                 ch23_24.order() // 23, 24)
+m22_gens24 = stabilizer(ch23_24.strong_generators(), ch23_24.order(), [22])
 m22_gens = [restrict(g, range(22)) for g in m22_gens24]
 assert bsgs_build(m22_gens, 22).order() == 443520
 swap = element_mapping(ch24, (22, INF), (INF, 22))
@@ -150,7 +111,7 @@ fixing = [g for g in forced.strong_generators() if all(g(i) == i for i in range(
 three = next(sorted(orbit(fixing, p, 24)) for p in range(5, 24)
              if len(orbit(fixing, p, 24)) == 3)
 octad0 = tuple(sorted([0, 1, 2, 3, 4] + three))
-octads = set_orbit(m24_gens, octad0)
+octads = set_orbit(m24_gens, octad0).tolist()
 assert len(octads) == 759
 blocks23 = sorted(tuple(x for x in o if x != INF) for o in octads if INF in o)
 hexads = sorted(tuple(x for x in b if x != 22) for b in blocks23 if 22 in b)
@@ -158,7 +119,7 @@ heptads = sorted(b for b in blocks23 if 22 not in b)
 assert len(blocks23) == 253 and len(hexads) == 77 and len(heptads) == 176
 dode = next(tuple(sorted(set(octad0) ^ set(o))) for o in octads
             if len(set(octad0) & set(o)) == 2)
-dodecads = set_orbit(m24_gens, dode)
+dodecads = set_orbit(m24_gens, dode).tolist()
 assert len(dodecads) == 2576
 log("759 octads, 77 hexads, 176 heptads, 2576 dodecads")
 
@@ -168,10 +129,10 @@ pair_pt = [g for g in bsgs_build(m23_gens, 23, base_hint=[0, 1]).strong_generato
            if g(0) == 0 and g(1) == 1]
 m23_l342 = pair_pt + [element_mapping(ch23, (0, 1), (1, 0))]
 assert bsgs_build(m23_l342, 23).order() == 40320
-_, m23_24a7 = orbit_stabilizer(m23_gens, blocks23[0], set_image, 40320, 23)
+m23_24a7 = stabilizer(m23_gens, ch23.order(), blocks23[0], sort_rows)
 d23 = sorted(tuple(x for x in d if x != INF) for d in dodecads if INF in d)
 assert len(d23) == 1288
-_, m23_m11 = orbit_stabilizer(m23_gens, d23[0], set_image, 7920, 23)
+m23_m11 = stabilizer(m23_gens, ch23.order(), d23[0], sort_rows)
 m24_m222 = m22_gens24 + [swap]
 assert bsgs_build(m24_m222, 24).order() == 887040
 log("M23 and M24 subgroup generators frozen")
@@ -202,39 +163,13 @@ for b in combinations(range(12), 6):
     if b in seen:
         continue
     ob = set_orbit(act12.generators, b)
-    seen.update(ob)
+    seen.update(map(tuple, ob.tolist()))
     if len(ob) == 22:
         block0 = b
         break
-def mixed_stab(source_gens, action_gens, x0, target, src_degree):
-    out, tr, q = [x0], {x0: identity(src_degree)}, 0
-    while q < len(out):
-        x = out[q]
-        q += 1
-        ux = tr[x]
-        for sg, ag in zip(source_gens, action_gens):
-            y = set_image(ag, x)
-            if y not in tr:
-                tr[y] = compose(ux, sg)
-                out.append(y)
-    stab, sub = [], None
-    for x in out:
-        ux = tr[x]
-        for sg, ag in zip(source_gens, action_gens):
-            y = set_image(ag, x)
-            s = compose(compose(ux, sg), inverse(tr[y]))
-            if s.is_identity() or (sub is not None and s in sub):
-                continue
-            stab.append(s)
-            sub = bsgs_build(stab, src_degree)
-            if sub.order() == target:
-                return stab
-    raise AssertionError("stabilizer incomplete")
-
-
 m11_sources = [m11a, m11b]
-a6 = mixed_stab(m11_sources, [act12.image_of(g) for g in m11_sources],
-                tuple(block0), 360, 11)
+act12_imgs = image_matrix([act12.image_of(g) for g in m11_sources], 12)
+_, _, a6 = orbit_stabilizer(m11_sources, ch11.order(), act12_imgs, block0, sort_rows)
 assert bsgs_build(a6, 11).order() == 360
 
 m12_gens = [Permutation([11 - i for i in range(12)]),
@@ -357,11 +292,11 @@ def j1_perm(M):
 
 j1_both = [j1_perm(Ymat), j1_perm(Zmat)]
 j1_gens = [Permutation(list(g.images[:1540])) for g in j1_both]
-assert bsgs_build(j1_gens, 1540).order() == 175560
-_, j1_n19 = orbit_stabilizer(bsgs_build(j1_gens, 1540).strong_generators(), 0,
-                             lambda g, x: g(x), 114, 1540)
+ch_j1 = bsgs_build(j1_gens, 1540)
+assert ch_j1.order() == 175560
+j1_n19 = stabilizer(ch_j1.strong_generators(), ch_j1.order(), [0])
 assert bsgs_build(j1_n19, 1540).order() == 114
-_, stab_both = orbit_stabilizer(j1_both, 1540, lambda g, x: g(x), 110, 1540 + 1596)
+_, _, stab_both = orbit_stabilizer(j1_both, ch_j1.order(), image_matrix(j1_both, 3136), [1540])
 j1_n11 = [Permutation(list(g.images[:1540])) for g in stab_both]
 assert bsgs_build(j1_n11, 1540).order() == 110
 log("J1 on 1540 points with both Sylow normalizers")
@@ -410,20 +345,8 @@ def graph_automorphism(adj, n, src, dst):
 
 
 def derived_subgroup(gens, n, target):
-    comms = []
-    for a in gens:
-        for b in gens:
-            c = compose(compose(compose(a, b), inverse(a)), inverse(b))
-            if not c.is_identity():
-                comms.append(c)
-    out = []
-    for c in comms:
-        if out and c in bsgs_build(out, n):
-            continue
-        out.append(c)
-        if bsgs_build(out, n).order() == target:
-            return out
-    raise AssertionError("derived subgroup never reached the target")
+    return generate_to_order((compose(compose(compose(a, b), inverse(a)), inverse(b))
+                              for a in gens for b in gens), n, target)
 
 
 # HS graph: vertex 0, the 22 points, the 77 hexads; adjacency is
@@ -492,15 +415,18 @@ for S in combinations(range(22), 7):
         half = tuple(sorted(cand))
         break
 assert half is not None
-allv = set(range(100))
 
 
-def split_image(g, s):
-    t = set_image(g, s)
-    return t if 0 in t else tuple(sorted(allv - set(t)))
+def split_image(rows):
+    """Each split as its sorted half holding vertex 0."""
+    other = np.ones((len(rows), 100), dtype=bool)
+    other[np.arange(len(rows))[:, None], rows] = False
+    return np.where(other[:, :1], np.nonzero(other)[1].reshape(rows.shape),
+                    np.sort(rows, axis=1)).astype(rows.dtype)
 
 
-splits, u352 = orbit_stabilizer(hs_gens, half, split_image, 252000, 100)
+splits, _, u352 = orbit_stabilizer(hs_gens, ch_hs.order(), image_matrix(hs_gens, 100), half,
+                                   split_image)
 assert len(splits) == 176
 log("U3(5).2 as stabilizer of a Hoffman-Singleton split")
 
@@ -533,9 +459,9 @@ stab012_act = [act176.image_of(g) for g in stab012]
 five = next(o for o in (sorted(orbit(stab012_act, p, 176)) for p in twelve
                         if p != x0) if len(o) == 5)
 base_block = tuple(sorted([0, 1, x0] + five))
-blocks = set_orbit(act_imgs, base_block)
+blocks, _, s8 = orbit_stabilizer(hs_gens, ch_hs.order(), image_matrix(act_imgs, 176), base_block,
+                                 sort_rows)
 assert len(blocks) == 1100
-s8 = mixed_stab(hs_gens, act_imgs, base_block, 40320, 100)
 assert bsgs_build(s8, 100).order() == 40320
 assert any((bsgs_build(s8, 100).element_at(i)).order() == 15
            for i in range(0, 40320, 89))   # symmetric, not linear, type

@@ -41,6 +41,13 @@ and still do.  A level whose generators changed is rebuilt and verified
 from its first pair.  A level whose orbit is only its base point is
 complete at once: its Schreier generators are its generators, which
 `_install` has put on the level below.
+
+Orbit-stabilizer.  `orbit_stabilizer` gives the stabilizer of a point,
+set or tuple as reduced Schreier generators, not as the sifted residues
+a chain would give: the Schreier generators in x-major order, each kept
+unless it lies in the group of those kept, up to the known order.  The
+bundled catalog's subgroup generators are these, so its bytes, and every
+coset label and design file, depend on the choice.
 """
 from __future__ import annotations
 
@@ -49,11 +56,14 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, point_dtype, row_keys
 
-__all__ = ["StabilizerChain", "bsgs_build", "contains", "orbit", "orbits",
-           "orbit_transversal", "row_orbit", "stabilizer_gens"]
+__all__ = ["StabilizerChain", "bfs_tree", "bsgs_build", "contains", "generate_to_order",
+           "image_matrix", "orbit", "orbit_stabilizer", "orbit_transversal", "orbits",
+           "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products", "tree_word"]
 
 # image entries per batch: bounds every (rows, width) temporary
 _BATCH_ENTRIES = 1 << 18
+# image entries of an `orbit_stabilizer` transversal: bounds |orbit| * degree
+_TRANSVERSAL_ENTRIES = 1 << 24
 
 
 class _Level:
@@ -450,15 +460,75 @@ def _orbit_tree(gens, point, degree):
     orb = orb[:, 0].astype(np.intp)
     rows = np.full(degree, -1, dtype=np.min_scalar_type(-degree))
     rows[orb] = np.arange(len(orb))
-    trans = np.empty((len(orb), degree), dtype=images.dtype)
+    parent, via = bfs_tree(action)
+    return orb, rows, tree_products(images, parent, via), (parent, via)
+
+
+def tree_products(images, parent, via):
+    """The elements u_r along a `bfs_tree`, as a (rows, degree) matrix in
+    the dtype of the generators' `images`: row 0 is the identity, and row r
+    is row parent[r] followed by generator via[r]."""
+    degree = images.shape[1]
+    trans = np.empty((len(parent), degree), dtype=images.dtype)
     trans[0] = np.arange(degree)
-    (parent, via), step, lo = bfs_tree(action), _batch_rows(degree), 1
-    while lo < len(orb):
+    step, lo = _batch_rows(degree), 1
+    while lo < len(parent):
         # rows lo..hi-1 have their parents before lo, which are filled
         hi = min(lo + step, int(np.searchsorted(parent, lo)))
         trans[lo:hi] = images[via[lo:hi, None], trans[parent[lo:hi]]]
         lo = hi
-    return orb, rows, trans, (parent, via)
+    return trans
+
+
+def generate_to_order(candidates, degree, order):
+    """The candidates, in order, that are neither the identity nor in the
+    group generated by those kept before, up to the first that makes the
+    kept ones generate a group of `order`.  InputError if none does."""
+    kept, sub, candidates = [], StabilizerChain(degree), iter(candidates)
+    while sub.order() != order:
+        s = next(candidates, None)
+        if s is None:
+            raise InputError(f"candidates generate no group of order {order}")
+        if s not in sub:
+            kept.append(s)
+            sub = bsgs_build(kept, degree)
+    return kept
+
+
+def orbit_stabilizer(gens, order, images, start, canon=None):
+    """The orbit of `start`, a transversal and generators of its stabilizer.
+
+    `images` holds the images of `gens` acting on points, sets or tuples,
+    one row per generator, and `order` is |<gens>|.  Returns the
+    `row_orbit` rows of the orbit, the `tree_products` of `gens` in their
+    own degree along its `bfs_tree` (row r carries `start` to rows[r]), and
+    the Schreier generators u_x g u_{xg}^-1, x-major then g, reduced by
+    `generate_to_order` to order // |orbit|.  InputError if |orbit| does
+    not divide `order`; ResourceLimitError, before the transversal is
+    allocated, if it would hold more than `_TRANSVERSAL_ENTRIES` entries."""
+    gens = list(gens)
+    degree = gens[0].degree
+    cap = max(1, _TRANSVERSAL_ENTRIES // degree)
+    try:
+        rows, action = row_orbit(images, start, canon, min(order, cap))
+    except ResourceLimitError:
+        if order <= cap:
+            raise InputError(f"orbit is larger than the group order {order}") from None
+        raise
+    if order % len(rows):
+        raise InputError(f"orbit length {len(rows)} does not divide the group order {order}")
+    gmat = image_matrix(gens, degree)
+    trans = tree_products(gmat, *bfs_tree(action))
+
+    def schreier_generators():
+        values = np.arange(degree)
+        for x in range(len(rows)):
+            for g in range(len(gens)):
+                inv = np.empty(degree, dtype=np.int64)
+                inv[trans[action[g, x]]] = values
+                yield Permutation._wrap(inv[gmat[g, trans[x]]])
+
+    return rows, trans, generate_to_order(schreier_generators(), degree, order // len(rows))
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):

@@ -366,11 +366,12 @@ def _union_count(g, k):
 
 def _cycle_unions(g, k):
     """Every k-set that is a union of cycles of g, of prime order p, as
-    sorted rows: m of its p-cycles and k - m p of its fixed points."""
+    sorted rows: m of its p-cycles and k - m p of its fixed points, in a
+    (0, k) array when there is none."""
     cycles = np.array(g.cycles())
     fixed = np.flatnonzero(g.images == np.arange(g.degree))
     p = cycles.shape[1]
-    parts = []
+    parts = [np.empty((0, k), dtype=fixed.dtype)]
     for m in range(min(len(cycles), k // p) + 1):
         if k - m * p > len(fixed):
             continue

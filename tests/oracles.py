@@ -47,6 +47,38 @@ def scalar_orbit(gens, point):
     return out
 
 
+def scalar_orbit_stabilizer(gens, x0, apply_fn, target_order, degree):
+    """Orbit of x0 under apply_fn(g, x), a dict transversal u_y = u_x g on
+    first reach, and the Schreier generators u_x g u_{xg}^-1, x-major then
+    g, each kept unless it is the identity or in the group of those kept,
+    until that group has target_order."""
+    out, transversal, q = [x0], {x0: identity(degree)}, 0
+    while q < len(out):
+        x = out[q]
+        q += 1
+        ux = transversal[x]
+        for g in gens:
+            y = apply_fn(g, x)
+            if y not in transversal:
+                transversal[y] = compose(ux, g)
+                out.append(y)
+    stab, sub = [], None
+    if target_order == 1:
+        return out, transversal, stab
+    for x in out:
+        ux = transversal[x]
+        for g in gens:
+            y = apply_fn(g, x)
+            s = compose(compose(ux, g), inverse(transversal[y]))
+            if s.is_identity() or (sub is not None and s in sub):
+                continue
+            stab.append(s)
+            sub = bsgs_build(stab, degree)
+            if sub.order() == target_order:
+                return out, transversal, stab
+    raise AssertionError("stabilizer did not reach the target order")
+
+
 class ScalarLevel:
     """One level of a scalar chain: a base point, its strong generators,
     and its orbit with a dict transversal (u_x maps point -> x)."""

@@ -13,7 +13,7 @@ from ftdesigns.bsgs import orbits
 from ftdesigns.designs import (Design, ParameterSet, _rows_through, design_to_text,
                                set_orbit, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ResourceLimitError
-from ftdesigns.perm import Permutation
+from ftdesigns.perm import Permutation, point_dtype
 from ftdesigns.suzuki import circles
 
 # sha256 of `design build --name m22 --out` as written by the tuple-based search
@@ -221,3 +221,11 @@ def test_flag_transitivity_needs_uniform_blocks():
     with pytest.raises(InputError) as err:
         Design(4, [(0, 1), (1, 2, 3)])
     assert str(err.value) == "not k-uniform: block sizes 2 and 3"
+
+
+def test_cycle_unions_is_empty_when_no_union_exists():
+    # (0 1 2)(3 4 5) on 7 points: no 2-set is a union of its cycles
+    g = Permutation([1, 2, 0, 4, 5, 3, 6])
+    none = designs._cycle_unions(g, 2)
+    assert none.shape == (0, 2) and none.dtype == point_dtype(7)
+    assert designs._cycle_unions(g, 4).tolist() == [[0, 1, 2, 6], [3, 4, 5, 6]]

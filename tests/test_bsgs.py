@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ftdesigns import bsgs
 from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabilizer_gens
-from ftdesigns.errors import InputError
+from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
 from oracles import (assert_chain_matches, element_closure, scalar_bsgs_build, scalar_orbit,
-                     scalar_sift)
+                     scalar_orbit_stabilizer, scalar_sift)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -340,3 +341,116 @@ def test_catalog_chains_skip_exactly_the_tree_edges(catalog):
 def test_random_chains_skip_exactly_the_tree_edges(case):
     gens, degree, hint, _ = case
     assert_tree_edges_skipped(bsgs_build(gens, degree, base_hint=hint))
+
+
+def set_image(g, s):
+    return tuple(sorted(int(g.images[x]) for x in s))
+
+
+def tuple_image(g, s):
+    return tuple(int(g.images[x]) for x in s)
+
+
+def assert_orbit_stabilizer_matches_the_scalar_loop(gens, order, images, start, canon,
+                                                    apply_fn, target):
+    """`bsgs.orbit_stabilizer` gives the scalar loop's orbit in its order,
+    its transversal row by row and its stabilizer generators in order."""
+    rows, trans, stab = bsgs.orbit_stabilizer(gens, order, images, start, canon)
+    x0 = tuple(start) if len(start) > 1 else start[0]
+    out, transversal, expected = scalar_orbit_stabilizer(gens, x0, apply_fn, target,
+                                                         gens[0].degree)
+    assert [tuple(r) if len(r) > 1 else r[0] for r in rows.tolist()] == out
+    assert [Permutation(t) for t in trans] == [transversal[x] for x in out]
+    assert stab == expected and bsgs_build(stab, gens[0].degree).order() == target
+    return rows, trans
+
+
+def test_orbit_stabilizer_of_a_point_matches_the_scalar_loop(catalog):
+    gens = catalog["M11"].generators
+    assert_orbit_stabilizer_matches_the_scalar_loop(
+        gens, 7920, bsgs.image_matrix(gens, 11), [0], None, lambda g, x: g(x), 720)
+
+
+def test_orbit_stabilizer_of_a_pair_set_matches_the_scalar_loop(catalog):
+    gens = catalog["M11"].generators
+    rows, _ = assert_orbit_stabilizer_matches_the_scalar_loop(
+        gens, 7920, bsgs.image_matrix(gens, 11), [0, 1], partial(np.sort, axis=1),
+        set_image, 144)
+    assert len(rows) == 55
+
+
+def test_orbit_stabilizer_of_a_hexad_driven_by_the_source_points(catalog, m11_action12,
+                                                                 m11_design):
+    # M11 on 11 points drives its 12-point coset action; the stabilizer of
+    # a block comes back on the 11 points
+    gens = catalog["M11"].generators
+    act = {g: m11_action12.image_of(g) for g in gens}
+    block = m11_design.blocks[0].tolist()
+    rows, _ = assert_orbit_stabilizer_matches_the_scalar_loop(
+        gens, 7920, bsgs.image_matrix(list(act.values()), 12), block,
+        partial(np.sort, axis=1), lambda g, x: set_image(act[g], x), 360)
+    assert len(rows) == 22
+
+
+def test_orbit_stabilizer_transports_a_tuple(catalog):
+    gens = catalog["M11"].generators
+    rows, trans = assert_orbit_stabilizer_matches_the_scalar_loop(
+        gens, 7920, bsgs.image_matrix(gens, 11), [0, 1, 2], None, tuple_image, 8)
+    assert len(rows) == 990
+    for r in (1, 500, 989):
+        assert trans[r][[0, 1, 2]].tolist() == rows[r].tolist()
+
+
+def test_orbit_stabilizer_rejects_an_order_the_orbit_does_not_fit(catalog):
+    gens = catalog["M11"].generators
+    images = bsgs.image_matrix(gens, 11)
+    for order in (12, 5):   # 11 does not divide 12; the orbit exceeds 5
+        with pytest.raises(InputError, match="orbit"):
+            bsgs.orbit_stabilizer(gens, order, images, [0])
+    with pytest.raises(InputError, match="order 1440"):
+        bsgs.orbit_stabilizer(gens, 2 * 7920, images, [0])
+
+
+def test_orbit_stabilizer_refuses_a_transversal_over_its_budget(monkeypatch, catalog):
+    gens = catalog["M11"].generators
+    images = bsgs.image_matrix(gens, 11)
+    monkeypatch.setattr(bsgs, "_TRANSVERSAL_ENTRIES", 11 * 11)
+    assert len(bsgs.orbit_stabilizer(gens, 7920, images, [0])[0]) == 11
+    monkeypatch.setattr(bsgs, "_TRANSVERSAL_ENTRIES", 11 * 10)
+    with mock.patch.object(bsgs, "tree_products", side_effect=AssertionError("allocated")):
+        with pytest.raises(ResourceLimitError):
+            bsgs.orbit_stabilizer(gens, 7920, images, [0])
+
+
+def test_generate_to_order_keeps_the_candidates_that_grow_the_group():
+    # the pairwise commutators of S4's strong generators generate A4
+    gens = bsgs_build(S4).strong_generators()
+    commutators = [compose(compose(compose(a, b), inverse(a)), inverse(b))
+                   for a in gens for b in gens]
+    kept = bsgs.generate_to_order(commutators, 4, 12)
+    assert bsgs_build(kept, 4).order() == 12
+    expected = []
+    for c in commutators:
+        if not c.is_identity() and c not in bsgs_build(expected, 4):
+            expected.append(c)
+        if bsgs_build(expected, 4).order() == 12:
+            break
+    assert kept == expected and len(kept) > 1
+    assert bsgs.generate_to_order(commutators, 4, 1) == []
+    with pytest.raises(InputError, match="order 24"):
+        bsgs.generate_to_order(commutators, 4, 24)
+
+
+def test_tree_products_are_the_orbit_transversal(catalog):
+    gens = catalog["M11"].generators
+    images = bsgs.image_matrix(gens, 11)
+    rows, action = bsgs.row_orbit(images, [3])
+    trans = bsgs.tree_products(images, *bsgs.bfs_tree(action))
+    assert np.array_equal(trans, orbit_transversal(gens, 3, 11)[2])
+    assert np.array_equal(trans[:, 3], rows[:, 0])
+
+
+def test_all_lists_the_names_other_modules_import():
+    assert {"bfs_tree", "tree_word", "image_matrix", "sorted_lookup", "tree_products",
+            "generate_to_order", "orbit_stabilizer"} <= set(bsgs.__all__)
+    assert all(hasattr(bsgs, name) for name in bsgs.__all__)
