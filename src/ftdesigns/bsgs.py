@@ -13,8 +13,9 @@ sits beside it, because sifting multiplies by u^-1.  A level also keeps
 the breadth-first Schreier tree of its orbit, `parent` and `via` from
 `bfs_tree`: row r is reached from row parent[r] by generator via[r], and
 u_r is the product of the generators on the tree path from the root, the
-root's first (its tree word).  A level whose orbit is only its base point
-has no lookup and shares one identity row.
+root's first (its tree word).  Every level holds these same arrays, one
+whose orbit is only its base point too: one identity row in each matrix,
+a lookup that is -1 but at the base point, and a tree of the root alone.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
 as rows, by gathers, for a batch of (x, g) pairs in x-major order, and
@@ -83,11 +84,6 @@ class _Level:
     def rebuild(self, chain):
         self._built, self._resume = len(self.gens), 0
         self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
-        if all(g.images[self.point] == self.point for g in self.gens):
-            self.orbit = np.array([self.point], dtype=np.intp)
-            self.parent = self.via = np.full(1, -1, dtype=np.intp)
-            self.trans = self.inv = chain._identity_row
-            return
         self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
             self.gens, self.point, chain.degree)
         self.inv = np.empty_like(self.trans)
@@ -114,8 +110,6 @@ class StabilizerChain:
         self.degree = degree
         self.dtype = point_dtype(degree)
         self.levels: list[_Level] = []
-        self._identity_row = np.arange(degree, dtype=self.dtype)[None, :]
-        self._identity_row.setflags(write=False)
 
     @property
     def base(self):
@@ -144,37 +138,31 @@ class StabilizerChain:
         transversal parts, and the level at which stripping stopped
         (== len(levels) when p sifts all the way through).
         """
-        img, rows = self._sift_rows(p)
-        return _residue(p, img), len(rows)
+        res = self._image_row(p)
+        taken = _strip(self.levels, 0, res)
+        return Permutation._wrap(res[0].astype(np.int64)), int((taken >= 0).sum())
 
     def transversal_rows(self, p: Permutation):
         """The transversal row r_i at each level i with p = u_m ... u_1, the
         deepest applied first (the digits of `element_at`), or None when p
         is not in the group."""
-        img, rows = self._sift_rows(p)
-        if len(rows) < len(self.levels) or not np.array_equal(img, np.arange(self.degree)):
+        res = self._image_row(p)
+        taken = _strip(self.levels, 0, res)
+        # a row stops only at a base point it moves, so an identity residue went through
+        if (res[0] != np.arange(self.degree)).any():
             return None
-        return rows
-
-    def _sift_rows(self, p):
-        """The image array left after stripping p, and the transversal row
-        taken at each level passed (0 where p fixes the base point)."""
-        if p.degree != self.degree:
-            raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
-        img, rows = p.images, []
-        for lvl in self.levels:
-            x = int(img[lvl.point])
-            row = 0 if x == lvl.point else -1 if lvl.rows is None else int(lvl.rows[x])
-            if row < 0:
-                break
-            if row:
-                img = lvl.inv[row][img]
-            rows.append(row)
-        return img, rows
+        return taken[0].tolist()
 
     def __contains__(self, p):
-        residue, _ = self.sift(p)
-        return residue.is_identity()
+        res = self._image_row(p)
+        _strip(self.levels, 0, res)
+        return bool((res[0] == np.arange(self.degree)).all())
+
+    def _image_row(self, p):
+        """p's images as a one-row array for `_strip`."""
+        if p.degree != self.degree:
+            raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
+        return p.images.astype(self.dtype)[None]
 
     def element_at(self, index: int) -> Permutation:
         """The index-th element in the mixed-radix enumeration by transversals.
@@ -191,10 +179,6 @@ class StabilizerChain:
             index, r = divmod(index, len(lvl.orbit))
             g = lvl.trans[r][g]
         return Permutation._wrap(g.astype(np.int64))
-
-
-def _residue(p, img):
-    return p if img is p.images else Permutation._wrap(img.astype(np.int64))
 
 
 def _batch_rows(degree):
@@ -272,7 +256,7 @@ def _verify_level(chain, i):
     lvl = chain.levels[i]
     if lvl._built != len(lvl.gens):
         lvl.rebuild(chain)
-    if lvl.rows is None:
+    if len(lvl.orbit) == 1:
         return None
     k = len(lvl.gens)
     gmat = image_matrix(lvl.gens, chain.degree)
@@ -284,8 +268,8 @@ def _verify_level(chain, i):
         yr = lvl.rows[gmat[gi, lvl.orbit[xr]]]
         # row m is u_x g u_y^-1 for the pair (x, g) with y = xg
         res = lvl.inv[yr[:, None], gmat[gi[:, None], lvl.trans[xr]]]
-        through = _strip(chain.levels, i + 1, res)
-        failed = ~through | (res != chain._identity_row).any(axis=1)
+        through = (_strip(chain.levels, i + 1, res) >= 0).all(axis=1)
+        failed = ~through | (res != np.arange(chain.degree, dtype=chain.dtype)).any(axis=1)
         if failed.any():
             first = int(failed.argmax())
             lvl._resume = start + first
@@ -299,33 +283,22 @@ def _verify_level(chain, i):
 def _strip(levels, first, res):
     """Sift the rows of `res` in place through levels[first:], one level
     at a time.  A row that reaches a level whose orbit misses the row's
-    image of the base point stays as it is there.  Returns a mask of the
-    rows that went through every level."""
-    through = np.ones(len(res), dtype=bool)
+    image of the base point stays as it is there.  Returns the
+    (len(res), len(levels) - first) matrix of the transversal rows taken,
+    -1 from the level where a row stopped."""
+    taken = np.full((len(res), len(levels) - first), -1, dtype=np.intp)
     live = np.arange(len(res))
-    j, n = first, len(levels)
-    while j < n and live.size:
-        if levels[j].rows is None:
-            # a run of one-point orbits: a row stops at the first base point it moves
-            k = j + 1
-            while k < n and levels[k].rows is None:
-                k += 1
-            points = np.array([lvl.point for lvl in levels[j:k]], dtype=np.intp)
-            moved = (res[live[:, None], points] != points).any(axis=1)
-            through[live[moved]] = False
-            live = live[~moved]
-            j = k
-            continue
-        lvl = levels[j]
+    for j, lvl in enumerate(levels[first:]):
         rows = lvl.rows[res[live, lvl.point]]
-        through[live[rows < 0]] = False
         live, rows = live[rows >= 0], rows[rows >= 0]
+        if not live.size:
+            break
+        taken[live, j] = rows
         moving = rows > 0          # row 0 is the identity
         if moving.any():
             sel = live[moving]
             res[sel] = lvl.inv[rows[moving][:, None], res[sel]]
-        j += 1
-    return through
+    return taken
 
 
 def contains(chain: StabilizerChain, p: Permutation) -> bool:
@@ -399,9 +372,9 @@ def sorted_lookup(seen, keys):
 def bfs_tree(action):
     """The row and the generator that first reach each row of a `row_orbit`,
     (-1, -1) at the root, read off its `action`; parents are nondecreasing."""
+    parent, via = np.full((2, action.shape[1]), -1, dtype=np.intp)
     _, first = np.unique(action.T.ravel(), return_index=True)
-    parent, via = np.divmod(first, max(len(action), 1))
-    parent[:1] = via[:1] = -1
+    parent[1:], via[1:] = np.divmod(first[1:], max(len(action), 1))
     return parent, via
 
 
@@ -507,6 +480,8 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
     not divide `order`; ResourceLimitError, before the transversal is
     allocated, if it would hold more than `_TRANSVERSAL_ENTRIES` entries."""
     gens = list(gens)
+    if not gens:
+        raise InputError("empty generator list has no degree")
     degree = gens[0].degree
     cap = max(1, _TRANSVERSAL_ENTRIES // degree)
     try:

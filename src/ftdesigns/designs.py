@@ -193,9 +193,13 @@ def set_orbit(gens, base_set, limit=None) -> np.ndarray:
     points, in `row_orbit` order from the sorted base set.  None of the
     callers tolerate an unbounded blowup, so ResourceLimitError is raised
     as soon as the orbit would exceed `limit` rows (BLOCK_ORBIT_LIMIT when
-    not given)."""
+    not given), and InputError for a base point outside the generators'
+    degree."""
     base = [int(x) for x in base_set]
-    n = max([g.degree for g in gens] + [x + 1 for x in base], default=1)
+    n = max((g.degree for g in gens), default=max(base, default=0) + 1)
+    for x in base:
+        if not 0 <= x < n:
+            raise InputError(f"point {x} out of range for degree {n}")
     limit = BLOCK_ORBIT_LIMIT if limit is None else limit
     return row_orbit(image_matrix(gens, n), base, partial(np.sort, axis=1), limit)[0]
 

@@ -13,7 +13,7 @@ from ftdesigns.bsgs import orbits
 from ftdesigns.designs import (Design, ParameterSet, _rows_through, design_to_text,
                                set_orbit, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ResourceLimitError
-from ftdesigns.perm import Permutation, point_dtype
+from ftdesigns.perm import Permutation, parse_cycles, point_dtype
 from ftdesigns.suzuki import circles
 
 # sha256 of `design build --name m22 --out` as written by the tuple-based search
@@ -151,6 +151,15 @@ def test_set_orbit_limit_boundary(m11_action12, m11_design):
     assert len(set_orbit(m11_action12.generators, base, limit=22)) == 22
     with pytest.raises(ResourceLimitError):
         set_orbit(m11_action12.generators, base, limit=21)
+
+
+def test_set_orbit_rejects_a_base_point_off_the_degree():
+    gens = [parse_cycles("(1,2,3,4)", 4)]
+    for base, bad in (([1, 5], 5), ([-1, 2], -1)):
+        with pytest.raises(InputError, match=f"point {bad} out of range for degree 4"):
+            set_orbit(gens, base)
+    # no generators: the base set's own points are the degree
+    assert set_orbit([], [1, 5]).tolist() == [[1, 5]]
 
 
 @st.composite

@@ -199,6 +199,20 @@ def test_orbit_transversal_rows():
     assert np.array_equal(trans[3], compose(Permutation(trans[2]), gens[1]).images)
 
 
+def test_orbit_transversal_without_generators_is_the_point_alone():
+    parent, via = bsgs.bfs_tree(np.empty((0, 1), dtype=np.intp))
+    assert parent.tolist() == via.tolist() == [-1]
+    orb, rows, trans = orbit_transversal([], 2, 5)
+    assert orb.tolist() == [2]
+    assert rows.tolist() == [-1, -1, 0, -1, -1]
+    assert trans.tolist() == [[0, 1, 2, 3, 4]]
+
+
+def test_orbit_stabilizer_rejects_an_empty_generator_list():
+    with pytest.raises(InputError, match="empty generator list"):
+        bsgs.orbit_stabilizer([], 1, np.empty((0, 5), dtype=np.uint8), [0])
+
+
 @pytest.mark.parametrize("hint,message", [([-1], "out of range"), ([7], "out of range"),
                                           ([0, 2, 0], "repeats")])
 def test_bad_base_hint(hint, message):
@@ -267,6 +281,10 @@ def test_random_chains_match_the_scalar_oracle(case):
     assert all(g in chain for g in gens)
     if chain.order() > 1:
         assert chain.element_at(chain.order() - 1) in chain
+    # the last element's mixed-radix digits are the largest row of every level
+    last = chain.element_at(chain.order() - 1)
+    assert chain.transversal_rows(last) == [len(lvl.orbit) - 1 for lvl in chain.levels]
+    assert (chain.transversal_rows(p) is None) == (p not in chain)
 
 
 def test_element_at_enumerates_group():
