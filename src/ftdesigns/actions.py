@@ -1,13 +1,13 @@
 """Transitive group actions: coset actions, primitivity, subdegrees.
 
-A coset action is labelled by canonical coset representatives, found by
+A coset action is keyed by canonical coset representatives, found by
 descending a stabilizer chain of H in any base: each level keeps the
 elements of Hg with the least image of its base point, a set that
 depends on the coset alone, so one element of Hg is left whatever g is.
 The cosets are the `row_orbit` of the identity under G's strong
-generators with `_Canonicaliser` as canonical form, and their labels
-are its first-reach row order, which no choice of base moves; the
-representatives are not kept once the generators' images are known.
+generators, each held by the element that first reached it (the coset of
+g*s depends on that of g alone) and keyed by its representative's images
+of G's base; labels are the first-reach order, which no base of H moves.
 
 Any other element g of G is mapped by a tree word: sifting g through G's
 chain writes it as a product of transversal elements, each the product
@@ -110,30 +110,38 @@ class SubdegreeProfile:
 
 
 class _Canonicaliser:
-    """Canonical representatives of right cosets of H, many at once.
+    """Right-coset representatives of H, many at once, read only where used.
 
-    Reads, for each level of a chain of H, in any base, with an orbit
-    longer than 1, the orbit index array and the (|orbit|, degree)
-    transversal matrix that the chain stores.  A row u stands for the
-    coset H*u; at each level the orbit point x with the least u[x] is
-    chosen and u becomes u[t_x], where t_x is the transversal element
-    carrying the level's base point to x (Holt, Eick and O'Brien,
-    Handbook of CGT, 2005, ch. 4)."""
+    A row u stands for the coset H*u.  At each level of a chain of H, in
+    any base, with an orbit longer than 1, the orbit point x with the
+    least u[x] is picked and u becomes u[t_x], t_x the stored transversal
+    row carrying the base point to x (Holt, Eick and O'Brien, Handbook of
+    CGT, 2005, ch. 4).  After picks t_1..t_j, u is read through t_j..t_1:
+    level j costs j*|orbit| gathers per row, not the degree.  Picks are
+    composed into whole rows while the entries left to read outnumber it."""
 
     def __init__(self, hchain):
-        self.dtype = hchain.dtype
         self.levels = [(lvl.orbit, lvl.trans) for lvl in hchain.levels if len(lvl.orbit) > 1]
 
-    def __call__(self, rows):
-        """The canonical representative of each row of an (m, degree)
-        array of images, as an array of `self.dtype`."""
-        rows = rows.astype(self.dtype, copy=False)
-        starts = np.arange(0, rows.size, rows.shape[1])[:, None]
-        for orb, trans in self.levels:
-            pick = rows[:, orb].argmin(axis=1)
-            # row i becomes rows[i, trans[pick[i]]], gathered from the flat array
-            rows = np.take(rows, trans[pick] + starts)
-        return rows
+    def images_at(self, rows, points):
+        """The (m, |points|) images of `points` under each row's representative."""
+        m, n = rows.shape
+        starts, picked = np.arange(0, m * n, n)[:, None], []   # per pick: (transversal, offsets)
+
+        def read(at):
+            if not picked:
+                return rows[:, at]
+            for trans, offset in reversed(picked):   # flat gathers beat 2-D indexing
+                at = trans.take(offset + at)
+            return rows.take(starts + at)
+
+        for j, (orb, trans) in enumerate(self.levels):
+            pick = read(orb).argmin(axis=1)
+            if len(points) + sum(len(o) for o, _ in self.levels[j + 1:]) >= n:
+                rows = rows.take(trans[pick] + starts)
+            else:
+                picked.append((trans, pick[:, None] * n))
+        return read(points)
 
 
 def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") -> GroupAction:
@@ -152,8 +160,8 @@ def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") ->
     base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
     gens = G.strong_generators()
     try:
-        reps, images = row_orbit(image_matrix(gens, degree), np.arange(degree),
-                                 canon, index, lambda rows: row_keys(rows[:, base]))
+        reps, images = row_orbit(image_matrix(gens, degree), np.arange(degree), None, index,
+                                 lambda rows: row_keys(canon.images_at(rows, base)))
     except ResourceLimitError:
         reps = None
     if reps is None or len(reps) != index:
@@ -193,24 +201,16 @@ def _minimal_block_size(gens, n, alpha, beta):
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        parent[rb] = ra
-        return (ra, rb)
-
-    stack = [(alpha, beta)]
-    union(alpha, beta)
-    images = [g.images for g in gens]
+    stack, images = [(alpha, beta)], [g.images for g in gens]
+    parent[beta] = alpha
     while stack:
         a, b = stack.pop()
         for img in images:
-            merged = union(int(img[a]), int(img[b]))
-            if merged:
-                stack.append(merged)
-    root = find(alpha)
-    return sum(1 for x in range(n) if find(x) == root)
+            ra, rb = find(int(img[a])), find(int(img[b]))
+            if ra != rb:
+                parent[rb] = ra
+                stack.append((ra, rb))
+    return sum(find(x) == find(alpha) for x in range(n))
 
 
 def is_primitive(A: GroupAction) -> bool:

@@ -310,12 +310,12 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
     """Orbit of a row under generators acting entrywise, row -> img[row].
 
     `images` holds the k generators' images of n points.  `canon` maps an
-    (m, width) array of rows to canonical rows (a row sort for point sets,
-    coset representatives for permutations), and `start` and every image
-    go through it.  `key` maps rows to keys, equal exactly for equal rows
-    (by default the point of a one-point row, else `perm.row_keys`).
-    Returns the orbit as rows in the dtype of `images` and the (k, m) intp
-    array `action`: action[g, i] is the index of row i's image under g.
+    (m, width) array of rows to canonical rows (a row sort for point sets),
+    and `start` and every image go through it.  `key` maps rows to keys,
+    equal exactly for rows of one orbit point, held by the first to reach
+    it (by default for equal rows: `perm.row_keys`, or a one-point row's
+    point).  Returns the orbit as rows in the dtype of `images` and the
+    (k, m) intp array `action`: action[g, i] indexes row i's image under g.
 
     Rows come in first-reach order of a first-in first-out queue taking
     one row, then one generator, at a time: breadth first, and `bfs_tree`

@@ -235,8 +235,9 @@ def coset_action_images(G, H_gens):
 
 def canonical_hom(G, H_gens):
     """Image of an element of G on the right cosets of H = <H_gens>, labelled
-    as `coset_action` labels them, by canonicalising the coset of every
-    representative times the element and looking its label up."""
+    as `coset_action` labels them, by keying the coset of every first-reach
+    element times the element by its canonical base images and looking its
+    label up."""
     from ftdesigns.actions import _Canonicaliser
     from ftdesigns.bsgs import _batch_rows, image_matrix, row_orbit
     from ftdesigns.perm import row_keys
@@ -244,17 +245,21 @@ def canonical_hom(G, H_gens):
     degree = G.degree
     hchain = bsgs_build(H_gens, degree, base_hint=range(degree))
     canon, base = _Canonicaliser(hchain), G.base or [0]
+
+    def key(rows):
+        return row_keys(canon.images_at(rows, base))
+
     reps, _ = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
-                        canon, G.order() // hchain.order(), lambda rows: row_keys(rows[:, base]))
-    order = np.argsort(row_keys(reps[:, base]))
-    keys = row_keys(reps[:, base])[order]
+                        None, G.order() // hchain.order(), key)
+    order = np.argsort(key(reps))
+    keys = key(reps)[order]
 
     def hom(g):
         if g not in G:
             raise InputError("element outside G has no image")
-        img, step = g.images.astype(canon.dtype), _batch_rows(degree)
+        img, step = g.images.astype(reps.dtype), _batch_rows(degree)
         return Permutation(np.concatenate([
-            order[np.searchsorted(keys, row_keys(canon(img[reps[lo:lo + step]])[:, base]))]
+            order[np.searchsorted(keys, key(img[reps[lo:lo + step]]))]
             for lo in range(0, len(reps), step)]))
 
     return hom

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from ftdesigns.actions import (GroupAction, SubdegreeProfile, coset_action,
                                is_primitive, is_transitive, point_stabilizer_gens,
                                subdegrees)
 from ftdesigns.bsgs import bsgs_build, orbit, orbit_transversal, stabilizer_gens
+from ftdesigns.cli import _NAMED_DESIGNS
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
@@ -35,6 +37,29 @@ def test_coset_action_on_whole_group_is_trivial():
     act = coset_action(chain, chain)
     assert act.degree == 1
     assert act.order == 1
+
+
+def test_coset_action_on_the_trivial_subgroup_is_regular():
+    chain = bsgs_build(S4)
+    act = coset_action(chain, bsgs_build([], 4))
+    assert act.degree == 24
+    assert act.order == 24
+    assert act.base_stabilizer() == (0, [])
+    assert subdegrees(act) == SubdegreeProfile([(1, 24)])
+    assert act.generators == coset_action_images(chain, [])[0]
+
+
+@pytest.mark.parametrize("h", [[], S4], ids=["trivial", "whole group"])
+def test_canonical_images_when_h_is_trivial_or_the_whole_group(h):
+    G, hchain = bsgs_build(S4), bsgs_build(h, 4)
+    rows = np.array([G.element_at(i).images for i in range(24)])
+    points = [3, 0, 3]
+    got = actions._Canonicaliser(hchain).images_at(rows, points)
+    if h:   # one coset: every element has the identity's representative
+        want = canonical_rep(hchain, np.arange(4))[points]
+        assert (got == want).all()
+    else:   # every element is its own coset and representative
+        assert np.array_equal(got, rows[:, points])
 
 
 def test_coset_action_rejects_non_subgroup():
@@ -120,14 +145,62 @@ def test_batched_canonical_reps_match_the_scalar_reference(pair, hinted, data):
     G, hchain = _chains(*pair, hinted)
     picks = data.draw(st.lists(st.integers(0, G.order() - 1), min_size=1, max_size=12))
     h = hchain.element_at(data.draw(st.integers(0, hchain.order() - 1)))
+    points = data.draw(st.lists(st.integers(0, G.degree - 1), min_size=1, max_size=G.degree))
     rows = np.array([G.element_at(i).images for i in picks])
     canon = actions._Canonicaliser(hchain)
-    batched = canon(rows)
+    batched = canon.images_at(rows, range(G.degree))
     assert batched.shape == rows.shape
     for row, rep in zip(rows, batched):
         assert np.array_equal(rep, canonical_rep(hchain, row))
+    # with few points the later levels are pulled back, not composed
+    assert np.array_equal(canon.images_at(rows, G.base), batched[:, G.base])
+    assert np.array_equal(canon.images_at(rows, points), batched[:, points])
     # h * g lies in the coset H * g, so it has the same representative
-    assert np.array_equal(canon(rows[:, h.images]), batched)
+    assert np.array_equal(canon.images_at(rows[:, h.images], range(G.degree)), batched)
+    assert np.array_equal(canon.images_at(rows[:, h.images], G.base), batched[:, G.base])
+
+
+def _digest(perms):
+    text = "\n".join(" ".join(map(str, p.images.tolist())) for p in perms)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the generator images and of the base_stabilizer() images, one
+# permutation a line, for every coset action the pipeline and the CLI build
+LABEL_DIGESTS = {
+    ("M23", "L3(4).2_2", 2): ("eed32e5fe51e8f0c8c685238b70feb95fce28154bf04f80cac782af667242d27",
+                              "1abd72f3903bfcdd92325d1c3aebc204dc781b590daab09c46d9a618ec60b06b"),
+    ("M23", "2^4:A7", 3): ("9ce425c1a30549d95a5380f84e6ef97f0913da8833ba099b5e7f8ce304d43386",
+                           "81c9b27d9758b7fa20d176a0725fe6fce1312586db8190b5141249ca41ef0c39"),
+    ("M23", "M11", 5): ("66d99d3eee6e8707bdc3231e3529c68c56e56f51d52ba85132c07588a1051d84",
+                        "2d8ff20abb4ff78d5997de6ae6f9cb2b1505611f7f81651d0c7919217bbf5925"),
+    ("M24", "M22.2", 2): ("34a1e006390fe1d77c5a5cce8968a0bebbb16c1ea417e8a5ec45ffa3bfa7a7e5",
+                          "76be6c90e9a07cc5f31bc4750d8dc9d4e54424ddbb2cbdfcf20875572d5c6ee1"),
+    ("J1", "11:10", 5): ("db23e27fe1345e5846563c43072a4fd4e1f6c85890a45a4277ae2ed02b636983",
+                         "2de239c2f1182fe94bf36742658cbbe3a9dcb6a09a74182b13d26808bcefebbf"),
+    ("McL", "M22", 2): ("f20971e91ebee78f554d3f8ff1b06ccc44e9e937eff967aefdb6d48455e3c885",
+                        "f23f7cfafaf864fa75714ab09fd29daaa2187cd1e5d2e7a797af2396b2230205"),
+    ("McL", "M22", 3): ("ae487c321b350f088ba72bc50f52130f14b0e494cd507bc5347946345eedcd2d",
+                        "1ab4b83db493d121123e566525583e78a94774632bc57a2f5088c3638ff639ce"),
+    ("M11", "L2(11)"): ("1fc6ccda91f001397e6397bf731afd9aef4b2c6b597c3e9c902596dbc8e3db59",
+                        "2e0134c57c3ac45db6dde4f8abe6bffd1b1df43b25d583d165549c3bcdb774cb"),
+    ("HS", "U3(5).2"): ("d5156f1b1e15c49df2429e346b6dd21039301d9904e2e6fc1d2beb771414acab",
+                        "cc145a6f5ed242188d9b49dcf963afc7aabcd441c07369fcd667b84fe6e02d23"),
+}
+
+
+def test_label_digests_cover_every_coset_action_built():
+    built = {source for source in PROFILE_SOURCES.values() if source[1] is not None}
+    built |= {source for source, _ in _NAMED_DESIGNS.values() if source[1] is not None}
+    assert set(LABEL_DIGESTS) == built
+
+
+@pytest.mark.parametrize("source", list(LABEL_DIGESTS), ids=lambda s: "/".join(map(str, s)))
+def test_coset_labels_match_their_pinned_digests(source):
+    act = action_for(*source)
+    point, stab = act.base_stabilizer()
+    assert point == 0
+    assert (_digest(act.generators), _digest(stab)) == LABEL_DIGESTS[source]
 
 
 @pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("M23", "M11"), ("HS", "U3(5).2")])
