@@ -114,11 +114,11 @@ class _Canonicaliser:
 
     A row u stands for the coset H*u.  At each level of a chain of H, in
     any base, with an orbit longer than 1, the orbit point x with the
-    least u[x] is picked and u becomes u[t_x], t_x the stored transversal
-    row carrying the base point to x (Holt, Eick and O'Brien, Handbook of
-    CGT, 2005, ch. 4).  After picks t_1..t_j, u is read through t_j..t_1:
-    level j costs j*|orbit| gathers per row, not the degree.  Picks are
-    composed into whole rows while the entries left to read outnumber it."""
+    least u[x] is picked and the representative becomes u[t_x], t_x the
+    stored transversal row carrying the base point to x (Holt, Eick and
+    O'Brien, Handbook of CGT, 2005, ch. 4).  That row is never formed:
+    after picks t_1..t_j, u is read through t_j..t_1, so level j costs
+    j*|orbit| gathers per row, not the degree."""
 
     def __init__(self, hchain):
         self.levels = [(lvl.orbit, lvl.trans) for lvl in hchain.levels if len(lvl.orbit) > 1]
@@ -129,18 +129,12 @@ class _Canonicaliser:
         starts, picked = np.arange(0, m * n, n)[:, None], []   # per pick: (transversal, offsets)
 
         def read(at):
-            if not picked:
-                return rows[:, at]
             for trans, offset in reversed(picked):   # flat gathers beat 2-D indexing
                 at = trans.take(offset + at)
             return rows.take(starts + at)
 
-        for j, (orb, trans) in enumerate(self.levels):
-            pick = read(orb).argmin(axis=1)
-            if len(points) + sum(len(o) for o, _ in self.levels[j + 1:]) >= n:
-                rows = rows.take(trans[pick] + starts)
-            else:
-                picked.append((trans, pick[:, None] * n))
+        for orb, trans in self.levels:
+            picked.append((trans, read(orb).argmin(axis=1)[:, None] * n))
         return read(points)
 
 
@@ -201,16 +195,24 @@ def _minimal_block_size(gens, n, alpha, beta):
             x = parent[x]
         return x
 
-    stack, images = [(alpha, beta)], [g.images for g in gens]
-    parent[beta] = alpha
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        parent[rb] = ra
+        return (ra, rb)
+
+    stack = [(alpha, beta)]
+    union(alpha, beta)
+    images = [g.images for g in gens]
     while stack:
         a, b = stack.pop()
         for img in images:
-            ra, rb = find(int(img[a])), find(int(img[b]))
-            if ra != rb:
-                parent[rb] = ra
-                stack.append((ra, rb))
-    return sum(find(x) == find(alpha) for x in range(n))
+            merged = union(int(img[a]), int(img[b]))
+            if merged:
+                stack.append(merged)
+    root = find(alpha)
+    return sum(1 for x in range(n) if find(x) == root)
 
 
 def is_primitive(A: GroupAction) -> bool:

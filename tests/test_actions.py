@@ -152,7 +152,7 @@ def test_batched_canonical_reps_match_the_scalar_reference(pair, hinted, data):
     assert batched.shape == rows.shape
     for row, rep in zip(rows, batched):
         assert np.array_equal(rep, canonical_rep(hchain, row))
-    # with few points the later levels are pulled back, not composed
+    # any list of points reads the same columns
     assert np.array_equal(canon.images_at(rows, G.base), batched[:, G.base])
     assert np.array_equal(canon.images_at(rows, points), batched[:, points])
     # h * g lies in the coset H * g, so it has the same representative
