@@ -5,11 +5,15 @@ randomization anywhere, so identical generator lists always produce
 identical chains.
 
 Storage.  A level keeps its orbit as an index array in `row_orbit`
-order, a point -> row lookup into it (-1 off the orbit), and its
+order, an intp point -> row lookup into it (-1 off the orbit), and its
 transversal as one (|orbit|, degree) matrix in the narrowest unsigned
 dtype that holds the points (`perm.point_dtype`): row r maps the base
 point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
-sits beside it, because sifting multiplies by u^-1.  A level also keeps
+sits beside it, because sifting multiplies by u^-1.  Gathers from these
+matrices and the scatter that fills the inverse are flat, at r * degree + p
+of the raveled matrix for entry p of row r: one `take` is two to three times
+faster than 2-D broadcast indexing at degree 1540, and the lookup is intp
+so that r * degree cannot overflow.  A level also keeps
 the breadth-first Schreier tree of its orbit, `parent` and `via` from
 `bfs_tree`: row r is reached from row parent[r] by generator via[r], and
 u_r is the product of the generators on the tree path from the root, the
@@ -18,7 +22,7 @@ whose orbit is only its base point too: one identity row in each matrix,
 a lookup that is -1 but at the base point, and a tree of the root alone.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
-as rows, by gathers, for a batch of (x, g) pairs in x-major order, and
+as rows, by flat gathers, for a batch of (x, g) pairs in x-major order, and
 the whole batch is sifted through the lower levels, one level at a time.
 The first pair whose residue is not the identity gives the next strong
 generator, so the chain is the one that sifting one pair at a time
@@ -87,11 +91,11 @@ class _Level:
         self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
             self.gens, self.point, chain.degree)
         self.inv = np.empty_like(self.trans)
-        step = _batch_rows(chain.degree)
-        values = np.arange(chain.degree, dtype=chain.dtype)
+        n, flat = chain.degree, self.inv.reshape(-1)
+        step, values = _batch_rows(n), np.arange(n, dtype=chain.dtype)
         for lo in range(0, len(self.orbit), step):
             part = self.trans[lo:lo + step]
-            self.inv[lo:lo + step][np.arange(len(part))[:, None], part] = values
+            flat[part + np.arange(lo * n, (lo + len(part)) * n, n)[:, None]] = values
 
     def schreier_pairs(self):
         """The (x, g) pairs whose Schreier generators are sifted, as indices
@@ -258,18 +262,18 @@ def _verify_level(chain, i):
         lvl.rebuild(chain)
     if len(lvl.orbit) == 1:
         return None
-    k = len(lvl.gens)
-    gmat = image_matrix(lvl.gens, chain.degree)
+    k, n = len(lvl.gens), chain.degree
+    gmat, inv = image_matrix(lvl.gens, n).reshape(-1), lvl.inv.reshape(-1)
     pairs = lvl.schreier_pairs()
-    cap, step = _batch_rows(chain.degree), 1
+    cap, step = _batch_rows(n), 1
     start = lvl._resume
     while start < len(pairs):
         xr, gi = np.divmod(pairs[start:start + step], k)
-        yr = lvl.rows[gmat[gi, lvl.orbit[xr]]]
-        # row m is u_x g u_y^-1 for the pair (x, g) with y = xg
-        res = lvl.inv[yr[:, None], gmat[gi[:, None], lvl.trans[xr]]]
+        ug = gmat.take(lvl.trans[xr] + (gi * n)[:, None])   # the rows u_x g
+        # row m is u_x g u_y^-1 for the pair (x, g), y = xg the image of the base point
+        res = inv.take(ug + (lvl.rows[ug[:, lvl.point]] * n)[:, None])
         through = (_strip(chain.levels, i + 1, res) >= 0).all(axis=1)
-        failed = ~through | (res != np.arange(chain.degree, dtype=chain.dtype)).any(axis=1)
+        failed = ~through | (res != np.arange(n, dtype=chain.dtype)).any(axis=1)
         if failed.any():
             first = int(failed.argmax())
             lvl._resume = start + first
@@ -287,7 +291,7 @@ def _strip(levels, first, res):
     (len(res), len(levels) - first) matrix of the transversal rows taken,
     -1 from the level where a row stopped."""
     taken = np.full((len(res), len(levels) - first), -1, dtype=np.intp)
-    live = np.arange(len(res))
+    live, n = np.arange(len(res)), res.shape[1]
     for j, lvl in enumerate(levels[first:]):
         rows = lvl.rows[res[live, lvl.point]]
         live, rows = live[rows >= 0], rows[rows >= 0]
@@ -297,7 +301,7 @@ def _strip(levels, first, res):
         moving = rows > 0          # row 0 is the identity
         if moving.any():
             sel = live[moving]
-            res[sel] = lvl.inv[rows[moving][:, None], res[sel]]
+            res[sel] = lvl.inv.reshape(-1).take(res[sel] + (rows[moving] * n)[:, None])
     return taken
 
 
@@ -321,11 +325,14 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
     one row, then one generator, at a time: breadth first, and `bfs_tree`
     reads the tree off `action`.  The keys found are kept sorted with their
     rows' indices.  A batch of images, at most `_BATCH_ENTRIES` entries
-    from the next rows of the queue, looks its distinct keys up there, and
-    the new ones are merged in at once; the result does not depend on the
-    bound.  Rows are reserved at `limit` (n by default, the bound for an
-    orbit of points; only pages written count), and ResourceLimitError is
-    raised once the orbit would exceed it."""
+    from the next m rows of the queue, is gathered by one `take` in
+    generator-major order, image g*m + r for row r and generator g, so no
+    copy reorders it; only its keys are put in the queue's order.  The
+    batch looks its distinct keys up among those found, and the new ones
+    are merged in at once; the result does not depend on the bound.  Rows
+    are reserved at `limit` (n by default, the bound for an orbit of
+    points; only pages written count), and ResourceLimitError is raised
+    once the orbit would exceed it."""
     images = np.asarray(images)
     k, width = len(images), len(start)
     limit = images.shape[1] if limit is None else limit
@@ -337,8 +344,10 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
     seen, label, action = key(rows[:1]), np.zeros(1, dtype=np.intp), []
     step, q, found = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1
     while k and q < found:
-        cand = canon(images[:, rows[q:min(q + step, found)]].swapaxes(0, 1).reshape(-1, width))
-        keys, first, inverse = np.unique(key(cand), return_index=True, return_inverse=True)
+        m = min(step, found - q)
+        cand = canon(images.take(rows[q:q + m], axis=1).reshape(-1, width))   # g-major
+        keys, first, inverse = np.unique(key(cand).reshape(k, m).T.ravel(),   # queue order
+                                         return_index=True, return_inverse=True)
         pos, hit = sorted_lookup(seen, keys)
         labels = label.take(pos, mode="clip")       # right where hit
         new = np.flatnonzero(~hit)
@@ -347,7 +356,8 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
                 raise ResourceLimitError(f"orbit exceeds limit {limit}")
             reach = new[np.argsort(first[new])]    # the new rows in first-reach order
             labels[reach] = np.arange(found, found + len(new))
-            rows[found:found + len(new)] = cand[first[reach]]
+            r, g = np.divmod(first[reach], k)
+            rows[found:found + len(new)] = cand[g * m + r]
             found += len(new)
             at = pos[new] + np.arange(len(new))    # their places once merged
             keep = np.ones(len(seen) + len(new), dtype=bool)
@@ -431,7 +441,7 @@ def _orbit_tree(gens, point, degree):
     images = image_matrix(gens, degree)
     orb, action = row_orbit(images, [point])
     orb = orb[:, 0].astype(np.intp)
-    rows = np.full(degree, -1, dtype=np.min_scalar_type(-degree))
+    rows = np.full(degree, -1, dtype=np.intp)
     rows[orb] = np.arange(len(orb))
     parent, via = bfs_tree(action)
     return orb, rows, tree_products(images, parent, via), (parent, via)
@@ -441,14 +451,14 @@ def tree_products(images, parent, via):
     """The elements u_r along a `bfs_tree`, as a (rows, degree) matrix in
     the dtype of the generators' `images`: row 0 is the identity, and row r
     is row parent[r] followed by generator via[r]."""
-    degree = images.shape[1]
+    degree, flat = images.shape[1], images.reshape(-1)
     trans = np.empty((len(parent), degree), dtype=images.dtype)
     trans[0] = np.arange(degree)
     step, lo = _batch_rows(degree), 1
     while lo < len(parent):
         # rows lo..hi-1 have their parents before lo, which are filled
         hi = min(lo + step, int(np.searchsorted(parent, lo)))
-        trans[lo:hi] = images[via[lo:hi, None], trans[parent[lo:hi]]]
+        trans[lo:hi] = flat.take(trans[parent[lo:hi]] + (via[lo:hi] * degree)[:, None])
         lo = hi
     return trans
 

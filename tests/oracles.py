@@ -1,8 +1,10 @@
 """Brute-force and scalar reference implementations the tests compare the
 package against.  They are slow on purpose: each does the plain thing."""
+import hashlib
+
 import numpy as np
 
-from ftdesigns.bsgs import bsgs_build
+from ftdesigns.bsgs import bsgs_build, image_matrix, tree_products
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, identity, inverse
 
@@ -32,19 +34,21 @@ def element_closure(gens, degree=None, limit=2_000_000):
     return elements
 
 
-def scalar_orbit(gens, point):
-    """Orbit of a point by a set of reached points and a first-in first-out
-    queue, taking one point and then one generator at a time."""
-    out, seen, queue = [point], {point}, 0
-    while queue < len(out):
-        x = out[queue]
-        queue += 1
-        for g in gens:
-            y = g(x)
-            if y not in seen:
-                seen.add(y)
+def scalar_row_orbit(gens, start, apply_fn):
+    """Orbit of start under apply_fn(g, x) by a first-in first-out queue,
+    one element and then one generator at a time, and action[g][i], the
+    index of the image of the i-th element under the g-th generator."""
+    out, index, action, q = [start], {start: 0}, [[] for _ in gens], 0
+    while q < len(out):
+        x = out[q]
+        q += 1
+        for gi, g in enumerate(gens):
+            y = apply_fn(g, x)
+            if y not in index:
+                index[y] = len(out)
                 out.append(y)
-    return out
+            action[gi].append(index[y])
+    return out, action
 
 
 def scalar_orbit_stabilizer(gens, x0, apply_fn, target_order, degree):
@@ -172,14 +176,33 @@ def scalar_sift(levels, p):
 
 def assert_chain_matches(chain, levels):
     """The chain has the scalar levels' base, strong generators in order,
-    orbits in order, and transversal rows."""
+    orbits in order, and transversal rows; each inverse row undoes its
+    transversal row, and the Schreier tree's products are the transversal."""
     assert chain.base == [lvl.point for lvl in levels]
+    points = np.arange(chain.degree)
     for got, want in zip(chain.levels, levels):
         assert got.gens == want.gens, got.point
         assert got.orbit.tolist() == want.orbit, got.point
-        assert got.trans.shape == (len(want.orbit), chain.degree), got.point
-        for row, x in zip(got.trans, want.orbit):
+        assert got.trans.shape == got.inv.shape == (len(want.orbit), chain.degree), got.point
+        for row, inv, x in zip(got.trans, got.inv, want.orbit):
             assert np.array_equal(row, want.transversal[x].images), (got.point, x)
+            assert np.array_equal(inv[row], points), (got.point, x)
+        products = tree_products(image_matrix(got.gens, chain.degree), got.parent, got.via)
+        assert np.array_equal(products, got.trans), got.point
+
+
+def chain_digest(chain):
+    """sha256 of a chain's base and, level by level, of its strong
+    generators, orbit, transversal and inverse matrices and Schreier tree
+    (`parent`, `via`), each with its dtype and shape."""
+    digest = hashlib.sha256(np.asarray(chain.base, dtype=np.int64).tobytes())
+    for lvl in chain.levels:
+        gens = np.array([g.images for g in lvl.gens], dtype=np.int64)
+        for a in (gens, lvl.orbit, lvl.trans, lvl.inv, lvl.parent, lvl.via):
+            a = np.ascontiguousarray(a)
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
 
 
 def all_pairs_is_primitive(A):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 from unittest import mock
@@ -11,8 +12,8 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
-from oracles import (assert_chain_matches, element_closure, scalar_bsgs_build, scalar_orbit,
-                     scalar_orbit_stabilizer, scalar_sift)
+from oracles import (assert_chain_matches, chain_digest, element_closure, scalar_bsgs_build,
+                     scalar_orbit_stabilizer, scalar_row_orbit, scalar_sift)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -180,11 +181,10 @@ def test_level_storage():
         for r, x in enumerate(lvl.orbit):
             assert lvl.trans[r][lvl.point] == x
             assert np.array_equal(lvl.inv[r][lvl.trans[r]], np.arange(4))
-            if lvl.rows is not None:
-                assert lvl.rows[x] == r
-        if lvl.rows is not None:
-            off = np.setdiff1d(np.arange(4), lvl.orbit)
-            assert (lvl.rows[off] == -1).all()
+            assert lvl.rows[x] == r
+        assert lvl.rows.dtype == np.intp
+        off = np.setdiff1d(np.arange(4), lvl.orbit)
+        assert (lvl.rows[off] == -1).all()
 
 
 def test_orbit_transversal_rows():
@@ -252,6 +252,100 @@ def test_suzuki_chain_matches_the_scalar_oracle(suzuki8):
     assert chain.order() == 29120
 
 
+# sha256 (`oracles.chain_digest`) of every catalog group and subgroup chain,
+# of the chains with the base hint range(degree) that the profile coset
+# actions build, and of the Sz(8) chain, as built by 2-D broadcast gathers
+CHAIN_DIGESTS = {
+    "M11": "18c34db04e188d12117426ce316e620bafaf37d198d50a2a4662799de82fb449",
+    "M11/L2(11)#2": "0cd405617af8eda132bb3fcdbac99628110ee86fb74c3241096d37fb6a5f29a7",
+    "M11/A6#None": "9331c8fabbac21ec198cd68d8fbd12666062b943fd9a5b793bb9c3dc17039ecf",
+    "M12": "7636e33bd0f04e32b898ddc72f6ec38bedac07b3b77d54320d8565545fa3aa67",
+    "M22": "3a1733f6f4ea271df911a46c0ee7cd2b84d78fb1394f5c167d119f23103636ba",
+    "M22:2": "f7129bee8a0556fbd24c0ffb97b38d49ff5bf8e3eb5a2a8fcee3c212f9e4206f",
+    "M23": "2497e8f33ff7f42d6e1418c434f286cf0797cb497f2004d24589192d46f4b3ca",
+    "M23/L3(4).2_2#2": "0147307261fdcca7d424b8f0aa87b7a621b3ffb32a5428364eaf2da87ffaa393",
+    "M23/2^4:A7#3": "1702850954ae3ec792cbf84d0bcb93c8b964653684eafa115d59ab8aef776440",
+    "M23/M11#5": "d2872c1d0785d01084e0a021a9d86d46aecff103d46ce779444375f78731cc74",
+    "M24": "d0ecefbdf23bddaceaaec9060e6c578a201f746ce3c625de00ae80bac6393fb5",
+    "M24/M22.2#2": "770d0219a8e0d6f38d822c08d46a530dbcb1cb1b122040ef2519d4460c6a4437",
+    "J1": "c04f4ba6fe5846e51329acd3f320ab579ccfebd8afa5ebb5b289c762c31bc431",
+    "J1/19:6#4": "e73c3625d57913a082d1bed032043e5ab6203ad511f77623aa719a6930ab743d",
+    "J1/11:10#5": "7855eb769706911ff04d34061b7a049a36e06428f2d95841caf935bf1321d90d",
+    "HS": "c85f14428af40cfc367ac548c8656944dfd6e56610b76fb372dbdec725d4f049",
+    "HS/U3(5).2#2": "d8a38a1c9fac38691c60d43a6715a12a911218e4f653fecc37eaf7ec3c346c56",
+    "HS/S8#5": "1ba2c54f0baab73817504158ade67caef9cfe23b9841e2c662a5ee633e64ed84",
+    "HS:2": "d2332360df12ea5519b503f6a5ca38eaee847ba06dc17c674e461547ce7cc3f9",
+    "McL": "a3fa4f0ccc3d49072c95bc8c86b3c5340fe8d02ca57463403bae175e38b7f505",
+    "McL/M22#2": "d71074dfb653d44db25ce4884096d03664318e904baa608316c440b1eee97f6c",
+    "McL/M22#3": "756ebe768030f12aa2a825acb8eec3181f1714e40ab7bed621c376825e2e5de7",
+    "M23/L3(4).2_2#2 hinted": "3459dfff21eb3f4b44256d4f39aacdd0fdb262264a4289f50e30466a5a4232d2",
+    "M23/2^4:A7#3 hinted": "27e18a7f1fa945037be908809d3708a6ddf99054dbb3f66d91410778f8892b49",
+    "M23/M11#5 hinted": "d2872c1d0785d01084e0a021a9d86d46aecff103d46ce779444375f78731cc74",
+    "M24/M22.2#2 hinted": "2bbe43657f244434c875eaeb395f423dd6520c249e609fa3bc487306ae7e7def",
+    "J1/11:10#5 hinted": "7855eb769706911ff04d34061b7a049a36e06428f2d95841caf935bf1321d90d",
+    "McL/M22#2 hinted": "10befaf51aabbb884913f095d2445e36ebb7f7e66ab7fd6de14dd880f1befbb7",
+    "McL/M22#3 hinted": "c6c2f60d3b8cde799b05d0c1773058b9d8458c045b2dc87ad81c166d4eb51e4e",
+    "Sz(8)": "e7a9015c3078b6bec0639344b02727fd3ff5aa027d68c86627ac2883875fe54c",
+}
+
+
+def test_chains_match_their_pinned_digests(catalog, suzuki8):
+    from ftdesigns.pipeline import PROFILE_SOURCES
+
+    got = {"Sz(8)": chain_digest(suzuki8[0].chain)}
+    for entry in catalog.values():
+        got[entry.name] = chain_digest(bsgs_build(entry.generators, entry.degree))
+        for sub in entry.subgroups:
+            got[f"{entry.name}/{sub.name}#{sub.nr}"] = chain_digest(
+                bsgs_build(sub.generators, entry.degree))
+    for group, name, nr in PROFILE_SOURCES.values():
+        if name is not None:
+            entry = catalog[group]
+            sub = next(s for s in entry.subgroups if s.name == name and s.nr == nr)
+            got[f"{group}/{name}#{nr} hinted"] = chain_digest(
+                bsgs_build(sub.generators, entry.degree, base_hint=range(entry.degree)))
+    assert got == CHAIN_DIGESTS
+
+
+def test_sift_and_membership_past_int16_offsets(monkeypatch):
+    # AGL(1, 307): x -> x + 1 and x -> 5x, 5 a primitive root, so the levels
+    # have orbits 307 and 306 and a row times the degree exceeds 32767
+    p, install, calls = 307, bsgs._install, itertools.count(1)
+
+    class Residue(Exception):
+        pass
+
+    def install_the_generators_only(chain, g, j):
+        # the two generators are a strong generating set, so no Schreier
+        # generator leaves a residue; a wrapped row offset leaves one, which
+        # need not be a permutation, so it is never printed
+        if next(calls) > 2:
+            raise Residue
+        return install(chain, g, j)
+
+    monkeypatch.setattr(bsgs, "_install", install_the_generators_only)
+    gens = [Permutation([(x + 1) % p for x in range(p)]),
+            Permutation([5 * x % p for x in range(p)])]
+    try:
+        chain = bsgs_build(gens, p)
+    except Residue:
+        pytest.fail("a Schreier generator of AGL(1, 307) left a residue", pytrace=False)
+    assert chain.order() == p * (p - 1) and [len(lvl.orbit) for lvl in chain.levels] == [p, p - 1]
+    assert_chain_matches(chain, scalar_bsgs_build(gens, p))
+    for a, b in ((1, 0), (2, 300), (306, 1), (150, 299)):
+        g = Permutation([(a * x + b) % p for x in range(p)])
+        residue, level = chain.sift(g)
+        residue, rows = residue.images.tolist(), chain.transversal_rows(g)
+        assert g in chain and residue == list(range(p)) and level == 2
+        assert chain.element_at(rows[1] + (p - 1) * rows[0]).images.tolist() == g.images.tolist()
+    assert chain.transversal_rows(chain.element_at(chain.order() - 1)) == [p - 1, p - 2]
+    for cycles in ("(1,2)", "(300,301,302)", "(1,307)(2,306)(3,305)"):
+        q = parse_cycles(cycles, p)
+        residue = chain.sift(q)[0].images.tolist()
+        assert q not in chain and chain.transversal_rows(q) is None
+        assert residue != list(range(p))
+
+
 def test_chain_does_not_depend_on_the_batch_size(monkeypatch, catalog):
     entry = catalog["HS"]
     reference = scalar_bsgs_build(entry.generators, entry.degree)
@@ -310,13 +404,33 @@ def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
     gens, degree, _, _ = case
     point = data.draw(st.integers(0, degree - 1))
     images = bsgs.image_matrix(gens, degree)
+    want, action_want = scalar_row_orbit(gens, point, lambda g, x: g(x))
     for entries in (bsgs._BATCH_ENTRIES, 1):
         with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
             rows, action = bsgs.row_orbit(images, [point])
-        assert rows[:, 0].tolist() == scalar_orbit(gens, point), entries
+        assert rows[:, 0].tolist() == want, entries
         assert action.shape == (len(gens), len(rows))
+        assert action.tolist() == action_want, entries
         for g, img in enumerate(images):
             assert np.array_equal(rows[action[g], 0], img[rows[:, 0]]), entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_orbit_of_a_pair_set_matches_the_scalar_queue(data):
+    degree = data.draw(st.integers(2, 12))
+    perms = st.permutations(range(degree)).map(Permutation)
+    gens = data.draw(st.lists(perms, min_size=2, max_size=4))
+    start = data.draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=2, unique=True))
+    split = data.draw(st.integers(2, 5))   # rows per batch, so batches end inside a layer
+    images = bsgs.image_matrix(gens, degree)
+    want, action_want = scalar_row_orbit(gens, tuple(sorted(start)), set_image)
+    for entries in (bsgs._BATCH_ENTRIES, 1, split * len(gens) * 2):
+        with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
+            rows, action = bsgs.row_orbit(images, start, partial(np.sort, axis=1),
+                                          degree * (degree - 1) // 2)
+        assert [tuple(r) for r in rows.tolist()] == want, entries
+        assert action.tolist() == action_want, entries
 
 
 def assert_tree_edges_skipped(chain):
@@ -325,9 +439,6 @@ def assert_tree_edges_skipped(chain):
     taking one point and then one generator at a time meets them), and the
     Schreier generator u_x g u_xg^-1 of every edge is the identity."""
     for lvl in chain.levels:
-        if lvl.rows is None:   # complete at once: no pair is sifted
-            assert len(lvl.orbit) == 1
-            continue
         orb, k = lvl.orbit.tolist(), len(lvl.gens)
         row = {x: r for r, x in enumerate(orb)}
         edges, seen = [], {lvl.point}
