@@ -1,13 +1,21 @@
 """Transitive group actions: coset actions, primitivity, subdegrees.
 
-A coset action is keyed by canonical coset representatives, found by
-descending a stabilizer chain of H in any base: each level keeps the
-elements of Hg with the least image of its base point, a set that
-depends on the coset alone, so one element of Hg is left whatever g is.
-The cosets are the `row_orbit` of the identity under G's strong
-generators, each held by the element that first reached it (the coset of
-g*s depends on that of g alone) and keyed by its representative's images
-of G's base; labels are the first-reach order, which no base of H moves.
+A coset action has one of two keys.  Where H has an orbit O other than
+the whole set whose G-orbit has |G:H| sets, the coset Hu is keyed by
+the set O^u, read as sorted u[O]: H fixes O, so Stab_G(O) contains H, and
+|O^G| = |G:Stab_G(O)| = |G:H| leaves Stab_G(O) = H, so Hu -> O^u is a
+bijection onto O^G.  H's orbits are tried smallest first.  Otherwise
+(H transitive, or every orbit stabilized by more than H) the coset is
+keyed by a canonical representative, found by descending a stabilizer
+chain of H in any base: each level keeps the elements of Hg with the
+least image of its base point, a set that depends on the coset alone,
+so one element of Hg is left whatever g is, and its images of G's base
+are the key.  Either way the cosets are the `row_orbit` of H (the set O,
+or the identity row) under G's strong generators, each held by the set
+or the element that first reached it, and labels are the first-reach
+order.  Hu -> O^u commutes with G (Hug -> O^ug), so both keys reach the
+cosets in one order, from one start under one generator list, and give
+the same labels, which no base of H moves either.
 
 Any other element g of G is mapped by a tree word: sifting g through G's
 chain writes it as a product of transversal elements, each the product
@@ -110,7 +118,9 @@ class SubdegreeProfile:
 
 
 class _Canonicaliser:
-    """Right-coset representatives of H, many at once, read only where used.
+    """Right-coset representatives of H, many at once, read only where used:
+    the coset key of `coset_action` where no orbit of H is stabilized by H
+    alone.
 
     A row u stands for the coset H*u.  At each level of a chain of H, in
     any base, with an orbit longer than 1, the orbit point x with the
@@ -138,10 +148,49 @@ class _Canonicaliser:
         return read(points)
 
 
+def _orbits_smallest_first(H):
+    """The orbits of the group of the chain H as ascending point arrays,
+    smallest first and then by least point; none when H is transitive,
+    which its first level shows.  Each point takes the least label of its
+    preimages, then its label's label, until no label moves."""
+    n = H.degree
+    if H.levels and len(H.levels[0].orbit) == n:
+        return []
+    label = np.arange(n)
+    images = image_matrix(H.levels[0].gens if H.levels else [], n)
+    while True:
+        old, label = label, label.copy()
+        for img in images:
+            label[img] = np.minimum(label[img], label)
+        label = label[label]
+        if np.array_equal(label, old):
+            break
+    order = np.argsort(label, kind="stable")
+    return sorted(np.split(order, np.flatnonzero(np.diff(label[order])) + 1), key=len)
+
+
+def _orbit_set_action(gmat, H, index):
+    """The action of G, whose strong generators' images are `gmat`, on the
+    G-orbit of the first H-orbit O != Omega with `index` sets, or None when
+    no H-orbit has one.  H fixes O, so |O^G| <= |G:H|, and equality leaves
+    Stab_G(O) = H; AssertionError if an orbit exceeds the index."""
+    for orb in _orbits_smallest_first(H):
+        try:
+            sets, action = row_orbit(gmat, orb, lambda rows: np.sort(rows, axis=1), index)
+        except ResourceLimitError:
+            raise AssertionError("coset enumeration does not match the index") from None
+        if len(sets) == index:
+            return action
+    return None
+
+
 def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") -> GroupAction:
     """Action of G on the right cosets of the group of the chain H, in any
     base; point 0 is H, and its stabilizer is generated by the images of
-    the generators H was built from, those of its first level."""
+    the generators H was built from, those of its first level.  The coset
+    Hu is keyed by the set O^u of the first H-orbit O whose G-orbit has
+    |G:H| sets, which makes Stab_G(O) = H, else by `_Canonicaliser`; the
+    two keys give the same labels (see the module docstring)."""
     H_gens = H.levels[0].gens if H.levels else []
     if H.degree != G.degree or any(h not in G for h in H_gens):
         raise InputError("H is not a subgroup of G")
@@ -150,16 +199,19 @@ def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") ->
     if index > COSET_INDEX_LIMIT:
         raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
-    canon = _Canonicaliser(H)
-    base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
     gens = G.strong_generators()
-    try:
-        reps, images = row_orbit(image_matrix(gens, degree), np.arange(degree), None, index,
-                                 lambda rows: row_keys(canon.images_at(rows, base)))
-    except ResourceLimitError:
-        reps = None
-    if reps is None or len(reps) != index:
-        raise AssertionError("coset enumeration does not match the index")
+    gmat = image_matrix(gens, degree)
+    images = _orbit_set_action(gmat, H, index)
+    if images is None:
+        canon = _Canonicaliser(H)
+        base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
+        try:
+            reps, images = row_orbit(gmat, np.arange(degree), None, index,
+                                     lambda rows: row_keys(canon.images_at(rows, base)))
+        except ResourceLimitError:
+            reps = None
+        if reps is None or len(reps) != index:
+            raise AssertionError("coset enumeration does not match the index")
     # G's elements map by tree words: g = u_m ... u_1 by sifting, each u the
     # product of the strong generators on its level's Schreier-tree path
     column = {g: s for s, g in enumerate(gens)}

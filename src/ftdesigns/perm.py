@@ -82,7 +82,10 @@ class Permutation:
         return int(diff[0]) if diff.size else None
 
     def cycles(self):
-        """Nontrivial cycles, each rotated to start at its smallest point."""
+        """Nontrivial cycles, each rotated to start at its smallest point.
+        InputError, after at most one step per point, if the images (of a
+        `_wrap`ped array) are not a bijection: a walk from i that comes to
+        a point already seen before it is back at i."""
         n = self.degree
         seen = [False] * n
         out = []
@@ -93,6 +96,8 @@ class Permutation:
             seen[i] = True
             j = int(self.images[i])
             while j != i:
+                if seen[j]:
+                    raise InputError("images are not a bijection")
                 cyc.append(j)
                 seen[j] = True
                 j = int(self.images[j])

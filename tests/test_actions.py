@@ -203,6 +203,98 @@ def test_coset_labels_match_their_pinned_digests(source):
     assert (_digest(act.generators), _digest(stab)) == LABEL_DIGESTS[source]
 
 
+class _Descent(Exception):
+    """Raised in place of building a `_Canonicaliser`: the descent was reached."""
+
+
+def _no_descent(hchain):
+    raise _Descent
+
+
+SET_PATH_CASES = [source for source in PROFILE_SOURCES.values() if source[1] is not None]
+
+
+@pytest.mark.parametrize("source", SET_PATH_CASES, ids=lambda s: "/".join(map(str, s)))
+def test_profile_coset_actions_need_no_descent(monkeypatch, catalog, source):
+    # each of these subgroups is the setwise stabilizer of one of its orbits,
+    # so its action is a set orbit and the labels are those of the descent
+    entry, (_, sub, nr) = catalog[source[0]], source
+    h = next(s for s in entry.subgroups if s.name == sub and s.nr == nr).generators
+    reference = canonical_hom(entry.chain, h)
+    monkeypatch.setattr(actions, "_Canonicaliser", _no_descent)
+    act = action_for(*source)
+    point, stab = act.base_stabilizer()
+    assert (_digest(act.generators), _digest(stab)) == LABEL_DIGESTS[source]
+    assert (point, stab) == (0, [reference(x) for x in h])
+    for g in entry.generators:
+        assert act.image_of(g) == reference(g)
+
+
+@pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("HS", "U3(5).2"), ("M11", "A6")])
+def test_subgroups_without_a_stabilized_orbit_reach_the_descent(monkeypatch, catalog, group,
+                                                                 sub):
+    # L2(11) and U3(5).2 are transitive; A6 fixes a point of M11, and the
+    # point and the other 10 points are both stabilized by M10
+    entry = catalog[group]
+    monkeypatch.setattr(actions, "_Canonicaliser", _no_descent)
+    with pytest.raises(_Descent):
+        coset_action(entry.chain, bsgs_build(entry.subgroup(sub).generators, entry.degree))
+
+
+def test_a_wrong_index_fails_on_both_paths(monkeypatch):
+    # the set path alone: the fixed point of S3 has 4 images, more than a
+    # claimed index of 2; the descent: C4 is transitive, so it has no set path
+    chain = bsgs_build(S4)
+    s3, c4 = bsgs_build(stabilizer_gens(chain, 3), 4), bsgs_build(S4[:1], 4)
+    monkeypatch.setattr(chain, "order", lambda: 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(actions, "_Canonicaliser", _no_descent)
+        with pytest.raises(AssertionError, match="does not match the index"):
+            coset_action(chain, s3)
+    with pytest.raises(AssertionError, match="does not match the index"):
+        coset_action(chain, c4)
+
+
+def test_the_set_path_tries_the_next_orbit(monkeypatch):
+    # S3 on the points 1..3 (from 0) fixing point 0, and H the transposition
+    # of 1 and 2: the G-orbit of the fixed point 0 is one set, that of 3 the
+    # 3 cosets
+    gens = [parse_cycles("(2,3,4)", 4), parse_cycles("(2,3)", 4)]
+    G, h = bsgs_build(gens), gens[1:]
+    want = coset_action_images(G, h)
+    monkeypatch.setattr(actions, "_Canonicaliser", _no_descent)
+    act = coset_action(G, bsgs_build(h, 4))
+    assert (act.generators, act.base_stabilizer()) == (want[0], (0, want[1]))
+
+
+SYMMETRIC = {n: bsgs_build([parse_cycles(f"({','.join(map(str, range(1, n + 1)))})", n),
+                            parse_cycles("(1,2)", n)], n) for n in (6, 7)}
+
+
+@st.composite
+def _on_a_subset(draw, n):
+    """A permutation of {0..n-1} that moves only points of a drawn subset."""
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    images = list(range(n))
+    for p, q in zip(points, draw(st.permutations(points))):
+        images[p] = q
+    return Permutation(images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([6, 7]), st.data())
+def test_small_coset_actions_match_the_scalar_queue_enumeration(n, data):
+    # subgroups of S_6 and S_7 on 1 to 3 elements, each moving a drawn set of
+    # points, so that many are intransitive: an orbit whose stabilizer is
+    # larger than H is tried and passed over, for the next or for the descent
+    G = SYMMETRIC[n]
+    H = bsgs_build(data.draw(st.lists(_on_a_subset(n), min_size=1, max_size=3)), n)
+    gens, stab = coset_action_images(G, H.levels[0].gens if H.levels else [])
+    act = coset_action(G, H)
+    assert act.generators == gens
+    assert act.base_stabilizer() == (0, stab)
+
+
 @pytest.mark.parametrize("group,sub", [("M11", "L2(11)"), ("M23", "M11"), ("HS", "U3(5).2")])
 def test_coset_action_does_not_depend_on_the_base_of_H(catalog, group, sub):
     # a chain of H in any base gives one representative per coset, and the

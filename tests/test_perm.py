@@ -42,6 +42,16 @@ def test_not_a_bijection():
         Permutation([0, 3])
 
 
+@pytest.mark.parametrize("images", [[1, 1, 0], [1, 2, 1], [0, 0], [2, 2, 2]])
+def test_cycles_of_a_wrapped_non_bijection_raise(images):
+    # `_wrap` takes its array unchecked; the walk from a point must not loop
+    # forever when it never comes back to that point
+    p = Permutation._wrap(np.array(images))
+    for read in (Permutation.cycles, Permutation.order, repr):
+        with pytest.raises(InputError, match="not a bijection"):
+            read(p)
+
+
 @st.composite
 def permutations(draw, max_degree=40):
     n = draw(st.integers(min_value=1, max_value=max_degree))
