@@ -149,24 +149,12 @@ class _Canonicaliser:
 
 
 def _orbits_smallest_first(H):
-    """The orbits of the group of the chain H as ascending point arrays,
-    smallest first and then by least point; none when H is transitive,
-    which its first level shows.  Each point takes the least label of its
-    preimages, then its label's label, until no label moves."""
-    n = H.degree
-    if H.levels and len(H.levels[0].orbit) == n:
+    """The `orbits` of the group of the chain H, each ascending, smallest
+    first and then by least point; none when H is transitive, which its
+    first level shows."""
+    if H.levels and len(H.levels[0].orbit) == H.degree:
         return []
-    label = np.arange(n)
-    images = image_matrix(H.levels[0].gens if H.levels else [], n)
-    while True:
-        old, label = label, label.copy()
-        for img in images:
-            label[img] = np.minimum(label[img], label)
-        label = label[label]
-        if np.array_equal(label, old):
-            break
-    order = np.argsort(label, kind="stable")
-    return sorted(np.split(order, np.flatnonzero(np.diff(label[order])) + 1), key=len)
+    return sorted(orbits(H.levels[0].gens if H.levels else [], H.degree), key=len)
 
 
 def _orbit_set_action(gmat, H, index):

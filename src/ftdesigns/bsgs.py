@@ -9,17 +9,18 @@ order, an intp point -> row lookup into it (-1 off the orbit), and its
 transversal as one (|orbit|, degree) matrix in the narrowest unsigned
 dtype that holds the points (`perm.point_dtype`): row r maps the base
 point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
-sits beside it, because sifting multiplies by u^-1.  Gathers from these
-matrices and the scatter that fills the inverse are flat, at r * degree + p
-of the raveled matrix for entry p of row r: one `take` is two to three times
-faster than 2-D broadcast indexing at degree 1540, and the lookup is intp
-so that r * degree cannot overflow.  A level also keeps
+sits beside it, because sifting multiplies by u^-1, and so does its
+generators' `image_matrix`.  Gathers from these matrices are flat, at
+r * degree + p of the raveled matrix for entry p of row r: one `take` is
+two to three times faster than 2-D broadcast indexing at degree 1540, and
+the lookup is intp so that r * degree cannot overflow.  A level also keeps
 the breadth-first Schreier tree of its orbit, `parent` and `via` from
 `bfs_tree`: row r is reached from row parent[r] by generator via[r], and
 u_r is the product of the generators on the tree path from the root, the
-root's first (its tree word).  Every level holds these same arrays, one
-whose orbit is only its base point too: one identity row in each matrix,
-a lookup that is -1 but at the base point, and a tree of the root alone.
+root's first (its tree word); both matrices are filled along the tree.
+Every level holds these same arrays, one whose orbit is only its base
+point too: one identity row in each matrix, a lookup that is -1 but at
+the base point, and a tree of the root alone.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
 as rows, by flat gathers, for a batch of (x, g) pairs in x-major order, and
@@ -27,7 +28,8 @@ the whole batch is sifted through the lower levels, one level at a time.
 The first pair whose residue is not the identity gives the next strong
 generator, so the chain is the one that sifting one pair at a time
 gives.  A batch holds at most `_BATCH_ENTRIES` image entries; it starts
-at one row and doubles, so a pair that fails early wastes little.
+at 32 rows (`_FIRST_BATCH`) and doubles: few batches for a complete
+level, little waste past a pair that fails early.
 
 Tree edges.  The |orbit| - 1 pairs (parent[y], via[y]) are never formed:
 there u_x g is u_y by the construction of the transversal, so their
@@ -67,6 +69,8 @@ __all__ = ["StabilizerChain", "bfs_tree", "bsgs_build", "contains", "generate_to
 
 # image entries per batch: bounds every (rows, width) temporary
 _BATCH_ENTRIES = 1 << 18
+# rows in a level's first batch of Schreier generators, doubled after each batch
+_FIRST_BATCH = 32
 # image entries of an `orbit_stabilizer` transversal: bounds |orbit| * degree
 _TRANSVERSAL_ENTRIES = 1 << 24
 
@@ -75,27 +79,30 @@ class _Level:
     """One level of the chain: a base point, its strong generators, and
     its orbit with the transversal and inverse-transversal matrices."""
 
-    __slots__ = ("point", "gens", "orbit", "rows", "trans", "inv", "parent", "via",
+    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "trans", "inv", "parent", "via",
                  "_built", "_resume")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
-        self.orbit = self.rows = self.trans = self.inv = self.parent = self.via = None
+        self.gmat = self.orbit = self.rows = self.trans = self.inv = self.parent = self.via = None
         self._built = -1   # len(gens) when the orbit was last built
         self._resume = 0   # first off-tree pair not yet known to sift to the identity
 
     def rebuild(self, chain):
         self._built, self._resume = len(self.gens), 0
         self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
+        self.gmat = image_matrix(self.gens, chain.degree)
         self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
-            self.gens, self.point, chain.degree)
+            self.gmat, self.point)
+        # u_r^-1 is g^-1 followed by u_parent^-1 for g = via[r]: row r of the
+        # inverse is its parent's inverse row read at g^-1's images
+        n, ginv = chain.degree, np.empty_like(self.gmat)
+        ginv.reshape(-1)[self.gmat + np.arange(0, self.gmat.size, n)[:, None]] = np.arange(n)
         self.inv = np.empty_like(self.trans)
-        n, flat = chain.degree, self.inv.reshape(-1)
-        step, values = _batch_rows(n), np.arange(n, dtype=chain.dtype)
-        for lo in range(0, len(self.orbit), step):
-            part = self.trans[lo:lo + step]
-            flat[part + np.arange(lo * n, (lo + len(part)) * n, n)[:, None]] = values
+        self.inv[0], flat = np.arange(n), self.inv.reshape(-1)
+        for lo, hi in _tree_layers(self.parent, n):
+            self.inv[lo:hi] = flat.take(ginv[self.via[lo:hi]] + (self.parent[lo:hi] * n)[:, None])
 
     def schreier_pairs(self):
         """The (x, g) pairs whose Schreier generators are sifted, as indices
@@ -263,10 +270,10 @@ def _verify_level(chain, i):
     if len(lvl.orbit) == 1:
         return None
     k, n = len(lvl.gens), chain.degree
-    gmat, inv = image_matrix(lvl.gens, n).reshape(-1), lvl.inv.reshape(-1)
+    gmat, inv = lvl.gmat.reshape(-1), lvl.inv.reshape(-1)
     pairs = lvl.schreier_pairs()
-    cap, step = _batch_rows(n), 1
-    start = lvl._resume
+    cap = _batch_rows(n)
+    start, step = lvl._resume, min(_FIRST_BATCH, cap)
     while start < len(pairs):
         xr, gi = np.divmod(pairs[start:start + step], k)
         ug = gmat.take(lvl.trans[xr] + (gi * n)[:, None])   # the rows u_x g
@@ -294,9 +301,11 @@ def _strip(levels, first, res):
     live, n = np.arange(len(res)), res.shape[1]
     for j, lvl in enumerate(levels[first:]):
         rows = lvl.rows[res[live, lvl.point]]
-        live, rows = live[rows >= 0], rows[rows >= 0]
-        if not live.size:
-            break
+        keep = rows >= 0
+        if not keep.all():
+            live, rows = live[keep], rows[keep]
+            if not live.size:
+                break
         taken[live, j] = rows
         moving = rows > 0          # row 0 is the identity
         if moving.any():
@@ -317,57 +326,75 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
     (m, width) array of rows to canonical rows (a row sort for point sets),
     and `start` and every image go through it.  `key` maps rows to keys,
     equal exactly for rows of one orbit point, held by the first to reach
-    it (by default for equal rows: `perm.row_keys`, or a one-point row's
-    point).  Returns the orbit as rows in the dtype of `images` and the
-    (k, m) intp array `action`: action[g, i] indexes row i's image under g.
+    it (by default for equal rows).  Returns the orbit as rows in the dtype
+    of `images` and the (k, m) intp array `action`: action[g, i] indexes
+    row i's image under g.
 
     Rows come in first-reach order of a first-in first-out queue taking
     one row, then one generator, at a time: breadth first, and `bfs_tree`
-    reads the tree off `action`.  The keys found are kept sorted with their
-    rows' indices.  A batch of images, at most `_BATCH_ENTRIES` entries
-    from the next m rows of the queue, is gathered by one `take` in
-    generator-major order, image g*m + r for row r and generator g, so no
-    copy reorders it; only its keys are put in the queue's order.  The
-    batch looks its distinct keys up among those found, and the new ones
-    are merged in at once; the result does not depend on the bound.  Rows
-    are reserved at `limit` (n by default, the bound for an orbit of
-    points; only pages written count), and ResourceLimitError is raised
-    once the orbit would exceed it."""
+    reads the tree off `action`.  A batch of images, at most
+    `_BATCH_ENTRIES` entries from the next m rows of the queue, is
+    gathered by one `take` in generator-major order, image g*m + r for row
+    r and generator g, so no copy reorders it; only its keys are put in
+    the queue's order.  One-point rows with the default key are looked up
+    in a dense table of each point's row: a batch's new points are those
+    not in the table whose first place in the batch, found by a scatter of
+    the places in reverse, is their own.  Other keys (`perm.row_keys` by
+    default) are kept sorted with their rows' indices; a batch looks its
+    distinct keys up among them, and the new ones are merged in at once.
+    The result does not depend on the bound.  Rows are reserved at `limit`
+    (n by default, the bound for an orbit of points; only pages written
+    count), and ResourceLimitError is raised once the orbit would exceed it."""
     images = np.asarray(images)
     k, width = len(images), len(start)
     limit = images.shape[1] if limit is None else limit
-    canon = canon or (lambda rows: rows)
-    key = key or ((lambda rows: rows[:, 0]) if width == 1 else row_keys)
+    canon, dense = canon or (lambda rows: rows), width == 1 and key is None
+    key = key or row_keys
     rows = np.empty((max(limit, 1), width), dtype=images.dtype)
     rows[0] = start
     rows[:1] = canon(rows[:1])
-    seen, label, action = key(rows[:1]), np.zeros(1, dtype=np.intp), []
-    step, q, found = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1
+    if dense:
+        table, place = np.full((2, images.shape[1]), -1, dtype=np.intp)
+        table[rows[0, 0]] = 0
+    else:
+        seen, label = key(rows[:1]), np.zeros(1, dtype=np.intp)
+    step, q, found, action = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1, []
     while k and q < found:
         m = min(step, found - q)
         cand = canon(images.take(rows[q:q + m], axis=1).reshape(-1, width))   # g-major
-        keys, first, inverse = np.unique(key(cand).reshape(k, m).T.ravel(),   # queue order
-                                         return_index=True, return_inverse=True)
-        pos, hit = sorted_lookup(seen, keys)
-        labels = label.take(pos, mode="clip")       # right where hit
-        new = np.flatnonzero(~hit)
-        if len(new):
+        if dense:
+            pts, at = cand.reshape(k, m).T.ravel(), np.arange(k * m)          # queue order
+            place[pts[::-1]] = at[::-1]         # the last write is a point's first place
+            new = pts[(place[pts] == at) & (table[pts] < 0)]
             if found + len(new) > len(rows):
                 raise ResourceLimitError(f"orbit exceeds limit {limit}")
-            reach = new[np.argsort(first[new])]    # the new rows in first-reach order
-            labels[reach] = np.arange(found, found + len(new))
-            r, g = np.divmod(first[reach], k)
-            rows[found:found + len(new)] = cand[g * m + r]
+            rows[found:found + len(new), 0] = new
+            table[new] = np.arange(found, found + len(new))
             found += len(new)
-            at = pos[new] + np.arange(len(new))    # their places once merged
-            keep = np.ones(len(seen) + len(new), dtype=bool)
-            keep[at], merged = False, []
-            for old, add in ((seen, keys[new]), (label, labels[new])):
-                merged.append(np.empty(len(keep), dtype=old.dtype))
-                merged[-1][at], merged[-1][keep] = add, old
-            seen, label = merged
-        action.append(labels[inverse].reshape(-1, k))
-        q += len(action[-1])
+            action.append(table[pts].reshape(-1, k))
+        else:
+            keys, first, inverse = np.unique(key(cand).reshape(k, m).T.ravel(),   # queue order
+                                             return_index=True, return_inverse=True)
+            pos, hit = sorted_lookup(seen, keys)
+            labels = label.take(pos, mode="clip")       # right where hit
+            new = np.flatnonzero(~hit)
+            if len(new):
+                if found + len(new) > len(rows):
+                    raise ResourceLimitError(f"orbit exceeds limit {limit}")
+                reach = new[np.argsort(first[new])]    # the new rows in first-reach order
+                labels[reach] = np.arange(found, found + len(new))
+                r, g = np.divmod(first[reach], k)
+                rows[found:found + len(new)] = cand[g * m + r]
+                found += len(new)
+                at = pos[new] + np.arange(len(new))    # their places once merged
+                keep = np.ones(len(seen) + len(new), dtype=bool)
+                keep[at], merged = False, []
+                for old, add in ((seen, keys[new]), (label, labels[new])):
+                    merged.append(np.empty(len(keep), dtype=old.dtype))
+                    merged[-1][at], merged[-1][keep] = add, old
+                seen, label = merged
+            action.append(labels[inverse].reshape(-1, k))
+        q += m
     action = np.concatenate(action).T if action else np.empty((k, found), dtype=np.intp)
     return rows[:found], np.ascontiguousarray(action)
 
@@ -418,14 +445,19 @@ def orbit(gens, point, degree=None):
 
 def orbits(gens, degree):
     """The orbits of the generated group on {0..degree-1} by least point,
-    each in `row_orbit` order from its least point."""
-    images, reached, out = image_matrix(gens, degree), np.zeros(degree, dtype=bool), []
-    for p in range(degree):
-        if not reached[p]:
-            rows, _ = row_orbit(images, [p])
-            reached[rows[:, 0]] = True
-            out.append(rows[:, 0].tolist())
-    return out
+    each ascending.  Each point takes the least label of its preimages,
+    then its label's label, until no label moves; a label is then the
+    least point of its orbit."""
+    label, images = np.arange(degree), image_matrix(gens, degree)
+    while True:
+        old, label = label, label.copy()
+        for img in images:
+            label[img] = np.minimum(label[img], label)
+        label = label[label]
+        if np.array_equal(label, old):
+            break
+    order = np.argsort(label, kind="stable")
+    return [o.tolist() for o in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
 
 
 def orbit_transversal(gens, point, degree):
@@ -433,18 +465,27 @@ def orbit_transversal(gens, point, degree):
     in it (-1 off the orbit), and the (|orbit|, degree) transversal matrix
     in `point_dtype(degree)`: row r maps point to orbit[r], and is its
     parent's row in `bfs_tree` followed by the generator reaching it."""
-    return _orbit_tree(gens, point, degree)[:3]
+    return _orbit_tree(image_matrix(gens, degree), point)[:3]
 
 
-def _orbit_tree(gens, point, degree):
-    """`orbit_transversal` and the `bfs_tree` its rows were built along."""
-    images = image_matrix(gens, degree)
+def _orbit_tree(images, point):
+    """`orbit_transversal` from the generators' `image_matrix`, and the
+    `bfs_tree` its rows were built along."""
     orb, action = row_orbit(images, [point])
     orb = orb[:, 0].astype(np.intp)
-    rows = np.full(degree, -1, dtype=np.intp)
+    rows = np.full(images.shape[1], -1, dtype=np.intp)
     rows[orb] = np.arange(len(orb))
     parent, via = bfs_tree(action)
     return orb, rows, tree_products(images, parent, via), (parent, via)
+
+
+def _tree_layers(parent, degree):
+    """Slices lo:hi of `bfs_tree` rows from row 1, at most `_batch_rows`, parents before lo."""
+    step, lo = _batch_rows(degree), 1
+    while lo < len(parent):
+        hi = min(lo + step, int(np.searchsorted(parent, lo)))
+        yield lo, hi
+        lo = hi
 
 
 def tree_products(images, parent, via):
@@ -454,12 +495,8 @@ def tree_products(images, parent, via):
     degree, flat = images.shape[1], images.reshape(-1)
     trans = np.empty((len(parent), degree), dtype=images.dtype)
     trans[0] = np.arange(degree)
-    step, lo = _batch_rows(degree), 1
-    while lo < len(parent):
-        # rows lo..hi-1 have their parents before lo, which are filled
-        hi = min(lo + step, int(np.searchsorted(parent, lo)))
+    for lo, hi in _tree_layers(parent, degree):
         trans[lo:hi] = flat.take(trans[parent[lo:hi]] + (via[lo:hi] * degree)[:, None])
-        lo = hi
     return trans
 
 

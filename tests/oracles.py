@@ -51,6 +51,18 @@ def scalar_row_orbit(gens, start, apply_fn):
     return out, action
 
 
+def scalar_orbits(gens, degree):
+    """The orbits on range(degree) by a breadth-first search from each
+    point not yet reached, in that order, each sorted."""
+    seen, out = set(), []
+    for p in range(degree):
+        if p not in seen:
+            orb, _ = scalar_row_orbit(gens, p, lambda g, x: g(x))
+            seen.update(orb)
+            out.append(sorted(orb))
+    return out
+
+
 def scalar_orbit_stabilizer(gens, x0, apply_fn, target_order, degree):
     """Orbit of x0 under apply_fn(g, x), a dict transversal u_y = u_x g on
     first reach, and the Schreier generators u_x g u_{xg}^-1, x-major then
@@ -187,8 +199,9 @@ def assert_chain_matches(chain, levels):
         for row, inv, x in zip(got.trans, got.inv, want.orbit):
             assert np.array_equal(row, want.transversal[x].images), (got.point, x)
             assert np.array_equal(inv[row], points), (got.point, x)
-        products = tree_products(image_matrix(got.gens, chain.degree), got.parent, got.via)
-        assert np.array_equal(products, got.trans), got.point
+        gmat = image_matrix(got.gens, chain.degree)
+        assert np.array_equal(got.gmat, gmat), got.point
+        assert np.array_equal(tree_products(gmat, got.parent, got.via), got.trans), got.point
 
 
 def chain_digest(chain):

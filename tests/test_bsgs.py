@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ftdesigns import bsgs
 from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabilizer_gens
@@ -13,7 +13,7 @@ from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
 from oracles import (assert_chain_matches, chain_digest, element_closure, scalar_bsgs_build,
-                     scalar_orbit_stabilizer, scalar_row_orbit, scalar_sift)
+                     scalar_orbit_stabilizer, scalar_orbits, scalar_row_orbit, scalar_sift)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -353,6 +353,11 @@ def test_chain_does_not_depend_on_the_batch_size(monkeypatch, catalog):
     for entries in (1, 3 * entry.degree):
         monkeypatch.setattr(bsgs, "_BATCH_ENTRIES", entries)
         assert_chain_matches(bsgs_build(entry.generators, entry.degree), reference)
+    # first batches of one row, 32 rows and more rows than a batch may hold
+    monkeypatch.undo()
+    for first in (1, 32, 2 * bsgs._batch_rows(entry.degree)):
+        monkeypatch.setattr(bsgs, "_FIRST_BATCH", first)
+        assert_chain_matches(bsgs_build(entry.generators, entry.degree), reference)
 
 
 @st.composite
@@ -403,16 +408,31 @@ def test_degree_preserved():
 def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
     gens, degree, _, _ = case
     point = data.draw(st.integers(0, degree - 1))
+    limit = data.draw(st.integers(1, degree))
     images = bsgs.image_matrix(gens, degree)
     want, action_want = scalar_row_orbit(gens, point, lambda g, x: g(x))
     for entries in (bsgs._BATCH_ENTRIES, 1):
         with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
             rows, action = bsgs.row_orbit(images, [point])
+            if len(want) > limit:
+                with pytest.raises(ResourceLimitError):
+                    bsgs.row_orbit(images, [point], limit=limit)
+            else:
+                assert np.array_equal(bsgs.row_orbit(images, [point], limit=limit)[0], rows)
         assert rows[:, 0].tolist() == want, entries
         assert action.shape == (len(gens), len(rows))
         assert action.tolist() == action_want, entries
         for g, img in enumerate(images):
             assert np.array_equal(rows[action[g], 0], img[rows[:, 0]]), entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups_with_hints())
+@example(([], 1, None, identity(1)))
+@example(([parse_cycles("(1,3)", 6), parse_cycles("(3,5)", 6)], 6, None, identity(6)))
+def test_orbits_match_the_scalar_search(case):
+    gens, degree, _, _ = case
+    assert bsgs.orbits(gens, degree) == scalar_orbits(gens, degree)
 
 
 @settings(max_examples=100, deadline=None)
