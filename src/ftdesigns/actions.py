@@ -225,69 +225,53 @@ def is_transitive(A: GroupAction) -> bool:
     return len(orbit(A.generators, 0, A.degree)) == A.degree
 
 
-def _minimal_block_size(gens, n, alpha, beta):
-    """Size of the smallest block containing {alpha, beta} (union-find join)."""
-    parent = list(range(n))
+def _point_tree(A: GroupAction):
+    """The point alpha of `A.base_stabilizer()`, generators of its
+    stabilizer, and a map beta -> an element carrying alpha to beta: the
+    product of the generators on beta's path in the `bfs_tree` of alpha's
+    orbit.  InputError unless that orbit is every point."""
+    alpha, stab = A.base_stabilizer()
+    images = image_matrix(A.generators, A.degree)
+    rows, action = row_orbit(images, [alpha])
+    if len(rows) != A.degree:
+        raise InputError("action is not transitive")
+    row_of = np.empty(A.degree, dtype=np.intp)
+    row_of[rows[:, 0]] = np.arange(A.degree)
+    parent, via = bfs_tree(action)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def carrier(beta):
+        u = np.arange(A.degree)
+        for s in tree_word(parent, via, row_of[beta]):
+            u = images[s][u]
+        return Permutation(u)
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        parent[rb] = ra
-        return (ra, rb)
-
-    stack = [(alpha, beta)]
-    union(alpha, beta)
-    images = [g.images for g in gens]
-    while stack:
-        a, b = stack.pop()
-        for img in images:
-            merged = union(int(img[a]), int(img[b]))
-            if merged:
-                stack.append(merged)
-    root = find(alpha)
-    return sum(1 for x in range(n) if find(x) == root)
+    return alpha, stab, carrier
 
 
 def is_primitive(A: GroupAction) -> bool:
-    """No nontrivial proper block system: the smallest block through
-    {alpha, beta} is the whole set for one beta in each orbit of the
-    stabilizer of alpha, the point of `A.base_stabilizer()`.  The block
-    through {alpha, beta^h}, h fixing alpha, is the h-image of the block
-    through {alpha, beta}, so the other betas add nothing."""
+    """No nontrivial proper block system.  The blocks through alpha, the
+    point of `A.base_stabilizer()`, are the orbits alpha^K of the subgroups
+    K containing its stabilizer G_alpha (Dixon and Mortimer, Permutation
+    Groups, 1996, Thm 1.5A), so the smallest block through {alpha, beta} is
+    the orbit of alpha under G_alpha and any element carrying alpha to beta.
+    It must be the whole set for one beta in each orbit of G_alpha: the
+    block through {alpha, beta^h}, h in G_alpha, is the h-image of the
+    block through {alpha, beta}, so the other betas add nothing."""
     if A.degree < 2:
         raise InputError("primitivity needs degree >= 2")
-    if not is_transitive(A):
-        raise InputError("primitivity is defined for transitive actions only")
-    alpha, stab = A.base_stabilizer()
-    for orb in orbits(stab, A.degree):
-        if orb[0] != alpha and _minimal_block_size(A.generators, A.degree, alpha,
-                                                   orb[0]) < A.degree:
-            return False
-    return True
+    alpha, stab, carrier = _point_tree(A)
+    return all(len(orbit(stab + [carrier(orb[0])], alpha, A.degree)) == A.degree
+               for orb in orbits(stab, A.degree) if orb[0] != alpha)
 
 
 def point_stabilizer_gens(A: GroupAction, point: int):
     """Generators of the stabilizer of a point of a transitive A: the
     conjugates u^-1 s u of the generators s of `A.base_stabilizer()`,
     where u carries its point to the given one."""
-    if not is_transitive(A):
-        raise InputError("action is not transitive")
     if not 0 <= point < A.degree:
         raise InputError(f"point {point} out of range for degree {A.degree}")
-    base, stab = A.base_stabilizer()
-    images = image_matrix(A.generators, A.degree)
-    rows, action = row_orbit(images, [base])
-    u = np.arange(A.degree)
-    for s in tree_word(*bfs_tree(action), int(np.flatnonzero(rows[:, 0] == point)[0])):
-        u = images[s][u]
-    u = Permutation(u)
+    _, stab, carrier = _point_tree(A)
+    u = carrier(point)
     return [compose(compose(inverse(u), s), u) for s in stab]
 
 

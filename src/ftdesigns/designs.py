@@ -226,6 +226,8 @@ def coset_geometry(G: StabilizerChain, point_action: GroupAction, K_gens) -> Des
 
 def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
     """|G_B| for the first block, via orbit-stabilizer on the block orbit."""
+    if design.v != point_action.degree:
+        raise InputError(f"design on {design.v} points, action on {point_action.degree}")
     blocks = set_orbit(point_action.generators, design.blocks[0])
     return point_action.order // len(blocks)
 
@@ -411,7 +413,9 @@ def _rows_through(rows, alpha, alpha_stab):
 def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     """Point-transitivity plus transitivity of the point stabilizer on the
     blocks through the point."""
-    dtype = point_dtype(max(A.degree, design.v))
+    if design.v != A.degree:
+        raise InputError(f"design on {design.v} points, action on {A.degree}")
+    dtype = point_dtype(A.degree)
     rows = design.blocks.astype(dtype, copy=False)
     keys = np.sort(row_keys(rows))
     for g in A.generators:

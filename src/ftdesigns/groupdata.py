@@ -70,11 +70,13 @@ class CatalogEntry:
             self._chain = bsgs_build(self.generators, self.degree)
         return self._chain
 
-    def subgroup(self, name):
+    def subgroup(self, name, nr=None):
+        """The first subgroup of this name, and of this nr if one is given."""
         for s in self.subgroups:
-            if s.name == name:
+            if s.name == name and (nr is None or s.nr == nr):
                 return s
-        raise InputError(f"no subgroup {name!r} under {self.name}")
+        at = "" if nr is None else f" nr {nr}"
+        raise InputError(f"no subgroup {name!r}{at} under {self.name}")
 
 
 @contextmanager

@@ -182,9 +182,7 @@ def action_for(entry_name: str, subgroup_name: str | None,
     entry = catalog_entry(entry_name)
     if subgroup_name is None:
         return GroupAction(entry.name, entry.degree, entry.generators, _chain=entry.chain)
-    sub = next(s for s in entry.subgroups
-               if s.name == subgroup_name
-               and (subgroup_nr is None or s.nr == subgroup_nr))
+    sub = entry.subgroup(subgroup_name, subgroup_nr)
     return coset_action(entry.chain, sub.chain, name=f"{entry.name} on cosets of {sub.name}")
 
 

@@ -218,12 +218,42 @@ def chain_digest(chain):
     return digest.hexdigest()
 
 
-def all_pairs_is_primitive(A):
-    """Primitivity of a transitive action from the smallest block through
-    {0, beta} for every beta, one union-find each."""
-    from ftdesigns.actions import _minimal_block_size
+def minimal_block_size(gens, degree, alpha, beta):
+    """Size of the smallest block containing {alpha, beta}: join the pair,
+    then the images under each generator of every joined pair, with a
+    union-find until no join is new (Atkinson, Math. Comp. 29, 1975)."""
+    parent = list(range(degree))
 
-    return all(_minimal_block_size(A.generators, A.degree, 0, beta) == A.degree
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[rb] = ra
+        return True
+
+    join(alpha, beta)
+    pairs = [(alpha, beta)]
+    while pairs:
+        a, b = pairs.pop()
+        for g in gens:
+            pair = (int(g.images[a]), int(g.images[b]))
+            if join(*pair):
+                pairs.append(pair)
+    root = find(alpha)
+    return sum(find(x) == root for x in range(degree))
+
+
+def all_pairs_is_primitive(A):
+    """The independent reference for `actions.is_primitive`, sharing no code
+    with it: primitivity of a transitive action from the smallest block
+    through {0, beta} for every beta, one union-find each."""
+    return all(minimal_block_size(A.generators, A.degree, 0, beta) == A.degree
                for beta in range(1, A.degree))
 
 

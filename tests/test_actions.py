@@ -484,6 +484,16 @@ def test_is_primitive_matches_the_all_pairs_reference(request, catalog, natural,
     assert is_primitive(act) == all_pairs_is_primitive(act)
 
 
+@pytest.mark.parametrize("source,primitive",
+                         [(source, True) for source in PROFILE_SOURCES.values()]
+                         + [(("M11", "A6", None), False)],
+                         ids=lambda s: "/".join(map(str, s)) if isinstance(s, tuple) else None)
+def test_pipeline_actions_are_primitive(source, primitive):
+    # the pipeline reads its subgroups as maximal, so every action it builds is
+    # primitive; A6 < M10 < M11 is not, and its 22 cosets pair up into M10's 11
+    assert is_primitive(action_for(*source)) == primitive
+
+
 def test_is_transitive():
     assert is_transitive(GroupAction.natural("C5", [parse_cycles("(1,2,3,4,5)", 5)]))
     assert not is_transitive(GroupAction.natural("C2", [parse_cycles("(1,2)", 3)], 3))

@@ -289,6 +289,12 @@ def test_design_build_hs_file_is_pinned(tmp_path):
         "943aec1df26ed0d6e0b513d38abe25ad75b231449d94cb27e3327d8abf932aa2")
 
 
+@pytest.mark.parametrize("name,r", [("m11", 11), ("m22", 21), ("m22:2", 21), ("hs", 50)])
+def test_design_flags_output_is_pinned(name, r):
+    assert call("design", "flags", "--name", name) == (
+        0, f"flag-transitive: True\nr: {r}\npoint-primitive: True\n")
+
+
 HELP_CASES = [
     ("root", ["--help"]),
     ("search_run", ["search", "run", "--help"]),

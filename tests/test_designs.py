@@ -258,6 +258,23 @@ def test_flag_transitivity_rejects_non_preserving():
         is_flag_transitive(act, design)
 
 
+C5 = GroupAction.natural("C5", [parse_cycles("(1,2,3,4,5)", 5)])
+
+
+@pytest.mark.parametrize("v", [3, 7])
+def test_block_stabilizer_order_checks_the_degree(v):
+    # the orbit of {0, 1} under C5 has 5 blocks whatever v is, so |G_B| would read 1
+    with pytest.raises(InputError, match=f"design on {v} points, action on 5"):
+        block_stabilizer_order(C5, Design(v, list(combinations(range(v), 2))))
+
+
+@pytest.mark.parametrize("v", [3, 7])
+def test_flag_transitivity_checks_the_degree(v):
+    # on 7 points the generator's images would be read past its degree
+    with pytest.raises(InputError, match=f"design on {v} points, action on 5"):
+        is_flag_transitive(C5, Design(v, list(combinations(range(v), 2))))
+
+
 def test_suzuki_design(suzuki8):
     act, design = suzuki8
     params = verify_2design(design)

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -8,12 +9,21 @@ from ftdesigns.designs import ParameterSet
 from ftdesigns.errors import InputError
 from ftdesigns.groupdata import orders_table
 from ftdesigns.pipeline import (STATUS_FEASIBLE, STATUS_INDEX, STATUS_SUBDEGREE,
-                                CandidateRecord, emit_count_summary,
+                                CandidateRecord, action_for, emit_count_summary,
                                 emit_report, enumerate_all, enumerate_parameters,
                                 group_counts, index_divides_filter, run_filters,
                                 subdegree_filter)
 
 LAMBDAS_M11 = [3, 5, 7, 11]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("M11", "nope"), "no subgroup 'nope' under M11"),
+    (("M23", "M11", 7), "no subgroup 'M11' nr 7 under M23"),
+])
+def test_action_for_names_a_missing_subgroup(args, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        action_for(*args)
 
 
 def test_enumerate_m11_point_stabilizer():
