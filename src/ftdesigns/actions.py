@@ -1,11 +1,12 @@
 """Transitive group actions: coset actions, primitivity, subdegrees.
 
-A coset action has one of two keys.  Where H has an orbit O other than
-the whole set whose G-orbit has |G:H| sets, the coset Hu is keyed by
-the set O^u, read as sorted u[O]: H fixes O, so Stab_G(O) contains H, and
-|O^G| = |G:Stab_G(O)| = |G:H| leaves Stab_G(O) = H, so Hu -> O^u is a
-bijection onto O^G.  H's orbits are tried smallest first.  Otherwise
-(H transitive, or every orbit stabilized by more than H) the coset is
+A coset action is one enumeration over an ordered list of coset keys,
+and the first key whose G-orbit has |G:H| rows wins.  First come the
+orbits O other than the whole set of H, smallest first and then by
+least point: the coset Hu is keyed by the set O^u, read as sorted u[O].
+H fixes O, so Stab_G(O) contains H, and |O^G| = |G:Stab_G(O)| = |G:H|
+leaves Stab_G(O) = H, so Hu -> O^u is a bijection onto O^G.  Last (H
+transitive, or every orbit stabilized by more than H) the coset is
 keyed by a canonical representative, found by descending a stabilizer
 chain of H in any base: each level keeps the elements of Hg with the
 least image of its base point, a set that depends on the coset alone,
@@ -13,9 +14,9 @@ so one element of Hg is left whatever g is, and its images of G's base
 are the key.  Either way the cosets are the `row_orbit` of H (the set O,
 or the identity row) under G's strong generators, each held by the set
 or the element that first reached it, and labels are the first-reach
-order.  Hu -> O^u commutes with G (Hug -> O^ug), so both keys reach the
-cosets in one order, from one start under one generator list, and give
-the same labels, which no base of H moves either.
+order.  Hu -> O^u commutes with G (Hug -> O^ug), so every key reaches
+the cosets in one order, from one start under one generator list, and
+gives the same labels, which no base of H moves either.
 
 Any other element g of G is mapped by a tree word: sifting g through G's
 chain writes it as a product of transversal elements, each the product
@@ -148,58 +149,46 @@ class _Canonicaliser:
         return read(points)
 
 
-def _orbits_smallest_first(H):
-    """The `orbits` of the group of the chain H, each ascending, smallest
-    first and then by least point; none when H is transitive, which its
-    first level shows."""
-    if H.levels and len(H.levels[0].orbit) == H.degree:
-        return []
-    return sorted(orbits(H.levels[0].gens if H.levels else [], H.degree), key=len)
-
-
-def _orbit_set_action(gmat, H, index):
-    """The action of G, whose strong generators' images are `gmat`, on the
-    G-orbit of the first H-orbit O != Omega with `index` sets, or None when
-    no H-orbit has one.  H fixes O, so |O^G| <= |G:H|, and equality leaves
-    Stab_G(O) = H; AssertionError if an orbit exceeds the index."""
-    for orb in _orbits_smallest_first(H):
-        try:
-            sets, action = row_orbit(gmat, orb, lambda rows: np.sort(rows, axis=1), index)
-        except ResourceLimitError:
-            raise AssertionError("coset enumeration does not match the index") from None
-        if len(sets) == index:
-            return action
-    return None
+def _coset_keys(G, H):
+    """The `row_orbit` (start, canon, key) of each coset key of G over the
+    group of the chain H, in the order `coset_action` tries them: each
+    orbit of H other than the whole set (none when H's first level shows
+    H transitive), smallest first and then by least point, as a sorted
+    set; last the identity row, keyed by `_Canonicaliser`, which is built
+    only when it is reached."""
+    if not (H.levels and len(H.levels[0].orbit) == H.degree):
+        for orb in sorted(orbits(H.levels[0].gens if H.levels else [], H.degree), key=len):
+            yield orb, lambda rows: np.sort(rows, axis=1), None
+    canon = _Canonicaliser(H)
+    base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
+    yield np.arange(H.degree), None, lambda rows: row_keys(canon.images_at(rows, base))
 
 
 def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") -> GroupAction:
     """Action of G on the right cosets of the group of the chain H, in any
     base; point 0 is H, and its stabilizer is generated by the images of
-    the generators H was built from, those of its first level.  The coset
-    Hu is keyed by the set O^u of the first H-orbit O whose G-orbit has
-    |G:H| sets, which makes Stab_G(O) = H, else by `_Canonicaliser`; the
-    two keys give the same labels (see the module docstring)."""
+    the generators H was built from, those of its first level.  The cosets
+    are the G-orbit of the first of `_coset_keys` whose orbit has |G:H|
+    rows; every key gives the same labels (see the module docstring).
+    AssertionError if no key does, or an orbit exceeds the index."""
     H_gens = H.levels[0].gens if H.levels else []
     if H.degree != G.degree or any(h not in G for h in H_gens):
         raise InputError("H is not a subgroup of G")
-    degree = G.degree
     index = G.order() // H.order()
     if index > COSET_INDEX_LIMIT:
         raise ResourceLimitError(f"coset index {index} exceeds limit {COSET_INDEX_LIMIT}")
 
     gens = G.strong_generators()
-    gmat = image_matrix(gens, degree)
-    images = _orbit_set_action(gmat, H, index)
-    if images is None:
-        canon = _Canonicaliser(H)
-        base = G.base or [0]   # a representative lies in G, so its images of G's base are a key
-        try:
-            reps, images = row_orbit(gmat, np.arange(degree), None, index,
-                                     lambda rows: row_keys(canon.images_at(rows, base)))
-        except ResourceLimitError:
-            reps = None
-        if reps is None or len(reps) != index:
-            raise AssertionError("coset enumeration does not match the index")
+    gmat = image_matrix(gens, G.degree)
+    try:
+        for start, canon, key in _coset_keys(G, H):
+            cosets, images = row_orbit(gmat, start, canon, index, key)
+            if len(cosets) == index:
+                break
+        else:   # even the identity's orbit is short of the index
+            raise ResourceLimitError(f"no coset key reaches index {index}")
+    except ResourceLimitError:
+        raise AssertionError("coset enumeration does not match the index") from None
     # G's elements map by tree words: g = u_m ... u_1 by sifting, each u the
     # product of the strong generators on its level's Schreier-tree path
     column = {g: s for s, g in enumerate(gens)}

@@ -445,9 +445,9 @@ def orbit(gens, point, degree=None):
 
 def orbits(gens, degree):
     """The orbits of the generated group on {0..degree-1} by least point,
-    each ascending.  Each point takes the least label of its preimages,
-    then its label's label, until no label moves; a label is then the
-    least point of its orbit."""
+    each an ascending intp array.  Each point takes the least label of its
+    preimages, then its label's label, until no label moves; a label is
+    then the least point of its orbit."""
     label, images = np.arange(degree), image_matrix(gens, degree)
     while True:
         old, label = label, label.copy()
@@ -457,7 +457,7 @@ def orbits(gens, degree):
         if np.array_equal(label, old):
             break
     order = np.argsort(label, kind="stable")
-    return [o.tolist() for o in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def orbit_transversal(gens, point, degree):

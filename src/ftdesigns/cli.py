@@ -169,8 +169,8 @@ def _cmd_design(args, out):
         out.write(f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n")
         return EXIT_OK
     action, design = _named_design(args.name)
-    params = verify_2design(design)
     if args.subcommand == "build":
+        params = verify_2design(design)
         out.write(f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n")
         out.write(f"block stabilizer order {block_stabilizer_order(action, design)}\n")
         if args.out:

@@ -282,9 +282,16 @@ def _data_text(name):
     return resources.files("ftdesigns.data").joinpath(name).read_text()
 
 
+@cache
+def _bundled_orders() -> tuple[OrdersRecord, ...]:
+    return tuple(parse_orders(_data_text("orders.txt")))
+
+
 def orders_table() -> list[OrdersRecord]:
-    """The bundled orders table (group and maximal-subgroup orders)."""
-    return parse_orders(_data_text("orders.txt"))
+    """The bundled orders table (group and maximal-subgroup orders),
+    parsed once per process; the records are shared between callers and
+    must not be changed."""
+    return list(_bundled_orders())
 
 
 @cache

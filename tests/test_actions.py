@@ -267,6 +267,20 @@ def test_the_set_path_tries_the_next_orbit(monkeypatch):
     assert (act.generators, act.base_stabilizer()) == (want[0], (0, want[1]))
 
 
+@pytest.mark.parametrize("h", [[], S4], ids=["trivial", "whole group"])
+def test_both_ends_of_the_key_list_match_the_scalar_queue(monkeypatch, h):
+    # H = 1: each singleton orbit has 4 images, not 24, so every one is
+    # passed over and the descent gives the regular action; H = G is
+    # transitive, so no orbit is tried, and there is one coset
+    G, H = bsgs_build(S4), bsgs_build(h, 4)
+    descents, build = [], actions._Canonicaliser
+    monkeypatch.setattr(actions, "_Canonicaliser", lambda c: descents.append(c) or build(c))
+    gens, stab = coset_action_images(G, H.levels[0].gens if H.levels else [])
+    act = coset_action(G, H)
+    assert (act.degree, len(descents)) == (24 // H.order(), 1)
+    assert (act.generators, act.base_stabilizer()) == (gens, (0, stab))
+
+
 SYMMETRIC = {n: bsgs_build([parse_cycles(f"({','.join(map(str, range(1, n + 1)))})", n),
                             parse_cycles("(1,2)", n)], n) for n in (6, 7)}
 

@@ -11,6 +11,7 @@ import pytest
 
 import ftdesigns
 from ftdesigns.cli import main
+from test_block_layer import M22_DESIGN_SHA256
 
 GOLDENS = Path(__file__).resolve().parents[1] / "src/ftdesigns/data/goldens"
 DESIGNS = Path(__file__).resolve().parents[1] / "src/ftdesigns/data/designs"
@@ -287,6 +288,24 @@ def test_design_build_hs_file_is_pinned(tmp_path):
     assert (code, out) == (0, "2-(176,1100,50,8,2)\nblock stabilizer order 40320\n")
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
         "943aec1df26ed0d6e0b513d38abe25ad75b231449d94cb27e3327d8abf932aa2")
+
+
+@pytest.mark.parametrize("name,stabilizer", [("m22", 5760), ("m22:2", 11520)])
+def test_design_build_m22_is_pinned(tmp_path, name, stabilizer):
+    # M22 and M22:2 find one design on the same 22 points
+    out_path = tmp_path / "m22.design"
+    code, out = call("design", "build", "--name", name, "--out", str(out_path))
+    assert (code, out) == (0, f"2-(22,77,21,6,5)\nblock stabilizer order {stabilizer}\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == M22_DESIGN_SHA256
+
+
+def test_suzuki_build_q8_is_pinned(tmp_path):
+    out_path = tmp_path / "sz8.design"
+    code, out = call("suzuki", "build", "--q", "8", "--out", str(out_path))
+    assert (code, out) == (0, "2-(65,520,64,8,7)\ngroup order 29120\n"
+                              "block stabilizer order 56\nflag-transitive: True\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "ff82cd97451efda2bba35a25affd247f37fcb59fcede0f70a74827b8ebfb236b")
 
 
 @pytest.mark.parametrize("name,r", [("m11", 11), ("m22", 21), ("m22:2", 21), ("hs", 50)])

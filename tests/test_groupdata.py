@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftdesigns import groupdata
 from ftdesigns.errors import InputError, ParseError, ResourceLimitError
 from ftdesigns.groupdata import (CATALOG_DEGREE_LIMIT, catalog_entry, load_catalog, orders_table,
                                  parse_catalog, parse_orders, serialize_catalog,
@@ -107,6 +108,17 @@ def test_orders_table_loads_38_groups():
     table = orders_table()
     assert len(table) == 38
     assert {r.name for r in table} >= {"M11", "M23", "B", "M", "Fi24':2"}
+
+
+def test_orders_table_is_parsed_once(monkeypatch):
+    reads = []
+    read = groupdata._data_text
+    monkeypatch.setattr(groupdata, "_data_text", lambda name: reads.append(name) or read(name))
+    groupdata._bundled_orders.cache_clear()
+    first = orders_table()
+    second = orders_table()
+    assert first is not second and first == second    # each caller gets its own list
+    assert reads == ["orders.txt"]
 
 
 def test_large_flag_definition():
