@@ -316,23 +316,25 @@ def graph_automorphism(adj, n, src, dst):
                 req |= 1 << m[x]
         return [w for w in range(n) if minv[w] == -1 and (adj[w] & dom) == req]
 
-    def next_vertex():
+    def next_vertex(done):
+        """The unmapped vertex with the most mapped neighbours, the first
+        of them; `done` is the bitmask of the mapped vertices."""
         best, score = -1, -1
         for u in range(n):
             if m[u] == -1:
-                s = sum(1 for x in mapped if adj[u] >> x & 1)
+                s = bin(adj[u] & done).count("1")
                 if s > score:
                     best, score = u, s
         return best
 
-    def extend():
+    def extend(done):
         if len(mapped) == n:
             return True
-        u = next_vertex()
+        u = next_vertex(done)
         for w in candidates(u):
             m[u], minv[w] = w, u
             mapped.append(u)
-            if extend():
+            if extend(done | 1 << u):
                 return True
             mapped.pop()
             minv[w], m[u] = -1, -1
@@ -340,7 +342,7 @@ def graph_automorphism(adj, n, src, dst):
 
     m[src], minv[dst] = dst, src
     mapped.append(src)
-    assert extend()
+    assert extend(1 << src)
     return Permutation(m)
 
 

@@ -47,7 +47,10 @@ pairs sifted to the identity through a subgroup of the new lower group,
 and still do.  A level whose generators changed is rebuilt and verified
 from its first pair.  A level whose orbit is only its base point is
 complete at once: its Schreier generators are its generators, which
-`_install` has put on the level below.
+`_install` has put on the level below.  A completed chain grows through
+the same loop: `generate_to_order` installs a new generator and completes
+the chain again, and a level whose generators did not change resumes
+past its last pair, as levels only grow.
 
 Orbit-stabilizer.  `orbit_stabilizer` gives the stabilizer of a point,
 set or tuple as reduced Schreier generators, not as the sifted residues
@@ -95,14 +98,7 @@ class _Level:
         self.gmat = image_matrix(self.gens, chain.degree)
         self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
             self.gmat, self.point)
-        # u_r^-1 is g^-1 followed by u_parent^-1 for g = via[r]: row r of the
-        # inverse is its parent's inverse row read at g^-1's images
-        n, ginv = chain.degree, np.empty_like(self.gmat)
-        ginv.reshape(-1)[self.gmat + np.arange(0, self.gmat.size, n)[:, None]] = np.arange(n)
-        self.inv = np.empty_like(self.trans)
-        self.inv[0], flat = np.arange(n), self.inv.reshape(-1)
-        for lo, hi in _tree_layers(self.parent, n):
-            self.inv[lo:hi] = flat.take(ginv[self.via[lo:hi]] + (self.parent[lo:hi] * n)[:, None])
+        self.inv = _tree_inverses(self.gmat, self.parent, self.via)
 
     def schreier_pairs(self):
         """The (x, g) pairs whose Schreier generators are sifted, as indices
@@ -143,37 +139,29 @@ class StabilizerChain:
         return out
 
     def sift(self, p: Permutation):
-        """Strip p through the chain.
-
-        Returns (residue, level_index): the residue after absorbing the
-        transversal parts, and the level at which stripping stopped
-        (== len(levels) when p sifts all the way through).
-        """
-        res = self._image_row(p)
-        taken = _strip(self.levels, 0, res)
-        return Permutation._wrap(res[0].astype(np.int64)), int((taken >= 0).sum())
+        """Strip p through the chain: (residue, level_index), the residue
+        after absorbing the transversal parts and the level at which
+        stripping stopped (== len(levels) when p sifts all the way through)."""
+        res, taken = self._strip_one(p)
+        return Permutation._wrap(res.astype(np.int64)), int((taken >= 0).sum())
 
     def transversal_rows(self, p: Permutation):
         """The transversal row r_i at each level i with p = u_m ... u_1, the
         deepest applied first (the digits of `element_at`), or None when p
         is not in the group."""
-        res = self._image_row(p)
-        taken = _strip(self.levels, 0, res)
-        # a row stops only at a base point it moves, so an identity residue went through
-        if (res[0] != np.arange(self.degree)).any():
-            return None
-        return taken[0].tolist()
+        res, taken = self._strip_one(p)
+        return None if (res != np.arange(self.degree)).any() else taken.tolist()
 
     def __contains__(self, p):
-        res = self._image_row(p)
-        _strip(self.levels, 0, res)
-        return bool((res[0] == np.arange(self.degree)).all())
+        return bool((self._strip_one(p)[0] == np.arange(self.degree)).all())
 
-    def _image_row(self, p):
-        """p's images as a one-row array for `_strip`."""
+    def _strip_one(self, p):
+        """p's residue row after `_strip` and its transversal row at each
+        level, -1 from where it stopped; a row stops only at a base point it moves."""
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
-        return p.images.astype(self.dtype)[None]
+        res = p.images.astype(self.dtype)[None]
+        return res[0], _strip(self.levels, 0, res)[0]
 
     def element_at(self, index: int) -> Permutation:
         """The index-th element in the mixed-radix enumeration by transversals.
@@ -226,16 +214,7 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
     for g in gens:
         if not g.is_identity():
             _install(chain, g, 0)
-
-    # Holt-style verification loop, bottom level first.
-    i = len(chain.levels) - 1
-    while i >= 0:
-        stuck = _verify_level(chain, i)
-        if stuck is None:
-            i -= 1
-        else:
-            i = stuck
-
+    _complete(chain)
     if base_hint is not None:
         chain.levels = [lvl for lvl in chain.levels if len(lvl.orbit) > 1 or lvl.gens]
     return chain
@@ -253,6 +232,14 @@ def _install(chain, g, from_level):
     chain.levels.append(_Level(g.smallest_moved()))
     chain.levels[-1].gens.append(g)
     return len(chain.levels) - 1
+
+
+def _complete(chain):
+    """Holt-style verification loop: levels bottom first, back down after a failure."""
+    i = len(chain.levels) - 1
+    while i >= 0:
+        stuck = _verify_level(chain, i)
+        i = i - 1 if stuck is None else stuck
 
 
 def _verify_level(chain, i):
@@ -279,8 +266,8 @@ def _verify_level(chain, i):
         ug = gmat.take(lvl.trans[xr] + (gi * n)[:, None])   # the rows u_x g
         # row m is u_x g u_y^-1 for the pair (x, g), y = xg the image of the base point
         res = inv.take(ug + (lvl.rows[ug[:, lvl.point]] * n)[:, None])
-        through = (_strip(chain.levels, i + 1, res) >= 0).all(axis=1)
-        failed = ~through | (res != np.arange(n, dtype=chain.dtype)).any(axis=1)
+        _strip(chain.levels, i + 1, res)    # a row that stops there moves a base point
+        failed = (res != np.arange(n, dtype=chain.dtype)).any(axis=1)
         if failed.any():
             first = int(failed.argmax())
             lvl._resume = start + first
@@ -500,10 +487,23 @@ def tree_products(images, parent, via):
     return trans
 
 
+def _tree_inverses(images, parent, via):
+    """The inverses of the `tree_products` along a `bfs_tree`: row r, u_r^-1,
+    is g^-1 for g = via[r] followed by row parent[r]."""
+    degree, ginv = images.shape[1], np.empty_like(images)
+    ginv.reshape(-1)[images + np.arange(0, images.size, degree)[:, None]] = np.arange(degree)
+    inv = np.empty((len(parent), degree), dtype=images.dtype)
+    inv[0], flat = np.arange(degree), inv.reshape(-1)
+    for lo, hi in _tree_layers(parent, degree):
+        inv[lo:hi] = flat.take(ginv[via[lo:hi]] + (parent[lo:hi] * degree)[:, None])
+    return inv
+
+
 def generate_to_order(candidates, degree, order):
     """The candidates, in order, that are neither the identity nor in the
     group generated by those kept before, up to the first that makes the
-    kept ones generate a group of `order`.  InputError if none does."""
+    kept ones generate a group of `order`.  InputError if none does.  The
+    kept ones grow one chain, each installed in it and the chain completed."""
     kept, sub, candidates = [], StabilizerChain(degree), iter(candidates)
     while sub.order() != order:
         s = next(candidates, None)
@@ -511,7 +511,8 @@ def generate_to_order(candidates, degree, order):
             raise InputError(f"candidates generate no group of order {order}")
         if s not in sub:
             kept.append(s)
-            sub = bsgs_build(kept, degree)
+            _install(sub, s, 0)
+            _complete(sub)
     return kept
 
 
@@ -522,9 +523,10 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
     one row per generator, and `order` is |<gens>|.  Returns the
     `row_orbit` rows of the orbit, the `tree_products` of `gens` in their
     own degree along its `bfs_tree` (row r carries `start` to rows[r]), and
-    the Schreier generators u_x g u_{xg}^-1, x-major then g, reduced by
+    the Schreier generators u_x g u_{xg}^-1, x-major then g, with u_{xg}^-1
+    a row of the `_tree_inverses` of the same tree, reduced by
     `generate_to_order` to order // |orbit|.  InputError if |orbit| does
-    not divide `order`; ResourceLimitError, before the transversal is
+    not divide `order`; ResourceLimitError, before either matrix is
     allocated, if it would hold more than `_TRANSVERSAL_ENTRIES` entries."""
     gens = list(gens)
     if not gens:
@@ -539,18 +541,11 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
         raise
     if order % len(rows):
         raise InputError(f"orbit length {len(rows)} does not divide the group order {order}")
-    gmat = image_matrix(gens, degree)
-    trans = tree_products(gmat, *bfs_tree(action))
-
-    def schreier_generators():
-        values = np.arange(degree)
-        for x in range(len(rows)):
-            for g in range(len(gens)):
-                inv = np.empty(degree, dtype=np.int64)
-                inv[trans[action[g, x]]] = values
-                yield Permutation._wrap(inv[gmat[g, trans[x]]])
-
-    return rows, trans, generate_to_order(schreier_generators(), degree, order // len(rows))
+    gmat, tree = image_matrix(gens, degree), bfs_tree(action)
+    trans, inv = tree_products(gmat, *tree), _tree_inverses(gmat, *tree)
+    schreier = (Permutation._wrap(inv[action[g, x]][gmat[g, trans[x]]].astype(np.int64))
+                for x in range(len(rows)) for g in range(len(gens)))
+    return rows, trans, generate_to_order(schreier, degree, order // len(rows))
 
 
 def stabilizer_gens(chain: StabilizerChain, point: int):

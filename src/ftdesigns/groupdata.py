@@ -112,7 +112,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             if kind == "group":
                 if entry is not None:
                     raise ParseError("nested group block", lineno)
-                if tokens[2] != "degree" or tokens[4] != "order":
+                if len(tokens) != 6 or tokens[2] != "degree" or tokens[4] != "order":
                     raise ParseError("malformed group header", lineno)
                 name = tokens[1]
                 if name in names:
@@ -126,13 +126,9 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             elif kind == "subgroup":
                 if entry is None or sub is not None:
                     raise ParseError("subgroup block outside a group", lineno)
-                if tokens[2] != "order":
+                if len(tokens) not in (4, 6) or tokens[2::2] not in (["order"], ["order", "nr"]):
                     raise ParseError("malformed subgroup header", lineno)
-                nr = None
-                if len(tokens) > 4:
-                    if tokens[4] != "nr":
-                        raise ParseError("malformed subgroup header", lineno)
-                    nr = int(tokens[5])
+                nr = _positive(tokens[5], "nr", lineno) if len(tokens) == 6 else None
                 sub = SubgroupData(tokens[1], _positive(tokens[3], "order", lineno), [], nr)
             elif kind == "gen":
                 if entry is None:
@@ -143,6 +139,8 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                     raise ParseError(str(exc), lineno) from None
                 (sub.generators if sub is not None else entry.generators).append(perm)
             elif kind == "end":
+                if len(tokens) != 1:
+                    raise ParseError("malformed end", lineno)
                 if sub is not None:
                     entry.subgroups.append(sub)
                     sub = None
@@ -243,7 +241,7 @@ class OrdersRecord:
 
 
 def parse_orders(text: str) -> list[OrdersRecord]:
-    records = []
+    records, names = [], set()
     cur = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -254,19 +252,27 @@ def parse_orders(text: str) -> list[OrdersRecord]:
             if tokens[0] == "group":
                 if cur is not None:
                     raise ParseError("nested group block", lineno)
-                if tokens[2] != "order":
+                if len(tokens) != 4 or tokens[2] != "order":
                     raise ParseError("malformed group header", lineno)
-                cur = OrdersRecord(tokens[1], int(tokens[3]), [])
+                if tokens[1] in names:
+                    raise InputError(f"duplicate group name {tokens[1]!r}")
+                names.add(tokens[1])
+                cur = OrdersRecord(tokens[1], _positive(tokens[3], "order", lineno), [])
             elif tokens[0] == "max":
-                if cur is None or tokens[3] != "order":
+                if cur is None:
                     raise ParseError("max line outside group", lineno)
-                nr, order = int(tokens[1]), int(tokens[4])
-                if order < 1 or cur.order % order:
+                if len(tokens) != 5 or tokens[3] != "order":
+                    raise ParseError("malformed max line", lineno)
+                nr = _positive(tokens[1], "nr", lineno)
+                order = _positive(tokens[4], "order", lineno)
+                if cur.order % order:
                     raise InputError(
                         f"{cur.name}: subgroup order {order} does not divide {cur.order}")
                 cur.maximals.append(MaximalSubgroup(
                     nr, tokens[2], order, cur.order <= order**3))
             elif tokens[0] == "end":
+                if len(tokens) != 1:
+                    raise ParseError("malformed end", lineno)
                 if cur is None:
                     raise ParseError("stray end", lineno)
                 records.append(cur)

@@ -23,9 +23,12 @@ class Permutation:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images)
         if arr.ndim != 1:
             raise InputError("images must be a flat sequence")
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise InputError(f"images must be integers within int64, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         n = arr.shape[0]
         seen = np.zeros(n, dtype=bool)
         if n and (arr.min() < 0 or arr.max() >= n):

@@ -1,6 +1,7 @@
 """Brute-force and scalar reference implementations the tests compare the
 package against.  They are slow on purpose: each does the plain thing."""
 import hashlib
+import math
 
 import numpy as np
 
@@ -184,6 +185,20 @@ def scalar_sift(levels, p):
             return p, i
         p = compose(p, inverse(lvl.transversal[z]))
     return p, len(levels)
+
+
+def rebuild_generate_to_order(candidates, degree, order):
+    """The candidates `generate_to_order` keeps, each tested against and
+    then added to a scalar chain built afresh from the ones kept before."""
+    kept, levels, candidates = [], [], iter(candidates)
+    while math.prod(len(lvl.orbit) for lvl in levels) != order:
+        s = next(candidates, None)
+        if s is None:
+            raise InputError(f"candidates generate no group of order {order}")
+        if not scalar_sift(levels, s)[0].is_identity():
+            kept.append(s)
+            levels = scalar_bsgs_build(kept, degree)
+    return kept
 
 
 def assert_chain_matches(chain, levels):

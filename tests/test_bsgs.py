@@ -12,8 +12,9 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
-from oracles import (assert_chain_matches, chain_digest, element_closure, scalar_bsgs_build,
-                     scalar_orbit_stabilizer, scalar_orbits, scalar_row_orbit, scalar_sift)
+from oracles import (assert_chain_matches, chain_digest, element_closure,
+                     rebuild_generate_to_order, scalar_bsgs_build, scalar_orbit_stabilizer,
+                     scalar_orbits, scalar_row_orbit, scalar_sift)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -588,6 +589,47 @@ def test_generate_to_order_keeps_the_candidates_that_grow_the_group():
     assert bsgs.generate_to_order(commutators, 4, 1) == []
     with pytest.raises(InputError, match="order 24"):
         bsgs.generate_to_order(commutators, 4, 24)
+
+
+@st.composite
+def _candidate_streams(draw):
+    degree = draw(st.integers(1, 7))
+    perms = st.permutations(range(degree)).map(Permutation)
+    stream = draw(st.lists(perms | st.just(identity(degree)), max_size=8))
+    # mostly the order of a prefix, so that the target is reached; else any order
+    prefix = draw(st.integers(0, len(stream)))
+    order = draw(st.just(bsgs_build(stream[:prefix], degree).order()) | st.integers(1, 5040))
+    return stream, degree, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_candidate_streams())
+@example(([parse_cycles(c, 7) for c in ("(1,2,3)", "(1,2)(3,4)", "(1,2,3,4,5,6,7)", "(1,2)")],
+          7, 5040))
+def test_generate_to_order_matches_a_rebuild_per_candidate(case):
+    stream, degree, order = case
+    try:
+        expected = rebuild_generate_to_order(stream, degree, order)
+    except InputError:
+        with pytest.raises(InputError, match=f"order {order}"):
+            bsgs.generate_to_order(stream, degree, order)
+    else:
+        assert bsgs.generate_to_order(stream, degree, order) == expected
+
+
+def test_generate_to_order_builds_no_chain_from_scratch(catalog):
+    # one chain grows through the completion loop; bsgs_build is never called
+    gens = bsgs_build(S4).strong_generators()
+    commutators = [compose(compose(compose(a, b), inverse(a)), inverse(b))
+                   for a in gens for b in gens]
+    expected = rebuild_generate_to_order(commutators, 4, 12)
+    m11 = catalog["M11"].generators
+    images = bsgs.image_matrix(m11, 11)
+    stab = bsgs.orbit_stabilizer(m11, 7920, images, [0, 1], partial(np.sort, axis=1))[2]
+    with mock.patch.object(bsgs, "bsgs_build", side_effect=AssertionError("rebuilt")):
+        assert bsgs.generate_to_order(commutators, 4, 12) == expected
+        assert bsgs.orbit_stabilizer(m11, 7920, images, [0, 1],
+                                     partial(np.sort, axis=1))[2] == stab
 
 
 def test_tree_products_are_the_orbit_transversal(catalog):

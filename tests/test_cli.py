@@ -210,6 +210,32 @@ def test_catalog_validate_bundled():
     assert "M11: ok" in out
 
 
+@pytest.mark.parametrize("fmt,digest", [
+    ("text", "610c6ce75b7d630eede5261380c586af83068fb34de523fd4cac9683b50166c5"),
+    ("csv", "a8672bf911f3ed87838478d56fc89e1df69d0cca86c9e0691bb7f56026bcd65a"),
+])
+def test_catalog_validate_output_is_pinned(fmt, digest):
+    # every computed order in it comes from a chain of the bundled catalog
+    code, out = call("catalog", "validate", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["group C3 degree 3 order 3 junk", "gen (1,2,3)", "end"],
+     "error: line 1: malformed group header\n"),
+    (["group C3 degree 3 order 3", "subgroup T order 1 nr -4", "end", "end"],
+     "error: line 2: nr -4 is not positive\n"),
+    (["group C3 degree 3 order 3", "gen (1,2,3)", "end junk"], "error: line 3: malformed end\n"),
+], ids=["group-extra", "nr-negative", "end-extra"])
+def test_catalog_validate_rejects_a_malformed_header(tmp_path, capsys, lines, message):
+    bad = tmp_path / "cat.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out = call("catalog", "validate", "--catalog", str(bad))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == message
+
+
 def test_catalog_validate_rejects_corrupt(tmp_path):
     bad = tmp_path / "cat.txt"
     bad.write_text("group X degree 3 order 7\ngen (1,2,3)\nend\n")

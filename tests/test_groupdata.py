@@ -158,11 +158,45 @@ def test_orders_reject_nondividing():
     ("group X order 10\nmax one A order 5\nend\n", 2),
     ("group X order 10\nmax 1 A order five\nend\n", 2),
     ("group X order 10\nend\nend\n", 3),
-], ids=["group-short", "group-order", "max-short", "max-nr", "max-order", "stray-end"])
+    ("group Y order -60\nend\n", 1),
+    ("group Y order 60 junk\nend\n", 1),
+    ("group Y order 60\nmax -1 Z order 12\nend\n", 2),
+    ("group Y order 60\nmax 1 Z order 0\nend\n", 2),
+    ("group Y order 60\nmax 1 Z order 12 junk\nend\n", 2),
+    ("group Y order 60\nend junk\n", 2),
+], ids=["group-short", "group-order", "max-short", "max-nr", "max-order", "stray-end",
+        "group-negative", "group-extra", "max-nr-negative", "max-order-zero", "max-extra",
+        "end-extra"])
 def test_orders_short_or_non_numeric_line(text, line):
     with pytest.raises(ParseError) as err:
         parse_orders(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("group C3 degree 3 order 3 junk\ngen (1,2,3)\nend\n", 1, "malformed group header"),
+    ("group C3 degree 3 order 3\nsubgroup T order 1 nr -4\nend\nend\n", 2, "nr -4 is not positive"),
+    ("group C3 degree 3 order 3\nsubgroup T order 1 nr 0\nend\nend\n", 2, "nr 0 is not positive"),
+    ("group C3 degree 3 order 3\nsubgroup T order 1 nr 1 extra\nend\nend\n", 2,
+     "malformed subgroup header"),
+    ("group C3 degree 3 order 3\nsubgroup T order 1 extra\nend\nend\n", 2,
+     "malformed subgroup header"),
+    ("group C3 degree 3 order 3\nsubgroup T order 1 id 1\nend\nend\n", 2,
+     "malformed subgroup header"),
+    ("group C3 degree 3 order 3\ngen (1,2,3)\nend junk\n", 3, "malformed end"),
+], ids=["group-extra", "nr-negative", "nr-zero", "subgroup-extra", "subgroup-five",
+        "subgroup-not-nr", "end-extra"])
+def test_catalog_headers_take_exact_tokens(text, line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_catalog(text)
+    assert err.value.line == line
+
+
+def test_orders_reject_a_repeated_group():
+    # run_filters keys groups by name, so a second block would replace the first
+    block = "group Y order 60\nmax 1 Z order 12\nend\n"
+    with pytest.raises(InputError, match="duplicate group name 'Y'"):
+        parse_orders(block + block)
 
 
 def test_catalog_degree_limit_is_inclusive():

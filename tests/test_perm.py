@@ -42,6 +42,22 @@ def test_not_a_bijection():
         Permutation([0, 3])
 
 
+@pytest.mark.parametrize("images", [[0.5, 1.7], [1.0, 0.0], ["1", "0"], [True, False],
+                                    [0, 2**70]],
+                         ids=["fractions", "whole-floats", "strings", "bools", "past-int64"])
+def test_images_must_be_integers(images):
+    # no float is truncated (else [0.5, 1.7] is the identity), no string
+    # parsed, and an image past int64 is no raw OverflowError
+    with pytest.raises(InputError, match="must be integers"):
+        Permutation(images)
+
+
+def test_integer_images_of_any_width_are_accepted():
+    assert Permutation(np.array([1, 0], dtype=np.uint16)) == Permutation([1, 0])
+    assert Permutation(range(3)).is_identity()
+    assert Permutation([]).degree == 0
+
+
 @pytest.mark.parametrize("images", [[1, 1, 0], [1, 2, 1], [0, 0], [2, 2, 2]])
 def test_cycles_of_a_wrapped_non_bijection_raise(images):
     # `_wrap` takes its array unchecked; the walk from a point must not loop
