@@ -171,11 +171,12 @@ def _cmd_design(args, out):
     action, design = _named_design(args.name)
     if args.subcommand == "build":
         params = verify_2design(design)
-        out.write(f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n")
-        out.write(f"block stabilizer order {block_stabilizer_order(action, design)}\n")
-        if args.out:
+        report = (f"2-({params.v},{params.b},{params.r},{params.k},{params.lam})\n"
+                  f"block stabilizer order {block_stabilizer_order(action, design)}\n")
+        if args.out:    # a file that cannot be written leaves stdout empty
             with open(args.out, "w") as f:
                 f.write(design_to_text(design))
+        out.write(report)
         return EXIT_OK
     report = is_flag_transitive(action, design)
     out.write(f"flag-transitive: {report.flag_transitive}\n")
@@ -189,13 +190,14 @@ def _cmd_suzuki(args, out):
 
     built = suzuki_construction(args.q)
     p = built.params
-    out.write(f"2-({p.v},{p.b},{p.r},{p.k},{p.lam})\n")
-    out.write(f"group order {built.action.order}\n")
-    out.write(f"block stabilizer order {block_stabilizer_order(built.action, built.design)}\n")
-    out.write(f"flag-transitive: {built.flags.flag_transitive}\n")
-    if args.out:
+    report = (f"2-({p.v},{p.b},{p.r},{p.k},{p.lam})\n"
+              f"group order {built.action.order}\n"
+              f"block stabilizer order {block_stabilizer_order(built.action, built.design)}\n"
+              f"flag-transitive: {built.flags.flag_transitive}\n")
+    if args.out:    # a file that cannot be written leaves stdout empty
         with open(args.out, "w") as f:
             f.write(design_to_text(built.design))
+    out.write(report)
     return EXIT_OK
 
 

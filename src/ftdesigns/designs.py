@@ -61,7 +61,7 @@ class ParameterSet:
         if lam * v >= r * r:
             raise InputError(f"{self}: lambda*v >= r^2")
         if not (2 < k < v - 1):
-            raise InputError(f"{self}: trivial (k outside 2..v-2)")
+            raise InputError(f"{self}: trivial (k outside 3..v-2)")
 
     def is_nonsymmetric(self):
         return self.v < self.b

@@ -17,6 +17,12 @@ orders in the standard descending numbering:
     max <nr> <name> order <N>
     end
 
+Both tables share one reader and its rules. Blank lines and `#` comment
+lines are skipped, every number is a positive integer, a header has
+exactly the tokens shown, and every block is closed by its own `end`.
+A repeated key (a group name, a subgroup's name and nr under one group,
+a `max` nr under one group) is an InputError at its line.
+
 Bundled data is trusted only after validation: declared orders are
 recomputed from stabilizer chains, subgroup generators are sifted into
 the parent, and the large-subgroup flags are recomputed from the cube
@@ -24,7 +30,6 @@ bound.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -71,88 +76,94 @@ class CatalogEntry:
         return self._chain
 
     def subgroup(self, name, nr=None):
-        """The first subgroup of this name, and of this nr if one is given."""
-        for s in self.subgroups:
-            if s.name == name and (nr is None or s.nr == nr):
-                return s
-        at = "" if nr is None else f" nr {nr}"
-        raise InputError(f"no subgroup {name!r}{at} under {self.name}")
+        """The subgroup of this name, and of this nr if one is given; a
+        name that several subgroups share needs its nr."""
+        found = [s for s in self.subgroups if s.name == name and nr in (None, s.nr)]
+        if len(found) > 1:
+            nrs = ", ".join(str(s.nr) for s in found)
+            raise InputError(f"subgroup {name!r} under {self.name} is ambiguous: nr {nrs}")
+        if not found:
+            at = "" if nr is None else f" nr {nr}"
+            raise InputError(f"no subgroup {name!r}{at} under {self.name}")
+        return found[0]
 
 
-@contextmanager
-def _malformed_as_parse_error(raw, lineno):
-    """Turn a short or non-numeric line into a ParseError at its line."""
-    try:
-        yield
-    except (ParseError, InputError):
-        raise
-    except (IndexError, ValueError):
-        raise ParseError(f"malformed line: {raw.strip()!r}", lineno) from None
+def _directives(text):
+    """Yield (lineno, tokens, depth) for each directive line of a table,
+    depth being the number of blocks open around it.  A `group` or
+    `subgroup` line opens a block, and its `end` has the header's depth."""
+    depth = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "end":
+            if len(tokens) != 1:
+                raise ParseError("malformed end", lineno)
+            if not depth:
+                raise ParseError("stray end", lineno)
+            depth -= 1
+        elif tokens[0] == "group" and depth:
+            raise ParseError("nested group block", lineno)
+        yield lineno, tokens, depth
+        depth += tokens[0] in ("group", "subgroup")
+    if depth:
+        raise ParseError("unterminated block at end of input")
 
 
 def _positive(token, what, lineno):
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
     if value < 1:
         raise ParseError(f"{what} {value} is not positive", lineno)
     return value
 
 
+def _once(seen, key, what, lineno):
+    """Add key to seen; a key seen before is an InputError at its line."""
+    if key in seen:
+        raise InputError(f"line {lineno}: duplicate {what}")
+    seen.add(key)
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
-    entries: list[CatalogEntry] = []
-    names = set()
-    entry: CatalogEntry | None = None
-    sub: SubgroupData | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    entries, seen = [], set()
+    for lineno, tokens, depth in _directives(text):
         kind = tokens[0]
-        with _malformed_as_parse_error(raw, lineno):
-            if kind == "group":
-                if entry is not None:
-                    raise ParseError("nested group block", lineno)
-                if len(tokens) != 6 or tokens[2] != "degree" or tokens[4] != "order":
-                    raise ParseError("malformed group header", lineno)
-                name = tokens[1]
-                if name in names:
-                    raise InputError(f"duplicate group name {name!r}")
-                names.add(name)
-                degree = _positive(tokens[3], "degree", lineno)
-                if degree > CATALOG_DEGREE_LIMIT:
-                    raise ResourceLimitError(
-                        f"line {lineno}: degree {degree} exceeds limit {CATALOG_DEGREE_LIMIT}")
-                entry = CatalogEntry(name, degree, _positive(tokens[5], "order", lineno))
-            elif kind == "subgroup":
-                if entry is None or sub is not None:
-                    raise ParseError("subgroup block outside a group", lineno)
-                if len(tokens) not in (4, 6) or tokens[2::2] not in (["order"], ["order", "nr"]):
-                    raise ParseError("malformed subgroup header", lineno)
-                nr = _positive(tokens[5], "nr", lineno) if len(tokens) == 6 else None
-                sub = SubgroupData(tokens[1], _positive(tokens[3], "order", lineno), [], nr)
-            elif kind == "gen":
-                if entry is None:
-                    raise ParseError("gen line outside a group", lineno)
-                try:
-                    perm = parse_cycles(line[3:].strip(), entry.degree)
-                except InputError as exc:
-                    raise ParseError(str(exc), lineno) from None
-                (sub.generators if sub is not None else entry.generators).append(perm)
-            elif kind == "end":
-                if len(tokens) != 1:
-                    raise ParseError("malformed end", lineno)
-                if sub is not None:
-                    entry.subgroups.append(sub)
-                    sub = None
-                elif entry is not None:
-                    entries.append(entry)
-                    entry = None
-                else:
-                    raise ParseError("stray end", lineno)
-            else:
-                raise ParseError(f"unknown directive {kind!r}", lineno)
-    if entry is not None or sub is not None:
-        raise ParseError("unterminated block at end of input")
+        if kind == "group":
+            if len(tokens) != 6 or tokens[2] != "degree" or tokens[4] != "order":
+                raise ParseError("malformed group header", lineno)
+            _once(seen, tokens[1], f"group name {tokens[1]!r}", lineno)
+            degree = _positive(tokens[3], "degree", lineno)
+            if degree > CATALOG_DEGREE_LIMIT:
+                raise ResourceLimitError(
+                    f"line {lineno}: degree {degree} exceeds limit {CATALOG_DEGREE_LIMIT}")
+            entries.append(CatalogEntry(tokens[1], degree, _positive(tokens[5], "order", lineno)))
+        elif kind == "subgroup":
+            if depth != 1:
+                raise ParseError("subgroup block outside a group", lineno)
+            if len(tokens) not in (4, 6) or tokens[2::2] not in (["order"], ["order", "nr"]):
+                raise ParseError("malformed subgroup header", lineno)
+            entry = entries[-1]
+            nr = _positive(tokens[5], "nr", lineno) if len(tokens) == 6 else None
+            at = "" if nr is None else f" nr {nr}"
+            _once(seen, (entry.name, tokens[1], nr),
+                  f"subgroup {tokens[1]!r}{at} under {entry.name}", lineno)
+            entry.subgroups.append(
+                SubgroupData(tokens[1], _positive(tokens[3], "order", lineno), [], nr))
+        elif kind == "gen":
+            if not depth:
+                raise ParseError("gen line outside a group", lineno)
+            entry = entries[-1]
+            try:
+                perm = parse_cycles(" ".join(tokens[1:]), entry.degree)
+            except InputError as exc:
+                raise ParseError(str(exc), lineno) from None
+            (entry.subgroups[-1] if depth == 2 else entry).generators.append(perm)
+        elif kind != "end":
+            raise ParseError(f"unknown directive {kind!r}", lineno)
     return entries
 
 
@@ -241,46 +252,28 @@ class OrdersRecord:
 
 
 def parse_orders(text: str) -> list[OrdersRecord]:
-    records, names = [], set()
-    cur = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        with _malformed_as_parse_error(raw, lineno):
-            if tokens[0] == "group":
-                if cur is not None:
-                    raise ParseError("nested group block", lineno)
-                if len(tokens) != 4 or tokens[2] != "order":
-                    raise ParseError("malformed group header", lineno)
-                if tokens[1] in names:
-                    raise InputError(f"duplicate group name {tokens[1]!r}")
-                names.add(tokens[1])
-                cur = OrdersRecord(tokens[1], _positive(tokens[3], "order", lineno), [])
-            elif tokens[0] == "max":
-                if cur is None:
-                    raise ParseError("max line outside group", lineno)
-                if len(tokens) != 5 or tokens[3] != "order":
-                    raise ParseError("malformed max line", lineno)
-                nr = _positive(tokens[1], "nr", lineno)
-                order = _positive(tokens[4], "order", lineno)
-                if cur.order % order:
-                    raise InputError(
-                        f"{cur.name}: subgroup order {order} does not divide {cur.order}")
-                cur.maximals.append(MaximalSubgroup(
-                    nr, tokens[2], order, cur.order <= order**3))
-            elif tokens[0] == "end":
-                if len(tokens) != 1:
-                    raise ParseError("malformed end", lineno)
-                if cur is None:
-                    raise ParseError("stray end", lineno)
-                records.append(cur)
-                cur = None
-            else:
-                raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
-    if cur is not None:
-        raise ParseError("unterminated block at end of input")
+    records, seen = [], set()
+    for lineno, tokens, depth in _directives(text):
+        if tokens[0] == "group":
+            if len(tokens) != 4 or tokens[2] != "order":
+                raise ParseError("malformed group header", lineno)
+            _once(seen, tokens[1], f"group name {tokens[1]!r}", lineno)
+            records.append(OrdersRecord(tokens[1], _positive(tokens[3], "order", lineno), []))
+        elif tokens[0] == "max":
+            if not depth:
+                raise ParseError("max line outside group", lineno)
+            if len(tokens) != 5 or tokens[3] != "order":
+                raise ParseError("malformed max line", lineno)
+            cur = records[-1]
+            nr = _positive(tokens[1], "nr", lineno)
+            _once(seen, (cur.name, nr), f"max nr {nr} under {cur.name}", lineno)
+            order = _positive(tokens[4], "order", lineno)
+            if cur.order % order:
+                raise InputError(
+                    f"{cur.name}: subgroup order {order} does not divide {cur.order}")
+            cur.maximals.append(MaximalSubgroup(nr, tokens[2], order, cur.order <= order**3))
+        elif tokens[0] != "end":
+            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
     return records
 
 

@@ -236,6 +236,16 @@ def test_catalog_validate_rejects_a_malformed_header(tmp_path, capsys, lines, me
     assert capsys.readouterr().err == message
 
 
+def test_catalog_validate_rejects_a_repeated_subgroup(tmp_path, capsys):
+    # the second block could never be looked up by its name and nr
+    bad = tmp_path / "cat.txt"
+    bad.write_text("group C3 degree 3 order 3\ngen (1,2,3)\nsubgroup T order 1 nr 1\nend\n"
+                   "subgroup T order 3 nr 1\ngen (1,2,3)\nend\nend\n")
+    code, out = call("catalog", "validate", "--catalog", str(bad))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: line 5: duplicate subgroup 'T' nr 1 under C3\n"
+
+
 def test_catalog_validate_rejects_corrupt(tmp_path):
     bad = tmp_path / "cat.txt"
     bad.write_text("group X degree 3 order 7\ngen (1,2,3)\nend\n")
@@ -332,6 +342,17 @@ def test_suzuki_build_q8_is_pinned(tmp_path):
                               "block stabilizer order 56\nflag-transitive: True\n")
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
         "ff82cd97451efda2bba35a25affd247f37fcb59fcede0f70a74827b8ebfb236b")
+
+
+@pytest.mark.parametrize("argv", [["design", "build", "--name", "m11"],
+                                  ["suzuki", "build", "--q", "8"]], ids=["design", "suzuki"])
+def test_an_out_file_that_cannot_be_written_leaves_stdout_empty(tmp_path, capsys, argv):
+    out_path = tmp_path / "no-such-dir" / "x.design"
+    code, out = call(*argv, "--out", str(out_path))
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out_path) in err
+    assert not out_path.parent.exists()
 
 
 @pytest.mark.parametrize("name,r", [("m11", 11), ("m22", 21), ("m22:2", 21), ("hs", 50)])

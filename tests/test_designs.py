@@ -100,6 +100,13 @@ def test_parameter_identities():
     assert good.is_nonsymmetric()
 
 
+@pytest.mark.parametrize("params", [(4, 6, 3, 2, 1), (7, 7, 6, 6, 5)], ids=["k-2", "k-v-1"])
+def test_a_trivial_block_size_names_the_accepted_range(params):
+    # both pass the three counting identities; only k is out of range
+    with pytest.raises(InputError, match=r"trivial \(k outside 3\.\.v-2\)"):
+        ParameterSet(*params).check_identities()
+
+
 def test_coset_geometry_pairs():
     chain = bsgs_build(S4)
     act = GroupAction.natural("S4", S4)

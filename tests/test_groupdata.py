@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -199,6 +200,50 @@ def test_orders_reject_a_repeated_group():
         parse_orders(block + block)
 
 
+def test_bundled_tables_are_pinned():
+    # the canonical text of the catalog and the repr of the orders table
+    catalog = serialize_catalog(load_catalog()).encode()
+    assert hashlib.sha256(catalog).hexdigest() == (
+        "d660eac9ac583f37cf7a64e3e105273c4f7445906974f3e5c4ceb2c55d0dd138")
+    assert hashlib.sha256(repr(orders_table()).encode()).hexdigest() == (
+        "4a3a7c7b6690c9a7f7e53a41d9965549d27d7912ed77da5e22df9dc6de5a9a79")
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_catalog, MINIMAL + MINIMAL, "line 6: duplicate group name 'C3'"),
+    (parse_catalog, "group C3 degree 3 order 3\nsubgroup T order 1 nr 1\nend\n"
+                    "subgroup T order 3 nr 1\nend\nend\n",
+     "line 4: duplicate subgroup 'T' nr 1 under C3"),
+    (parse_catalog, "group C3 degree 3 order 3\nsubgroup T order 1\nend\n"
+                    "# the same name, again with no nr\nsubgroup T order 3\nend\nend\n",
+     "line 5: duplicate subgroup 'T' under C3"),
+    (parse_orders, "group Y order 60\nmax 1 Z order 12\nmax 1 W order 10\nend\n",
+     "line 3: duplicate max nr 1 under Y"),
+], ids=["catalog-group", "subgroup-nr", "subgroup-no-nr", "max-nr"])
+def test_a_repeated_key_is_an_input_error_at_its_line(parse, text, message):
+    with pytest.raises(InputError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_a_subgroup_key_is_its_name_and_nr():
+    # one name under two nrs, or under two groups, is not a repeat
+    entries = parse_catalog("group C3 degree 3 order 3\nsubgroup T order 1 nr 1\nend\n"
+                            "subgroup T order 1 nr 2\nend\nsubgroup T order 1\nend\nend\n"
+                            "group C2 degree 2 order 2\nsubgroup T order 1 nr 1\nend\nend\n")
+    assert [(s.name, s.nr) for s in entries[0].subgroups] == [("T", 1), ("T", 2), ("T", None)]
+    assert entries[0].subgroup("T", 2).nr == 2
+    with pytest.raises(InputError, match="ambiguous: nr 1, 2, None"):
+        entries[0].subgroup("T")
+
+
+def test_a_shared_subgroup_name_needs_its_nr():
+    mcl = catalog_entry("McL")
+    with pytest.raises(InputError, match=r"^subgroup 'M22' under McL is ambiguous: nr 2, 3$"):
+        mcl.subgroup("M22")
+    assert [mcl.subgroup("M22", nr).nr for nr in (2, 3)] == [2, 3]
+
+
 def test_catalog_degree_limit_is_inclusive():
     limit = CATALOG_DEGREE_LIMIT
     assert parse_catalog(f"group X degree {limit} order 1\nend\n")[0].degree == limit
@@ -209,7 +254,7 @@ def test_catalog_degree_limit_is_inclusive():
 # Tokens of both formats, so that the fuzzed text reaches past the
 # first directive; numbers stay small so that no degree allocates much.
 _TOKENS = st.sampled_from(["group", "degree", "order", "max", "subgroup", "nr",
-                           "gen", "end", "#", "0", "1", "3", "-2", "x", "(1,2)",
+                           "gen", "end", "#", "0", "1", "3", "-2", "x", "T", "(1,2)",
                            "(1,2,3)", "()", "(1,", "(4,4)"])
 _LINES = st.lists(_TOKENS, max_size=7).map(" ".join)
 _TEXTS = st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join))
@@ -218,11 +263,17 @@ _TEXTS = st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join))
 @settings(max_examples=300, deadline=None)
 @given(_TEXTS)
 def test_parsers_raise_only_parse_or_input_errors(text):
+    # a one-line message, and a ParseError at a line of the text unless
+    # the error is the block left open at its end
     for parse in (parse_orders, parse_catalog):
         try:
             parse(text)
-        except (ParseError, InputError):
-            pass
+        except (ParseError, InputError) as exc:
+            assert len(str(exc).splitlines()) == 1
+            if isinstance(exc, ParseError):
+                unterminated = str(exc) == "unterminated block at end of input"
+                assert (exc.line is None) == unterminated
+                assert unterminated or 1 <= exc.line <= len(text.splitlines())
 
 
 def test_catalog_orders_agree_with_orders_table():

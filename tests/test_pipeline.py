@@ -26,6 +26,13 @@ def test_action_for_names_a_missing_subgroup(args, message):
         action_for(*args)
 
 
+def test_action_for_needs_the_nr_of_a_shared_subgroup_name():
+    # the catalog holds McL's M22 as nr 2 and nr 3
+    message = "subgroup 'M22' under McL is ambiguous: nr 2, 3"
+    with pytest.raises(InputError, match=re.escape(message)):
+        action_for("McL", "M22")
+
+
 def test_enumerate_m11_point_stabilizer():
     assert [p.astuple() for p in enumerate_parameters(7920, 720, LAMBDAS_M11)] == [
         (11, 55, 15, 3, 3)]
