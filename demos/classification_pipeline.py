@@ -10,7 +10,7 @@ Run:  python demos/classification_pipeline.py
 """
 from ftdesigns.pipeline import (STATUS_FEASIBLE, STATUS_SUBDEGREE,
                                 compute_profiles, emit_count_summary,
-                                enumerate_all, group_counts, run_filters)
+                                enumerate_all, run_filters)
 
 records = enumerate_all()
 print("stage 1: feasible parameter tuples per group")

@@ -16,11 +16,10 @@ Run:  python demos/sporadic_designs.py
 """
 import numpy as np
 
-from ftdesigns.actions import GroupAction, coset_action, is_primitive
-from ftdesigns.bsgs import bsgs_build
+from ftdesigns.actions import is_primitive
 from ftdesigns.designs import (ParameterSet, block_search, block_stabilizer_order,
                                design_to_text, is_flag_transitive, verify_2design)
-from ftdesigns.groupdata import catalog_entry
+from ftdesigns.pipeline import action_for
 
 
 def show(label, action, design):
@@ -32,29 +31,21 @@ def show(label, action, design):
     print(f"  block stabilizer order: {block_stabilizer_order(action, design)}")
 
 
-m11 = catalog_entry("M11")
-natural = GroupAction.natural("M11", m11.generators)
-act12 = coset_action(natural.chain, bsgs_build(m11.subgroup("L2(11)").generators, 11),
-                     name="M11 on 12 points")
+act12 = action_for("M11", "L2(11)")
 design = block_search(act12, ParameterSet(12, 22, 11, 6, 5))[0]
 show("M11 on 12 points", act12, design)
 print("  canonical export starts:",
       design_to_text(design).splitlines()[1], "...")
 
-m22 = catalog_entry("M22")
-act22 = GroupAction.natural("M22", m22.generators)
+act22 = action_for("M22", None)
 design22 = block_search(act22, ParameterSet(22, 77, 21, 6, 5))[0]
 show("M22 on 22 points", act22, design22)
 
-m222 = catalog_entry("M22:2")
-act222 = GroupAction.natural("M22:2", m222.generators)
+act222 = action_for("M22:2", None)
 design222 = block_search(act222, ParameterSet(22, 77, 21, 6, 5))[0]
 show("M22:2 on 22 points", act222, design222)
 print("  same block set as under M22:", np.array_equal(design222.blocks, design22.blocks))
 
-hs = catalog_entry("HS")
-hs_nat = GroupAction.natural("HS", hs.generators)
-act176 = coset_action(hs_nat.chain, bsgs_build(hs.subgroup("U3(5).2").generators, 100),
-                      name="HS on 176 points")
+act176 = action_for("HS", "U3(5).2")
 design176 = block_search(act176, ParameterSet(176, 1100, 50, 8, 2))[0]
 show("HS on 176 points", act176, design176)

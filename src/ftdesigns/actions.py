@@ -109,14 +109,6 @@ class SubdegreeProfile:
     def __str__(self):
         return " ".join(f"{l}^{m}" for l, m in self.entries)
 
-    @classmethod
-    def parse(cls, text):
-        entries = []
-        for tok in text.split():
-            l, m = tok.split("^")
-            entries.append((int(l), int(m)))
-        return cls(entries)
-
 
 class _Canonicaliser:
     """Right-coset representatives of H, many at once, read only where used:

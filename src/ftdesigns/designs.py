@@ -232,14 +232,16 @@ def block_stabilizer_order(point_action: GroupAction, design: Design) -> int:
     return point_action.order // len(blocks)
 
 
-def orbit_block_search(A: GroupAction, k: int, target: ParameterSet) -> list[Design]:
+def orbit_block_search(A: GroupAction, target: ParameterSet) -> list[Design]:
     """All A-orbits of k-subsets that verify as 2-designs with the target
     parameters, by exhaustive enumeration of k-subsets: the reference
     that `block_search` is tested against.  Orbits are started from the
     first k-subset in lexicographic order not yet reached; reached
     subsets are marked by their colex rank, the sum of C(c_i, i) over the
     sorted points c_1 < ... < c_k."""
-    n = A.degree
+    n, k = A.degree, target.k
+    if target.v != n:
+        raise InputError(f"target has v={target.v}, the action has degree {n}")
     total = comb(n, k)
     if total > SUBSET_ENUM_LIMIT:
         raise ResourceLimitError(
@@ -303,7 +305,7 @@ def block_search(A: GroupAction, target: ParameterSet) -> list[Design]:
     order = A.order
     if order % b:
         raise InputError(f"b={b} does not divide |A|={order}")
-    primes = [p for p in _prime_divisors(order, n) if b % p]
+    primes = [p for p, _ in prime_factors(order) if b % p]
     if not primes:
         raise InputError(f"every prime dividing |A|={order} divides b={b}")
     rng = random.Random(0)
@@ -340,15 +342,25 @@ def block_search(A: GroupAction, target: ParameterSet) -> list[Design]:
     return sorted(found, key=lambda d: d.blocks[0].tolist())
 
 
-def _prime_divisors(order, n):
-    """The primes dividing the order of a group of degree n, each at most n."""
-    primes = []
-    for p in range(2, n + 1):
-        if order % p == 0:
-            primes.append(p)
-            while order % p == 0:
-                order //= p
-    return primes
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] with p ascending and n the product of the p**e, by
+    trial division by 2 and then by odd p while p*p <= n; what is left of
+    n after that is 1 or a prime."""
+    if n < 1:
+        raise InputError(f"cannot factor {n}")
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _element_of_order(chain: StabilizerChain, p, rng):

@@ -169,20 +169,16 @@ def from_cycles(cycles, degree):
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse 1-indexed cycle notation like ``(1,2,3)(4,5)`` or ``()``."""
-    stripped = text.replace(" ", "")
-    if stripped in ("", "()"):
-        return identity(degree)
-    if not re.fullmatch(r"(\([^()]*\))+", stripped):
+    """Parse 1-indexed cycle notation like ``(1,2,3)(4,5)`` or ``()``.  A
+    point is ASCII digits; whitespace may stand between cycles and around
+    a point, not inside one."""
+    if not re.fullmatch(r"\s*(\((\s*[0-9]+\s*(,\s*[0-9]+\s*)*|\s*)\)\s*)*", text):
         raise InputError(f"malformed cycle notation: {text!r}")
     cycles = []
-    for body in _CYCLE_RE.findall(stripped):
-        if not body:
+    for body in _CYCLE_RE.findall(text):
+        if not body.strip():
             continue
-        try:
-            pts = [int(tok) - 1 for tok in body.split(",")]
-        except ValueError:
-            raise InputError(f"malformed cycle notation: {text!r}") from None
+        pts = [int(tok) - 1 for tok in body.split(",")]
         if any(p < 0 or p >= degree for p in pts):
             raise InputError(f"cycle point out of range 1..{degree}: {text!r}")
         if len(set(pts)) != len(pts):

@@ -2,10 +2,12 @@
 
 Stage 1 enumerates feasible (v, b, r, k, lambda) tuples from group and
 subgroup orders alone, one batch per conjugacy class of large maximal
-subgroups.  Stage 2 discards tuples whose block count is divisible by
-no maximal-subgroup index.  Stage 3 discards tuples violating the
-subdegree divisibility condition r | lambda*e, using point-stabilizer
-orbit lengths computed from the bundled permutation catalog.
+subgroups.  Orders are factored exactly (`designs.prime_factors`), so
+the orders of any group will do, Sz(q) and G2(q) among them.  Stage 2
+discards tuples whose block count is divisible by no maximal-subgroup
+index.  Stage 3 discards tuples violating the subdegree divisibility
+condition r | lambda*e, using point-stabilizer orbit lengths computed
+from the bundled permutation catalog.
 """
 from __future__ import annotations
 
@@ -13,15 +15,13 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 from .actions import GroupAction, SubdegreeProfile, coset_action, subdegrees
-from .designs import ParameterSet
+from .designs import ParameterSet, prime_factors
 from .errors import InputError
-from .groupdata import OrdersRecord, catalog_entry, orders_table
+from .groupdata import catalog_entry, orders_table
 
 STATUS_FEASIBLE = "feasible"
 STATUS_INDEX = "eliminated-by-index"
 STATUS_SUBDEGREE = "eliminated-by-subdegree"
-
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
 
 
 @dataclass(frozen=True)
@@ -38,32 +38,10 @@ class CandidateRecord:
                 self.params.b, self.params.astuple())
 
 
-def _factor_smooth(n):
-    """[(p, e), ...] with n the product of the p**e, where n must factor
-    over the fixed small-prime list (every quantity in the pipeline
-    divides a sporadic group order)."""
-    if n < 1:
-        raise InputError(f"cannot factor {n}")
-    out = []
-    for p in _PRIMES:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    if n != 1:
-        raise InputError(f"leftover factor {n}: quantity is not smooth")
-    return out
-
-
-def _odd_prime_divisors(n):
-    return [p for p, _ in _factor_smooth(n) if p > 2]
-
-
-def _divisors_of_smooth(n):
+def _divisors(n):
+    """The divisors of n, ascending."""
     out = [1]
-    for p, e in _factor_smooth(n):
+    for p, e in prime_factors(n):
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
@@ -92,7 +70,7 @@ def enumerate_parameters(order_G: int, order_H: int, lam_set,
         if order_G % lam:
             continue  # lambda must divide the group order; others are inert
         bound = gcd(lam * (v - 1), lam * order_H // gcd(lam, order_H))
-        for r in _divisors_of_smooth(bound):
+        for r in _divisors(bound):
             if coprime_mode:
                 if gcd(r, lam) != 1:
                     continue
@@ -112,16 +90,13 @@ def enumerate_parameters(order_G: int, order_H: int, lam_set,
     return sorted(found, key=lambda p: (p.lam, p.b))
 
 
-def enumerate_all(table: list[OrdersRecord] | None = None,
-                  include_lambda_2: bool = False,
+def enumerate_all(include_lambda_2: bool = False,
                   coprime_mode: bool = False) -> list[CandidateRecord]:
     """One record per feasible tuple, over every large maximal subgroup
     (per conjugacy class) of every group in the orders table."""
-    if table is None:
-        table = orders_table()
     records = []
-    for rec in table:
-        lam_set = _odd_prime_divisors(rec.order)
+    for rec in orders_table():
+        lam_set = [p for p, _ in prime_factors(rec.order) if p > 2]
         if include_lambda_2:
             lam_set = [2] + lam_set
         for m in rec.large_maximals():
@@ -193,12 +168,10 @@ def compute_profiles():
             for key in sorted(PROFILE_SOURCES)}
 
 
-def run_filters(records, profiles, table=None):
+def run_filters(records, profiles):
     """Apply the index filter, then the subdegree filter wherever
     ``profiles`` has the record's (group, subgroup, nr)."""
-    if table is None:
-        table = orders_table()
-    by_name = {rec.name: rec for rec in table}
+    by_name = {rec.name: rec for rec in orders_table()}
     out = []
     for rec in records:
         grp = by_name[rec.group]
@@ -236,12 +209,10 @@ def emit_report(records, fmt: str = "csv") -> str:
     return _render(header, rows, fmt)
 
 
-def emit_count_summary(records, table=None, fmt: str = "csv") -> str:
+def emit_count_summary(records, fmt: str = "csv") -> str:
     """Per-group candidate counts plus the grand total."""
-    if table is None:
-        table = orders_table()
     counts = group_counts(records)
-    rows = [(rec.name, counts.get(rec.name, 0)) for rec in table]
+    rows = [(rec.name, counts.get(rec.name, 0)) for rec in orders_table()]
     rows.append(("TOTAL", sum(c for _, c in rows)))
     return _render(["group", "count"], [(g, str(c)) for g, c in rows], fmt)
 

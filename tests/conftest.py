@@ -35,7 +35,7 @@ def m11_action12(catalog, natural):
 def m11_design(m11_action12):
     from ftdesigns.designs import ParameterSet, orbit_block_search
 
-    found = orbit_block_search(m11_action12, 6, ParameterSet(12, 22, 11, 6, 5))
+    found = orbit_block_search(m11_action12, ParameterSet(12, 22, 11, 6, 5))
     assert len(found) == 1
     return found[0]
 
@@ -44,7 +44,7 @@ def m11_design(m11_action12):
 def m22_design(natural):
     from ftdesigns.designs import ParameterSet, orbit_block_search
 
-    found = orbit_block_search(natural("M22"), 6, ParameterSet(22, 77, 21, 6, 5))
+    found = orbit_block_search(natural("M22"), ParameterSet(22, 77, 21, 6, 5))
     assert len(found) == 1
     return found[0]
 

@@ -1,5 +1,6 @@
 """Brute-force and scalar reference implementations the tests compare the
 package against.  They are slow on purpose: each does the plain thing."""
+import functools
 import hashlib
 import math
 
@@ -394,3 +395,15 @@ def plane_sections(ov):
         if len(sec) == q + 1:
             out.append(tuple(int(x) for x in sec))
     return sorted(out)
+
+
+@functools.cache
+def prime_table(limit):
+    """is_prime[n] for 0 <= n <= limit, by the sieve of Eratosthenes: every
+    multiple p*m, m >= p, of each p is crossed out."""
+    table = bytearray([1]) * (limit + 1)
+    table[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if table[p]:
+            table[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return table

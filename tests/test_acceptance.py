@@ -89,12 +89,12 @@ def test_criterion_4_sporadic_designs():
     act12 = coset_action(m11_nat.chain,
                          bsgs_build(m11.subgroup("L2(11)").generators, m11.degree),
                          name="M11 on 12 points")
-    m11_designs = orbit_block_search(act12, 6, ParameterSet(12, 22, 11, 6, 5))
+    m11_designs = orbit_block_search(act12, ParameterSet(12, 22, 11, 6, 5))
     assert len(m11_designs) == 1
 
     m22 = catalog_entry("M22")
     m22_nat = GroupAction.natural("M22", m22.generators)
-    m22_designs = orbit_block_search(m22_nat, 6, ParameterSet(22, 77, 21, 6, 5))
+    m22_designs = orbit_block_search(m22_nat, ParameterSet(22, 77, 21, 6, 5))
     assert len(m22_designs) == 1
 
     hs = catalog_entry("HS")
@@ -111,7 +111,7 @@ def test_criterion_4_sporadic_designs():
     ]
     # the same 77-block design under the doubled group
     m222 = GroupAction.natural("M22:2", catalog_entry("M22:2").generators)
-    found = orbit_block_search(m222, 6, ParameterSet(22, 77, 21, 6, 5))
+    found = orbit_block_search(m222, ParameterSet(22, 77, 21, 6, 5))
     assert len(found) == 1 and np.array_equal(found[0].blocks, m22_designs[0].blocks)
     cases.append((m222, found[0], (22, 77, 21, 6, 5)))
 

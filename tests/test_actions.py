@@ -594,6 +594,6 @@ def test_subdegrees_reject_intransitive():
         subdegrees(GroupAction.natural("C2", [parse_cycles("(1,2)", 3)], 3))
 
 
-def test_profile_parse_format_round_trip():
+def test_profile_format():
     p = SubdegreeProfile([(1, 1), (38, 4), (114, 9)])
-    assert SubdegreeProfile.parse(str(p)) == p
+    assert str(p) == "1^1 38^4 114^9"

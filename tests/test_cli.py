@@ -397,3 +397,22 @@ def test_help_lists_all_flags():
         capture_output=True, text=True, env=monkey_env)
     for flag in ["--golden", "--format", "--include-lambda-2", "--coprime-mode"]:
         assert flag in proc.stdout
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import ftdesigns.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    # what a fresh `import ftdesigns.cli` costs is the start-up time of every
+    # command; modules loaded before it (site hooks) are not counted
+    src = str(Path(ftdesigns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.split() == ["ftdesigns", "numpy"]

@@ -144,13 +144,13 @@ def test_coset_geometry_degenerate_block():
 
 def test_orbit_block_search_s4():
     act = GroupAction.natural("S4", S4)
-    found = orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1))
+    found = orbit_block_search(act, ParameterSet(4, 6, 3, 2, 1))
     assert len(found) == 1
     assert np.array_equal(found[0].blocks, sorted(combinations(range(4), 2)))
 
 
 def test_orbit_block_search_m11_unique(m11_design, m11_action12):
-    found = orbit_block_search(m11_action12, 6, ParameterSet(12, 22, 11, 6, 5))
+    found = orbit_block_search(m11_action12, ParameterSet(12, 22, 11, 6, 5))
     assert len(found) == 1
     assert np.array_equal(found[0].blocks, m11_design.blocks)
 
@@ -163,7 +163,7 @@ def test_orbit_block_search_bound(monkeypatch):
     monkeypatch.setattr(designs, "SUBSET_ENUM_LIMIT", 3)
     act = GroupAction.natural("S4", S4)
     with pytest.raises(ResourceLimitError):
-        orbit_block_search(act, 2, ParameterSet(4, 6, 3, 2, 1))
+        orbit_block_search(act, ParameterSet(4, 6, 3, 2, 1))
 
 
 @pytest.mark.parametrize("name", ["M11 on 12 points", "M22", "M22:2"])
@@ -175,7 +175,7 @@ def test_block_search_matches_the_exhaustive_search(name, m11_action12, m11_desi
         action, expected = natural("M22"), [m22_design]
     else:
         action = natural("M22:2")
-        expected = orbit_block_search(action, 6, ParameterSet(22, 77, 21, 6, 5))
+        expected = orbit_block_search(action, ParameterSet(22, 77, 21, 6, 5))
     found = block_search(action, verify_2design(expected[0]))
     assert len(found) == len(expected) == 1
     assert np.array_equal(found[0].blocks, expected[0].blocks)
@@ -220,6 +220,13 @@ def test_block_search_refusals(action, target, suzuki8, monkeypatch):
     monkeypatch.setattr(designs, "set_orbit", _no_orbit)
     with pytest.raises(InputError):
         block_search(act, target)
+
+
+@pytest.mark.parametrize("search", [block_search, orbit_block_search])
+def test_searches_refuse_a_target_on_another_degree(search, monkeypatch):
+    monkeypatch.setattr(designs, "set_orbit", _no_orbit)
+    with pytest.raises(InputError, match="target has v=5, the action has degree 4"):
+        search(GroupAction.natural("S4", S4), ParameterSet(5, 10, 4, 2, 1))
 
 
 def test_block_search_bound(monkeypatch, m11_action12):

@@ -47,6 +47,14 @@ def test_malformed_line_reports_line_number():
     assert err.value.line == 2
 
 
+def test_gen_lines_take_whitespace_between_points_not_inside_one():
+    text = "group C13 degree 13 order 1\ngen ( 1 , 2 ) (3,4)\nend\n"
+    assert parse_catalog(text)[0].generators[0].cycles() == [(0, 1), (2, 3)]
+    with pytest.raises(ParseError, match="malformed cycle notation") as err:
+        parse_catalog(text.replace("( 1 , 2 )", "(1 2)"))
+    assert err.value.line == 2
+
+
 def test_unterminated_block():
     with pytest.raises(ParseError):
         parse_catalog("group C3 degree 3 order 3\ngen (1,2,3)\n")

@@ -104,9 +104,17 @@ def test_cycle_round_trip(p):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["(1,2", "1,2)", "(1,2)(2,3)", "(0,1)", "(1,1)"]:
+    # a point is ASCII digits: a space inside one does not run two together
+    for bad in ["(1,2", "1,2)", "(1,2)(2,3)", "(0,1)", "(1,1)", "(1 2)", "(1 2,3)", "(1,2 3)",
+                "(1_0,2)", "(+1,2)", "(\u0661,2)", "(1,,2)", "(,)"]:
         with pytest.raises(InputError):
-            parse_cycles(bad, 5)
+            parse_cycles(bad, 20)
+
+
+def test_parse_takes_whitespace_between_cycles_and_around_points():
+    assert parse_cycles(" (1, 2) ( 3 ,4 )\t", 5) == parse_cycles("(1,2)(3,4)", 5)
+    for empty in ["", " ", "( )", " () "]:
+        assert parse_cycles(empty, 5).is_identity()
 
 
 def test_one_indexed_shift():

@@ -1,18 +1,20 @@
 import re
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ftdesigns.actions import SubdegreeProfile
-from ftdesigns.designs import ParameterSet
+from ftdesigns.designs import ParameterSet, prime_factors
 from ftdesigns.errors import InputError
+from ftdesigns.families import g2_params, suzuki_params
 from ftdesigns.groupdata import orders_table
 from ftdesigns.pipeline import (STATUS_FEASIBLE, STATUS_INDEX, STATUS_SUBDEGREE,
                                 CandidateRecord, action_for, emit_count_summary,
                                 emit_report, enumerate_all, enumerate_parameters,
                                 group_counts, index_divides_filter, run_filters,
                                 subdegree_filter)
+from oracles import prime_table
 
 LAMBDAS_M11 = [3, 5, 7, 11]
 
@@ -55,14 +57,43 @@ def test_enumerate_rejects_non_divisor():
         enumerate_parameters(100, 7, [3])
 
 
-def test_factorisation_rejects_values_not_smooth():
-    from ftdesigns.pipeline import _divisors_of_smooth, _odd_prime_divisors
+def test_factorisation_takes_any_positive_value():
+    from ftdesigns.pipeline import _divisors
 
-    assert _odd_prime_divisors(2**4 * 3**2 * 5 * 73) == [3, 5, 73]
-    assert _divisors_of_smooth(12) == [1, 2, 3, 4, 6, 12]
-    for fn in (_odd_prime_divisors, _divisors_of_smooth):
-        with pytest.raises(InputError, match="leftover factor 79"):
-            fn(3 * 79)
+    assert prime_factors(2**4 * 3**2 * 5 * 73) == [(2, 4), (3, 2), (5, 1), (73, 1)]
+    assert prime_factors(3 * 79) == [(3, 1), (79, 1)]
+    assert prime_factors(8191**2) == [(8191, 2)]
+    assert prime_factors(1) == []
+    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(3 * 79) == [1, 3, 79, 237]
+    for n in (0, -6):
+        with pytest.raises(InputError, match=f"cannot factor {n}"):
+            prime_factors(n)
+
+
+@given(st.integers(1, 10**6))
+def test_prime_factors_against_a_sieve(n):
+    is_prime = prime_table(10**6)
+    factors = prime_factors(n)
+    assert prod(p**e for p, e in factors) == n
+    assert all(is_prime[p] and e > 0 for p, e in factors)
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+
+
+@pytest.mark.parametrize("q", [8, 32, 128, 8192])
+def test_enumeration_finds_the_suzuki_tits_tuple(q):
+    # Sz(q) on the q^2+1 ovoid points; gcd(r, lambda) = gcd(q^2, q-1) = 1
+    found = enumerate_parameters(q**2 * (q**2 + 1) * (q - 1), q**2 * (q - 1), [q - 1],
+                                 coprime_mode=True)
+    assert suzuki_params(q).params in found
+
+
+@pytest.mark.parametrize("q", [4, 16])
+def test_enumeration_finds_the_g2_tuple(q):
+    order = q**6 * (q**6 - 1) * (q**2 - 1)
+    target = g2_params(q).params
+    assert target in enumerate_parameters(order, order // target.v, [q + 1])
 
 
 def test_enumerate_output_is_set_like():
