@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, orbit, orbits,
-                   row_orbit, stabilizer_gens, tree_word)
+from .bsgs import (StabilizerChain, bsgs_build, image_matrix, orbit, orbit_transversal,
+                   orbits, row_orbit, stabilizer_gens, tree_word)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
@@ -57,15 +57,6 @@ class GroupAction:
     _hom: object = field(default=None, repr=False, compare=False)
     _chain: StabilizerChain = field(default=None, repr=False, compare=False)
     _stabilizer: list = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def natural(cls, name, gens, degree=None):
-        gens = list(gens)
-        if degree is None:
-            if not gens:
-                raise InputError("empty generator list needs an explicit degree")
-            degree = gens[0].degree
-        return cls(name, degree, gens)
 
     @property
     def chain(self):
@@ -99,12 +90,6 @@ class SubdegreeProfile:
     """Multiset of point-stabilizer orbit lengths."""
 
     entries: list[tuple[int, int]]  # (length, multiplicity), ascending
-
-    def total(self):
-        return sum(l * m for l, m in self.entries)
-
-    def lengths(self):
-        return [l for l, m in self.entries for _ in range(m)]
 
     def __str__(self):
         return " ".join(f"{l}^{m}" for l, m in self.entries)
@@ -208,25 +193,14 @@ def is_transitive(A: GroupAction) -> bool:
 
 def _point_tree(A: GroupAction):
     """The point alpha of `A.base_stabilizer()`, generators of its
-    stabilizer, and a map beta -> an element carrying alpha to beta: the
-    product of the generators on beta's path in the `bfs_tree` of alpha's
-    orbit.  InputError unless that orbit is every point."""
+    stabilizer, and a map beta -> an element carrying alpha to beta: its
+    row in the `orbit_transversal` of alpha.  InputError unless that orbit
+    is every point."""
     alpha, stab = A.base_stabilizer()
-    images = image_matrix(A.generators, A.degree)
-    rows, action = row_orbit(images, [alpha])
-    if len(rows) != A.degree:
+    orb, rows, trans = orbit_transversal(A.generators, alpha, A.degree)
+    if len(orb) != A.degree:
         raise InputError("action is not transitive")
-    row_of = np.empty(A.degree, dtype=np.intp)
-    row_of[rows[:, 0]] = np.arange(A.degree)
-    parent, via = bfs_tree(action)
-
-    def carrier(beta):
-        u = np.arange(A.degree)
-        for s in tree_word(parent, via, row_of[beta]):
-            u = images[s][u]
-        return Permutation(u)
-
-    return alpha, stab, carrier
+    return alpha, stab, lambda beta: Permutation(trans[rows[beta]])
 
 
 def is_primitive(A: GroupAction) -> bool:

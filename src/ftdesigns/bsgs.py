@@ -138,13 +138,6 @@ class StabilizerChain:
                     out.append(g)
         return out
 
-    def sift(self, p: Permutation):
-        """Strip p through the chain: (residue, level_index), the residue
-        after absorbing the transversal parts and the level at which
-        stripping stopped (== len(levels) when p sifts all the way through)."""
-        res, taken = self._strip_one(p)
-        return Permutation._wrap(res.astype(np.int64)), int((taken >= 0).sum())
-
     def transversal_rows(self, p: Permutation):
         """The transversal row r_i at each level i with p = u_m ... u_1, the
         deepest applied first (the digits of `element_at`), or None when p

@@ -17,7 +17,14 @@ import argparse
 import sys
 
 from . import __version__
+from .actions import is_primitive
+from .designs import (ParameterSet, block_search, block_stabilizer_order, design_from_text,
+                      design_to_text, is_flag_transitive, suzuki_construction, verify_2design)
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
+from .families import g2_orbit_forcing, g2_params, lemma38_block_stabilizer_order, suzuki_params
+from .groupdata import load_catalog, parse_catalog, validate_entry
+from .pipeline import (action_for, compute_profiles, emit_count_summary, emit_eliminated,
+                       emit_report, enumerate_all, run_filters)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,8 +101,6 @@ def _read_text(path):
 
 
 def _cmd_catalog_validate(args, out):
-    from .groupdata import load_catalog, parse_catalog, validate_entry
-
     if args.catalog:
         entries = parse_catalog(_read_text(args.catalog))
         if not entries:
@@ -119,10 +124,8 @@ def _cmd_catalog_validate(args, out):
 
 
 def _cmd_search(args, out):
-    from .pipeline import (compute_profiles, emit_count_summary,
-                           emit_eliminated, emit_report, enumerate_all,
-                           run_filters)
-
+    # a golden that cannot be read leaves stdout empty
+    golden = _read_text(args.golden) if args.golden else None
     records = enumerate_all(include_lambda_2=args.include_lambda_2,
                             coprime_mode=args.coprime_mode)
     if args.subcommand == "run":
@@ -133,7 +136,7 @@ def _cmd_search(args, out):
         filtered = run_filters(records, profiles=compute_profiles())
         text = emit_eliminated(filtered, fmt=args.format)
     out.write(text)
-    if args.golden and text != _read_text(args.golden):
+    if golden is not None and text != golden:
         sys.stderr.write("error: output does not match the golden file\n")
         return EXIT_GOLDEN
     return EXIT_OK
@@ -147,19 +150,12 @@ _NAMED_DESIGNS = {"m11": (("M11", "L2(11)"), (12, 22, 11, 6, 5)),
 
 
 def _named_design(name):
-    from .designs import ParameterSet, block_search
-    from .pipeline import action_for
-
     source, target = _NAMED_DESIGNS[name]
     action = action_for(*source)
     return action, block_search(action, ParameterSet(*target))[0]
 
 
 def _cmd_design(args, out):
-    from .designs import (block_stabilizer_order, design_from_text,
-                          design_to_text, is_flag_transitive, verify_2design)
-    from .actions import is_primitive
-
     if args.subcommand == "verify":
         design = design_from_text(_read_text(args.infile))
         try:
@@ -186,8 +182,6 @@ def _cmd_design(args, out):
 
 
 def _cmd_suzuki(args, out):
-    from .designs import block_stabilizer_order, design_to_text, suzuki_construction
-
     built = suzuki_construction(args.q)
     p = built.params
     report = (f"2-({p.v},{p.b},{p.r},{p.k},{p.lam})\n"
@@ -202,9 +196,6 @@ def _cmd_suzuki(args, out):
 
 
 def _cmd_family(args, out):
-    from .families import (g2_orbit_forcing, g2_params,
-                           lemma38_block_stabilizer_order, suzuki_params)
-
     if args.subcommand == "suzuki":
         fam = suzuki_params(args.q)
     elif args.subcommand == "g2":

@@ -63,9 +63,6 @@ class ParameterSet:
         if not (2 < k < v - 1):
             raise InputError(f"{self}: trivial (k outside 3..v-2)")
 
-    def is_nonsymmetric(self):
-        return self.v < self.b
-
     def astuple(self):
         return (self.v, self.b, self.r, self.k, self.lam)
 

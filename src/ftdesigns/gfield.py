@@ -59,9 +59,6 @@ class GF:
         self._exp = exp
         self._log = log
 
-    def add(self, a, b):
-        return a ^ b
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -87,9 +84,6 @@ class GF:
         b = np.asarray(b, dtype=np.int64)
         out = self._exp[self._log[a] + self._log[b]]
         return np.where((a == 0) | (b == 0), 0, out)
-
-    def elements(self):
-        return range(self.size)
 
     def __repr__(self):
         return f"GF(2^{self.m}, poly={self.poly:#b})"

@@ -36,7 +36,7 @@ from importlib import resources
 
 from .bsgs import StabilizerChain, bsgs_build, contains
 from .errors import InputError, ParseError, ResourceLimitError
-from .perm import Permutation, format_cycles, parse_cycles
+from .perm import Permutation, parse_cycles
 
 # largest catalog degree: a chain level of a transitive group holds a
 # (degree, degree) transversal matrix and its inverse, 400 MB at this bound
@@ -165,24 +165,6 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         elif kind != "end":
             raise ParseError(f"unknown directive {kind!r}", lineno)
     return entries
-
-
-def serialize_catalog(entries) -> str:
-    out = []
-    for e in entries:
-        out.append(f"group {e.name} degree {e.degree} order {e.order}")
-        for g in e.generators:
-            out.append(f"gen {format_cycles(g)}")
-        for s in e.subgroups:
-            head = f"subgroup {s.name} order {s.order}"
-            if s.nr is not None:
-                head += f" nr {s.nr}"
-            out.append(head)
-            for g in s.generators:
-                out.append(f"gen {format_cycles(g)}")
-            out.append("end")
-        out.append("end")
-    return "\n".join(out) + "\n"
 
 
 @dataclass

@@ -77,9 +77,6 @@ class Permutation:
     def is_identity(self):
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
-    def moved_points(self):
-        return [int(i) for i in np.flatnonzero(self.images != np.arange(self.degree))]
-
     def smallest_moved(self):
         diff = np.flatnonzero(self.images != np.arange(self.degree))
         return int(diff[0]) if diff.size else None
@@ -125,10 +122,6 @@ def row_keys(rows):
     the rows unless the dtype has one byte."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-def identity(degree):
-    return Permutation._wrap(np.arange(degree, dtype=np.int64))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -1,8 +1,9 @@
 import pytest
 
-from ftdesigns.actions import GroupAction, coset_action
+from ftdesigns.actions import coset_action
 from ftdesigns.bsgs import bsgs_build
 from ftdesigns.groupdata import load_catalog
+from ftdesigns.pipeline import action_for
 
 
 @pytest.fixture(scope="session")
@@ -11,16 +12,9 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
-def natural(catalog):
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            e = catalog[name]
-            cache[name] = GroupAction.natural(name, e.generators, e.degree)
-        return cache[name]
-
-    return get
+def natural():
+    # the entries, and so their chains, are shared: one chain per group
+    return lambda name: action_for(name, None)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,31 @@ import numpy as np
 
 from ftdesigns.bsgs import bsgs_build, image_matrix, tree_products
 from ftdesigns.errors import InputError
-from ftdesigns.perm import Permutation, compose, identity, inverse
+from ftdesigns.perm import Permutation, compose, format_cycles, inverse
+
+
+def identity(degree):
+    return Permutation(np.arange(degree))
+
+
+def serialize_catalog(entries) -> str:
+    """Catalog text that `parse_catalog` reads back to the same entries:
+    the directives only, without the bundled file's comments."""
+    out = []
+    for e in entries:
+        out.append(f"group {e.name} degree {e.degree} order {e.order}")
+        for g in e.generators:
+            out.append(f"gen {format_cycles(g)}")
+        for s in e.subgroups:
+            head = f"subgroup {s.name} order {s.order}"
+            if s.nr is not None:
+                head += f" nr {s.nr}"
+            out.append(head)
+            for g in s.generators:
+                out.append(f"gen {format_cycles(g)}")
+            out.append("end")
+        out.append("end")
+    return "\n".join(out) + "\n"
 
 
 def element_closure(gens, degree=None, limit=2_000_000):

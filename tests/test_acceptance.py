@@ -85,7 +85,7 @@ def test_criterion_4_sporadic_designs():
     from ftdesigns.groupdata import catalog_entry
 
     m11 = catalog_entry("M11")
-    m11_nat = GroupAction.natural("M11", m11.generators)
+    m11_nat = GroupAction("M11", m11.degree, m11.generators)
     act12 = coset_action(m11_nat.chain,
                          bsgs_build(m11.subgroup("L2(11)").generators, m11.degree),
                          name="M11 on 12 points")
@@ -93,12 +93,12 @@ def test_criterion_4_sporadic_designs():
     assert len(m11_designs) == 1
 
     m22 = catalog_entry("M22")
-    m22_nat = GroupAction.natural("M22", m22.generators)
+    m22_nat = GroupAction("M22", m22.degree, m22.generators)
     m22_designs = orbit_block_search(m22_nat, ParameterSet(22, 77, 21, 6, 5))
     assert len(m22_designs) == 1
 
     hs = catalog_entry("HS")
-    hs_nat = GroupAction.natural("HS", hs.generators)
+    hs_nat = GroupAction("HS", hs.degree, hs.generators)
     act176 = coset_action(hs_nat.chain,
                           bsgs_build(hs.subgroup("U3(5).2").generators, hs.degree),
                           name="HS on 176 points")
@@ -110,7 +110,7 @@ def test_criterion_4_sporadic_designs():
         (act176, hs_design, (176, 1100, 50, 8, 2)),
     ]
     # the same 77-block design under the doubled group
-    m222 = GroupAction.natural("M22:2", catalog_entry("M22:2").generators)
+    m222 = GroupAction("M22:2", 22, catalog_entry("M22:2").generators)
     found = orbit_block_search(m222, ParameterSet(22, 77, 21, 6, 5))
     assert len(found) == 1 and np.array_equal(found[0].blocks, m22_designs[0].blocks)
     cases.append((m222, found[0], (22, 77, 21, 6, 5)))

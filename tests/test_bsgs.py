@@ -11,8 +11,8 @@ from ftdesigns import bsgs
 from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabilizer_gens
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
-from ftdesigns.perm import Permutation, compose, identity, inverse, parse_cycles
-from oracles import (assert_chain_matches, chain_digest, element_closure,
+from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
+from oracles import (assert_chain_matches, chain_digest, element_closure, identity,
                      rebuild_generate_to_order, scalar_bsgs_build, scalar_orbit_stabilizer,
                      scalar_orbits, scalar_row_orbit, scalar_sift)
 
@@ -28,7 +28,8 @@ def brute_order(gens, degree, rng):
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
         return 1
-    moved = sorted({p for g in gens for p in g.moved_points()})
+    moved = sorted({int(p) for g in gens
+                    for p in np.flatnonzero(g.images != np.arange(degree))})
     beta = rng.choice(moved)
     pts = [beta]
     transversal = {beta: identity(degree)}
@@ -335,14 +336,14 @@ def test_sift_and_membership_past_int16_offsets(monkeypatch):
     assert_chain_matches(chain, scalar_bsgs_build(gens, p))
     for a, b in ((1, 0), (2, 300), (306, 1), (150, 299)):
         g = Permutation([(a * x + b) % p for x in range(p)])
-        residue, level = chain.sift(g)
-        residue, rows = residue.images.tolist(), chain.transversal_rows(g)
-        assert g in chain and residue == list(range(p)) and level == 2
+        residue, taken = chain._strip_one(g)
+        rows = chain.transversal_rows(g)
+        assert g in chain and residue.tolist() == list(range(p)) and (taken >= 0).all()
         assert chain.element_at(rows[1] + (p - 1) * rows[0]).images.tolist() == g.images.tolist()
     assert chain.transversal_rows(chain.element_at(chain.order() - 1)) == [p - 1, p - 2]
     for cycles in ("(1,2)", "(300,301,302)", "(1,307)(2,306)(3,305)"):
         q = parse_cycles(cycles, p)
-        residue = chain.sift(q)[0].images.tolist()
+        residue = chain._strip_one(q)[0].tolist()
         assert q not in chain and chain.transversal_rows(q) is None
         assert residue != list(range(p))
 
@@ -377,7 +378,11 @@ def test_random_chains_match_the_scalar_oracle(case):
     chain = bsgs_build(gens, degree, base_hint=hint)
     levels = scalar_bsgs_build(gens, degree, base_hint=hint)
     assert_chain_matches(chain, levels)
-    assert chain.sift(p) == scalar_sift(levels, p)
+    # the residue, and the levels stripped: a row at each, -1 from the stop on
+    residue, taken = chain._strip_one(p)
+    want, stopped = scalar_sift(levels, p)
+    assert residue.tolist() == want.images.tolist()
+    assert (taken >= 0).tolist() == [i < stopped for i in range(len(levels))]
     assert all(g in chain for g in gens)
     if chain.order() > 1:
         assert chain.element_at(chain.order() - 1) in chain
@@ -401,7 +406,7 @@ def test_degree_preserved():
     chain = bsgs_build(S4)
     assert all(g.degree == 4 for g in chain.strong_generators())
     with pytest.raises(InputError):
-        chain.sift(identity(5))
+        chain.transversal_rows(identity(5))
 
 
 @settings(max_examples=150, deadline=None)

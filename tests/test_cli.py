@@ -65,17 +65,30 @@ def test_search_has_no_defer_fisher_flag(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+FILE_ARGS = pytest.mark.parametrize("argv", [
     ["design", "verify", "--in"],
     ["catalog", "validate", "--catalog"],
     ["search", "run", "--golden"],
-], ids=["design-verify", "catalog-validate", "search-golden"])
+    ["search", "filter-subdegrees", "--golden"],
+], ids=["design-verify", "catalog-validate", "search-golden", "filter-golden"])
+
+
+@FILE_ARGS
 def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, argv):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"v 3\n1 2 \xff\n")
-    code, _ = call(*argv, str(bad))
-    assert code == 3
+    code, out = call(*argv, str(bad))
+    assert (code, out) == (3, "")
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
+
+@FILE_ARGS
+def test_a_missing_file_is_a_data_error_with_nothing_on_stdout(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    code, out = call(*argv, str(missing))
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
 
 
 def test_design_verify_bundled_m11():
@@ -403,16 +416,24 @@ _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import ftdesigns.cli
-added = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+added = set(sys.modules) - before
+print(" ".join(sorted({name.partition(".")[0] for name in added}
+                      - set(sys.stdlib_module_names))))
+print(" ".join(sorted(name for name in added if name.startswith("ftdesigns."))))
 """
 
 
 def test_cli_import_loads_only_numpy_beyond_the_standard_library():
     # what a fresh `import ftdesigns.cli` costs is the start-up time of every
-    # command; modules loaded before it (site hooks) are not counted
+    # command; modules loaded before it (site hooks) are not counted.  Every
+    # module of the package loads with it, so none is left to load inside a
+    # timed command
     src = str(Path(ftdesigns.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert proc.stdout.split() == ["ftdesigns", "numpy"]
+    third_party, package = proc.stdout.splitlines()
+    assert third_party.split() == ["ftdesigns", "numpy"]
+    assert package.split() == [f"ftdesigns.{m}" for m in [
+        "actions", "bsgs", "cli", "designs", "errors", "families", "gfield",
+        "groupdata", "perm", "pipeline", "suzuki"]]

@@ -152,4 +152,4 @@ def test_lemma38_rejects_bad_f1():
 def test_family_params_all_identities():
     for fam in (suzuki_params(8), suzuki_params(32), g2_params(4), g2_params(16)):
         fam.params.check_identities()
-        assert fam.params.is_nonsymmetric()
+        assert fam.params.v < fam.params.b

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from ftdesigns import groupdata
 from ftdesigns.errors import InputError, ParseError, ResourceLimitError
 from ftdesigns.groupdata import (CATALOG_DEGREE_LIMIT, catalog_entry, load_catalog, orders_table,
-                                 parse_catalog, parse_orders, serialize_catalog,
-                                 validate_entry)
+                                 parse_catalog, parse_orders, validate_entry)
+from oracles import serialize_catalog
 
 MINIMAL = """\
 # a comment

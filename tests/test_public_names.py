@@ -1,0 +1,82 @@
+"""Every public function, class and method of the package, the demos and
+the benchmark is named somewhere outside its own definition, so none is
+kept alive by its tests alone."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(tree):
+    """Counters of the names a tree mentions: as a `Name`, an import alias,
+    an attribute or a whole string constant (`any`), and as an attribute or
+    a string only (`attr`, what a method is called by)."""
+    any_, attr = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            any_[node.id] += 1
+        elif isinstance(node, ast.alias):
+            for name in (node.name.rpartition(".")[2], node.asname):
+                any_[name] += 1
+        elif isinstance(node, ast.Attribute):
+            any_[node.attr] += 1
+            attr[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            any_[node.value] += 1
+            attr[node.value] += 1
+    return any_, attr
+
+
+def _definitions(tree):
+    """(label, name, is_method, node) for each public top-level function and
+    class, and each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, False, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, True, item
+
+
+def unreferenced(paths):
+    """Labels of the public definitions in `paths` that no code in them
+    names outside the definition itself."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in paths]
+    total_any, total_attr = Counter(), Counter()
+    for tree in trees:
+        any_, attr = _references(tree)
+        total_any.update(any_)
+        total_attr.update(attr)
+    out = []
+    for tree in trees:
+        for label, name, is_method, node in _definitions(tree):
+            own_any, own_attr = _references(node)
+            total, own = (total_attr, own_attr) if is_method else (total_any, own_any)
+            if total[name] - own[name] <= 0:
+                out.append(label)
+    return sorted(out)
+
+
+def program_files(root=ROOT):
+    return sorted([*(root / "src/ftdesigns").glob("*.py"), *(root / "demos").glob("*.py"),
+                   *(root / "perfbench").glob("*.py")])
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    assert unreferenced(program_files()) == []
+
+
+def test_a_name_used_only_by_itself_is_flagged(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\n\n"
+                   "def loop(n):\n    return loop(n - 1) if n else os.sep\n\n"
+                   "class Box:\n    def size(self):\n        return self.size\n\n"
+                   "    def used(self):\n        return 0\n\n"
+                   "def main():\n    return Box().used()\n\n"
+                   "SPANNED = ['main']\n")
+    assert unreferenced([src]) == ["Box.size", "loop"]
