@@ -18,11 +18,8 @@ order.  Hu -> O^u commutes with G (Hug -> O^ug), so every key reaches
 the cosets in one order, from one start under one generator list, and
 gives the same labels, which no base of H moves either.
 
-Any other element g of G is mapped by a tree word: sifting g through G's
-chain writes it as a product of transversal elements, each the product
-of the strong generators on its Schreier-tree path, and the image of g
-is the same product of the generators' images (Holt, Eick and O'Brien,
-Handbook of CGT, 2005, ch. 4).
+Every element g of G maps as the generators do: the rows of the cosets,
+moved by g and put through the key, are looked up among the sorted keys.
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
@@ -35,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bsgs_build, image_matrix, orbit, orbit_transversal,
-                   orbits, row_orbit, stabilizer_gens, tree_word)
+from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, orbit, orbits,
+                   row_orbit, sorted_lookup, stabilizer_gens, tree_word)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
@@ -48,8 +45,7 @@ class GroupAction:
     """A named generating set acting on {0..degree-1}.  The chain, and so
     `order`, is built on first use.  A coset action keeps the images of
     H's generators, which generate the stabilizer of its point 0, H, and
-    maps elements of G by tree words over the images of G's strong
-    generators, keeping no coset representatives."""
+    maps elements of G through the keys of its cosets."""
 
     name: str
     degree: int
@@ -77,11 +73,12 @@ class GroupAction:
         return point, stabilizer_gens(self.chain, point)
 
     def image_of(self, g: Permutation) -> Permutation:
-        """Image of a source-group element under this action."""
+        """Image of a source-group element under this action; InputError
+        for an element outside the group."""
         if self._hom is not None:
             return self._hom(g)
-        if g.degree != self.degree:
-            raise InputError("no homomorphism data and degrees differ")
+        if g not in self.chain:
+            raise InputError("element outside G has no image")
         return g
 
 
@@ -166,20 +163,18 @@ def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") ->
             raise ResourceLimitError(f"no coset key reaches index {index}")
     except ResourceLimitError:
         raise AssertionError("coset enumeration does not match the index") from None
-    # G's elements map by tree words: g = u_m ... u_1 by sifting, each u the
-    # product of the strong generators on its level's Schreier-tree path
-    column = {g: s for s, g in enumerate(gens)}
-    words = [(lvl, [column[g] for g in lvl.gens]) for lvl in reversed(G.levels)]
+    canon, key = canon or (lambda rows: rows), key or row_keys
+    keys = key(cosets)
+    label = np.argsort(keys)
+    keys = keys[label]
 
     def image_of(g):
-        rows = G.transversal_rows(g)
-        if rows is None:
+        if g not in G:
             raise InputError("element outside G has no image")
-        img = np.arange(index)
-        for (lvl, cols), r in zip(words, reversed(rows)):
-            for s in tree_word(lvl.parent, lvl.via, r):
-                img = images[cols[s]][img]
-        return Permutation(img)
+        pos, hit = sorted_lookup(keys, key(canon(g.images.astype(cosets.dtype)[cosets])))
+        if not hit.all():
+            raise AssertionError("coset enumeration does not match the index")
+        return Permutation(label[pos])
 
     return GroupAction(name, index, [Permutation(img) for img in images], _hom=image_of,
                        _stabilizer=[image_of(h) for h in H_gens])
@@ -193,14 +188,24 @@ def is_transitive(A: GroupAction) -> bool:
 
 def _point_tree(A: GroupAction):
     """The point alpha of `A.base_stabilizer()`, generators of its
-    stabilizer, and a map beta -> an element carrying alpha to beta: its
-    row in the `orbit_transversal` of alpha.  InputError unless that orbit
-    is every point."""
+    stabilizer, and a map beta -> an element carrying alpha to beta: the
+    product of the generators on the `bfs_tree` path to beta, its
+    `tree_word`.  InputError unless the orbit of alpha is every point."""
     alpha, stab = A.base_stabilizer()
-    orb, rows, trans = orbit_transversal(A.generators, alpha, A.degree)
+    gmat = image_matrix(A.generators, A.degree)
+    orb, action = row_orbit(gmat, [alpha])
     if len(orb) != A.degree:
         raise InputError("action is not transitive")
-    return alpha, stab, lambda beta: Permutation(trans[rows[beta]])
+    parent, via = bfs_tree(action)
+    rows = np.argsort(orb[:, 0])   # the orbit is every point: the row of each
+
+    def carrier(beta):
+        u = np.arange(A.degree)
+        for s in tree_word(parent, via, rows[beta]):
+            u = gmat[s][u]
+        return Permutation(u)
+
+    return alpha, stab, carrier
 
 
 def is_primitive(A: GroupAction) -> bool:

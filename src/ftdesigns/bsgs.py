@@ -17,7 +17,7 @@ the lookup is intp so that r * degree cannot overflow.  A level also keeps
 the breadth-first Schreier tree of its orbit, `parent` and `via` from
 `bfs_tree`: row r is reached from row parent[r] by generator via[r], and
 u_r is the product of the generators on the tree path from the root, the
-root's first (its tree word); both matrices are filled along the tree.
+root's first; both matrices are filled along the tree.
 Every level holds these same arrays, one whose orbit is only its base
 point too: one identity row in each matrix, a lookup that is -1 but at
 the base point, and a tree of the root alone.
@@ -138,23 +138,12 @@ class StabilizerChain:
                     out.append(g)
         return out
 
-    def transversal_rows(self, p: Permutation):
-        """The transversal row r_i at each level i with p = u_m ... u_1, the
-        deepest applied first (the digits of `element_at`), or None when p
-        is not in the group."""
-        res, taken = self._strip_one(p)
-        return None if (res != np.arange(self.degree)).any() else taken.tolist()
-
     def __contains__(self, p):
-        return bool((self._strip_one(p)[0] == np.arange(self.degree)).all())
-
-    def _strip_one(self, p):
-        """p's residue row after `_strip` and its transversal row at each
-        level, -1 from where it stopped; a row stops only at a base point it moves."""
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
         res = p.images.astype(self.dtype)[None]
-        return res[0], _strip(self.levels, 0, res)[0]
+        _strip(self.levels, 0, res)
+        return bool((res[0] == np.arange(self.degree)).all())
 
     def element_at(self, index: int) -> Permutation:
         """The index-th element in the mixed-radix enumeration by transversals.
@@ -274,24 +263,19 @@ def _verify_level(chain, i):
 def _strip(levels, first, res):
     """Sift the rows of `res` in place through levels[first:], one level
     at a time.  A row that reaches a level whose orbit misses the row's
-    image of the base point stays as it is there.  Returns the
-    (len(res), len(levels) - first) matrix of the transversal rows taken,
-    -1 from the level where a row stopped."""
-    taken = np.full((len(res), len(levels) - first), -1, dtype=np.intp)
+    image of the base point stays as it is there."""
     live, n = np.arange(len(res)), res.shape[1]
-    for j, lvl in enumerate(levels[first:]):
+    for lvl in levels[first:]:
         rows = lvl.rows[res[live, lvl.point]]
         keep = rows >= 0
         if not keep.all():
             live, rows = live[keep], rows[keep]
             if not live.size:
                 break
-        taken[live, j] = rows
         moving = rows > 0          # row 0 is the identity
         if moving.any():
             sel = live[moving]
             res[sel] = lvl.inv.reshape(-1).take(res[sel] + (rows[moving] * n)[:, None])
-    return taken
 
 
 def contains(chain: StabilizerChain, p: Permutation) -> bool:

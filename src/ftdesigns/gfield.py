@@ -73,11 +73,6 @@ class GF:
             return 0
         return int(self._exp[(self._log[a] * e) % (self.size - 1)])
 
-    def inv(self, a):
-        if a == 0:
-            raise InputError("zero has no inverse")
-        return int(self._exp[(self.size - 1 - self._log[a]) % (self.size - 1)])
-
     def mul_array(self, a, b):
         """Elementwise product of integer arrays over the field."""
         a = np.asarray(a, dtype=np.int64)

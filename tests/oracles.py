@@ -371,12 +371,17 @@ def canonical_hom(G, H_gens):
     return hom
 
 
+def field_inverse(field, c):
+    """The inverse of a nonzero field element, by trying every element."""
+    return next(x for x in range(1, field.size) if field.mul(c, x) == 1)
+
+
 def normalize_point(field, coords):
     """A projective point scaled so its first nonzero coordinate is 1."""
     coords = tuple(coords)
     for c in coords:
         if c:
-            inv = field.inv(c)
+            inv = field_inverse(field, c)
             return tuple(field.mul(inv, x) for x in coords)
     raise InputError("projective point must be nonzero")
 

@@ -116,6 +116,7 @@ IMAGE_CASES += [("M11", "L2(11)", None), ("HS", "U3(5).2", None)]
 @pytest.mark.parametrize("group,sub,nr", IMAGE_CASES,
                          ids=[f"{g}/{s}" + (f"#{n}" if n else "") for g, s, n in IMAGE_CASES])
 def test_tree_word_images_match_the_canonicalising_reference(catalog, group, sub, nr):
+    # every element maps through the coset keys, as the generators do
     entry = catalog[group]
     G = entry.chain
     h = next(s for s in entry.subgroups if s.name == sub and nr in (None, s.nr)).generators
@@ -344,8 +345,8 @@ def test_coset_action_does_not_depend_on_the_batch_size(monkeypatch, catalog, na
     chain = natural(group).chain
     h = bsgs_build(catalog[group].subgroup(sub).generators, chain.degree)
     reference = coset_action(chain, h)
-    # batches of one rep (one row in image_of), then of 7 reps, which
-    # split a breadth-first layer of cosets between two batches
+    # batches of one rep, then of 7 reps, which split a breadth-first
+    # layer of cosets between two batches
     assert any(size % 7 for size in _bfs_layer_sizes(reference))
     per_rep = len(chain.strong_generators()) * chain.degree
     for entries in (1, 7 * per_rep):
@@ -406,6 +407,27 @@ def test_point_stabilizer_gens_follow_the_transversal(request, which):
     assert act.degree == int(which.split()[-1])
     for point in (0, 1, 17, act.degree // 2, act.degree - 1):
         assert point_stabilizer_gens(act, point) == transversal_stabilizer_gens(act, point)
+
+
+def test_carriers_build_no_whole_transversal(monkeypatch, hs_action176):
+    # a carrier is the product along one tree word; `tree_products` would
+    # fill every row of the (degree, degree) transversal
+    def whole_transversal(*args):
+        raise AssertionError("the whole transversal was built")
+
+    monkeypatch.setattr(bsgs, "tree_products", whole_transversal)
+    assert is_primitive(hs_action176)
+    for point in (1, 175):
+        assert all(g(point) == point for g in point_stabilizer_gens(hs_action176, point))
+
+
+def test_a_natural_action_maps_only_its_own_group(natural):
+    act = natural("M11")
+    assert all(act.image_of(g) == g for g in act.generators)
+    with pytest.raises(InputError, match="outside G"):
+        act.image_of(parse_cycles("(1,2)", 11))
+    with pytest.raises(InputError):
+        act.image_of(parse_cycles("(1,2)", 12))
 
 
 def test_profile_actions_build_no_extra_chain(monkeypatch):

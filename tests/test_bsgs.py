@@ -51,6 +51,22 @@ def brute_order(gens, degree, rng):
     return len(pts) * brute_order(list(schreier), degree, rng)
 
 
+def sift_residue(chain, p):
+    """p's images after `_strip` through every level of the chain."""
+    res = p.images.astype(chain.dtype)[None]
+    bsgs._strip(chain.levels, 0, res)
+    return res[0].tolist()
+
+
+def transversal_product(chain, digits):
+    """The product of the transversal rows digits[i] of each level i, the
+    deepest applied first."""
+    g = identity(chain.degree)
+    for lvl, r in zip(chain.levels, digits):
+        g = compose(Permutation(lvl.trans[r]), g)
+    return g
+
+
 def test_s4_order():
     chain = bsgs_build(S4)
     assert chain.order() == 24
@@ -336,16 +352,13 @@ def test_sift_and_membership_past_int16_offsets(monkeypatch):
     assert_chain_matches(chain, scalar_bsgs_build(gens, p))
     for a, b in ((1, 0), (2, 300), (306, 1), (150, 299)):
         g = Permutation([(a * x + b) % p for x in range(p)])
-        residue, taken = chain._strip_one(g)
-        rows = chain.transversal_rows(g)
-        assert g in chain and residue.tolist() == list(range(p)) and (taken >= 0).all()
-        assert chain.element_at(rows[1] + (p - 1) * rows[0]).images.tolist() == g.images.tolist()
-    assert chain.transversal_rows(chain.element_at(chain.order() - 1)) == [p - 1, p - 2]
+        assert g in chain and sift_residue(chain, g) == list(range(p))
+    for digits in ((0, 0), (1, 0), (300, 5), (p - 1, p - 2)):   # last: the last element
+        g = chain.element_at(digits[1] + (p - 1) * digits[0])
+        assert g in chain and g == transversal_product(chain, digits)
     for cycles in ("(1,2)", "(300,301,302)", "(1,307)(2,306)(3,305)"):
         q = parse_cycles(cycles, p)
-        residue = chain._strip_one(q)[0].tolist()
-        assert q not in chain and chain.transversal_rows(q) is None
-        assert residue != list(range(p))
+        assert q not in chain and sift_residue(chain, q) != list(range(p))
 
 
 def test_chain_does_not_depend_on_the_batch_size(monkeypatch, catalog):
@@ -378,18 +391,14 @@ def test_random_chains_match_the_scalar_oracle(case):
     chain = bsgs_build(gens, degree, base_hint=hint)
     levels = scalar_bsgs_build(gens, degree, base_hint=hint)
     assert_chain_matches(chain, levels)
-    # the residue, and the levels stripped: a row at each, -1 from the stop on
-    residue, taken = chain._strip_one(p)
-    want, stopped = scalar_sift(levels, p)
-    assert residue.tolist() == want.images.tolist()
-    assert (taken >= 0).tolist() == [i < stopped for i in range(len(levels))]
+    want = scalar_sift(levels, p)[0]
+    assert sift_residue(chain, p) == want.images.tolist()
+    assert (p in chain) == want.is_identity()
     assert all(g in chain for g in gens)
-    if chain.order() > 1:
-        assert chain.element_at(chain.order() - 1) in chain
     # the last element's mixed-radix digits are the largest row of every level
     last = chain.element_at(chain.order() - 1)
-    assert chain.transversal_rows(last) == [len(lvl.orbit) - 1 for lvl in chain.levels]
-    assert (chain.transversal_rows(p) is None) == (p not in chain)
+    assert last in chain
+    assert last == transversal_product(chain, [len(lvl.orbit) - 1 for lvl in chain.levels])
 
 
 def test_element_at_enumerates_group():
@@ -406,7 +415,7 @@ def test_degree_preserved():
     chain = bsgs_build(S4)
     assert all(g.degree == 4 for g in chain.strong_generators())
     with pytest.raises(InputError):
-        chain.transversal_rows(identity(5))
+        identity(5) in chain
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,8 @@ from ftdesigns.errors import ConstructionError, InputError
 from ftdesigns.gfield import GF
 from ftdesigns.suzuki import _normalise_rows, circles, ovoid_points, suzuki_action
 
-from oracles import apply_matrix, normalize_point, ovoid_generator_images, plane_sections
+from oracles import (apply_matrix, field_inverse, normalize_point, ovoid_generator_images,
+                     plane_sections)
 
 
 def test_gf2_is_parity():
@@ -47,7 +48,7 @@ def test_field_axioms_exhaustive(m):
     for a in els:
         assert f.mul(a, 1) == a
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, field_inverse(f, a)) == 1
     for a in els:
         for b in els:
             assert f.mul(a, b) == f.mul(b, a)
@@ -67,7 +68,7 @@ def test_field_axioms_random(m, data):
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
     if a:
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, field_inverse(f, a)) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -134,7 +135,7 @@ def test_no_three_collinear_q8():
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = f.inv(rows[r][col])
+            inv = field_inverse(f, rows[r][col])
             rows[r] = [f.mul(inv, x) for x in rows[r]]
             for i in range(3):
                 if i != r and rows[i][col]:

@@ -11,9 +11,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def _references(tree):
     """Counters of the names a tree mentions: as a `Name`, an import alias,
     an attribute or a whole string constant (`any`), and as an attribute or
-    a string only (`attr`, what a method is called by)."""
+    a string only (`attr`, what a method is called by).  An `__all__` list
+    is not a use: it exports a name, and keeps no code alive."""
     any_, attr = Counter(), Counter()
-    for node in ast.walk(tree):
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            continue
+        nodes.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             any_[node.id] += 1
         elif isinstance(node, ast.alias):
@@ -78,5 +85,6 @@ def test_a_name_used_only_by_itself_is_flagged(tmp_path):
                    "class Box:\n    def size(self):\n        return self.size\n\n"
                    "    def used(self):\n        return 0\n\n"
                    "def main():\n    return Box().used()\n\n"
-                   "SPANNED = ['main']\n")
-    assert unreferenced([src]) == ["Box.size", "loop"]
+                   "def exported():\n    return 1\n\n"
+                   "SPANNED = ['main']\n__all__ = ['exported', 'main']\n")
+    assert unreferenced([src]) == ["Box.size", "exported", "loop"]
