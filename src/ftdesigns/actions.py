@@ -23,7 +23,8 @@ moved by g and put through the key, are looked up among the sorted keys.
 
 Point 0 of a coset action is the coset H, and its stabilizer is the
 image of H, so subdegrees need no chain of the image.  The chain of an
-action, and so its order, is built and verified only on first use.
+action, and so its order, is built and verified only on first use; for
+a coset action, verification ends once the chain reaches |G|.
 """
 from __future__ import annotations
 
@@ -45,7 +46,9 @@ class GroupAction:
     """A named generating set acting on {0..degree-1}.  The chain, and so
     `order`, is built on first use.  A coset action keeps the images of
     H's generators, which generate the stabilizer of its point 0, H, and
-    maps elements of G through the keys of its cosets."""
+    maps elements of G through the keys of its cosets.  It also keeps |G|,
+    an upper bound on the order of the image of G, and its chain stops
+    verifying once it reaches that order (`bsgs_build`'s ``order``)."""
 
     name: str
     degree: int
@@ -53,11 +56,12 @@ class GroupAction:
     _hom: object = field(default=None, repr=False, compare=False)
     _chain: StabilizerChain = field(default=None, repr=False, compare=False)
     _stabilizer: list = field(default=None, repr=False, compare=False)
+    _bound: int = field(default=None, repr=False, compare=False)
 
     @property
     def chain(self):
         if self._chain is None:
-            self._chain = bsgs_build(self.generators, self.degree)
+            self._chain = bsgs_build(self.generators, self.degree, order=self._bound)
         return self._chain
 
     @property
@@ -177,7 +181,7 @@ def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") ->
         return Permutation(label[pos])
 
     return GroupAction(name, index, [Permutation(img) for img in images], _hom=image_of,
-                       _stabilizer=[image_of(h) for h in H_gens])
+                       _stabilizer=[image_of(h) for h in H_gens], _bound=G.order())
 
 
 def is_transitive(A: GroupAction) -> bool:

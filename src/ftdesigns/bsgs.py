@@ -52,6 +52,21 @@ the same loop: `generate_to_order` installs a new generator and completes
 the chain again, and a level whose generators did not change resumes
 past its last pair, as levels only grow.
 
+Known order.  A level's generators S_i generate a group containing
+those of every deeper level, which fix the earlier base points, so
+|<S_i>| >= |orbit_i| * |<S_i+1>| and the product of the orbit lengths is
+a lower bound on the group order at every step of the loop; a stale
+level counts with the orbit it holds, which its current generators can
+only extend, and an unbuilt level counts 1.  Given a proven upper bound,
+the loop stops once the product reaches it: then every inequality is an
+equality, so each stale orbit is the full orbit and each level's point
+stabilizer is the group of the next, and no Schreier generator that is
+left can fail.  Stale levels are rebuilt and every level is marked
+verified past its last pair, which is the chain, and the resume state,
+that full verification gives.  This is the known-order stop of random
+Schreier-Sims (Seress, 2003, section 4.3; Holt, Eick and O'Brien,
+Handbook of CGT, 2005, section 4.4) with nothing randomised.
+
 Orbit-stabilizer.  `orbit_stabilizer` gives the stabilizer of a point,
 set or tuple as reduced Schreier generators, not as the sifted residues
 a chain would give: the Schreier generators in x-major order, each kept
@@ -93,6 +108,10 @@ class _Level:
         self._resume = 0   # first off-tree pair not yet known to sift to the identity
 
     def rebuild(self, chain):
+        """Build the orbit, tree and matrices again if the generators
+        changed since the last build, and verify from the first pair."""
+        if self._built == len(self.gens):
+            return
         self._built, self._resume = len(self.gens), 0
         self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
         self.gmat = image_matrix(self.gens, chain.degree)
@@ -123,9 +142,13 @@ class StabilizerChain:
         return [lvl.point for lvl in self.levels]
 
     def order(self) -> int:
+        """The product of the orbit lengths the levels hold, an unbuilt
+        level counting 1: the group order once the chain is complete, and a
+        lower bound on it while `_complete` runs."""
         n = 1
         for lvl in self.levels:
-            n *= len(lvl.orbit)
+            if lvl.orbit is not None:
+                n *= len(lvl.orbit)
         return n
 
     def strong_generators(self):
@@ -166,7 +189,7 @@ def _batch_rows(degree):
     return max(1, _BATCH_ENTRIES // max(1, degree))
 
 
-def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
+def bsgs_build(gens, degree=None, base_hint=None, order=None) -> StabilizerChain:
     """Deterministic Schreier-Sims over the given generators.
 
     Without a hint, each new base point is the smallest point moved by
@@ -174,6 +197,11 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
     ascending base.  ``base_hint`` forces a base prefix of distinct
     points, for a chain whose first level must be the stabilizer of a
     given point; hinted levels with trivial orbits are pruned afterwards.
+    ``order``, a proven upper bound on the order of the generated group
+    (the order of a group it is an image of, say), ends verification as
+    soon as the product of the orbit lengths reaches it; the chain is the
+    one full verification gives.  A bound that is never reached changes
+    nothing, so it never decides the order.
     """
     gens = list(gens)
     if degree is None:
@@ -196,7 +224,7 @@ def bsgs_build(gens, degree=None, base_hint=None) -> StabilizerChain:
     for g in gens:
         if not g.is_identity():
             _install(chain, g, 0)
-    _complete(chain)
+    _complete(chain, order)
     if base_hint is not None:
         chain.levels = [lvl for lvl in chain.levels if len(lvl.orbit) > 1 or lvl.gens]
     return chain
@@ -216,26 +244,36 @@ def _install(chain, g, from_level):
     return len(chain.levels) - 1
 
 
-def _complete(chain):
-    """Holt-style verification loop: levels bottom first, back down after a failure."""
+def _complete(chain, order=None):
+    """Holt-style verification loop: levels bottom first, back down after a
+    failure.  With `order`, a proven upper bound on the group order, the
+    loop stops once `chain.order()`, a lower bound on it, reaches the
+    bound: stale levels are rebuilt and every level is marked verified
+    past its last pair, as full verification would leave it."""
     i = len(chain.levels) - 1
     while i >= 0:
+        chain.levels[i].rebuild(chain)
+        if order is not None and chain.order() == order:
+            for lvl in chain.levels:
+                lvl.rebuild(chain)
+                if len(lvl.orbit) > 1:
+                    lvl._resume = len(lvl.schreier_pairs())
+            return
         stuck = _verify_level(chain, i)
         i = i - 1 if stuck is None else stuck
 
 
 def _verify_level(chain, i):
-    """Sift the Schreier generators of level i through the lower chain,
-    a batch of (orbit point, generator) pairs off the Schreier tree at a
-    time, from the pair where the last verification of the level stopped.
+    """Sift the Schreier generators of level i, built from its current
+    generators, through the lower chain, a batch of (orbit point,
+    generator) pairs off the Schreier tree at a time, from the pair where
+    the last verification of the level stopped.
 
     On failure the residue of the first failing pair is installed as a
     new strong generator and the level index to re-verify from is
     returned; None means level i is complete.
     """
     lvl = chain.levels[i]
-    if lvl._built != len(lvl.gens):
-        lvl.rebuild(chain)
     if len(lvl.orbit) == 1:
         return None
     k, n = len(lvl.gens), chain.degree
@@ -528,9 +566,11 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
 def stabilizer_gens(chain: StabilizerChain, point: int):
     """Strong generators of the stabilizer of a point: the second level
     of a chain whose base starts at the point.  A chain with another
-    first base point is rebuilt once with the point as base hint."""
+    first base point is rebuilt once with the point as base hint, and
+    with its order as the bound that ends verification."""
     if not 0 <= point < chain.degree:
         raise InputError(f"point {point} out of range for degree {chain.degree}")
     if chain.base[:1] != [point]:
-        chain = bsgs_build(chain.strong_generators(), chain.degree, base_hint=[point])
+        chain = bsgs_build(chain.strong_generators(), chain.degree, base_hint=[point],
+                           order=chain.order())
     return list(chain.levels[1].gens) if len(chain.levels) > 1 else []

@@ -21,6 +21,7 @@ reference it is tested against.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
@@ -39,6 +40,7 @@ SUBSET_ENUM_LIMIT = 1_000_000
 PAIR_TABLE_SIZE = 1 << 22    # pair counters held at once by verify_2design
 PAIR_CHUNK_SIZE = 1 << 20    # pair codes counted by one bincount call
 TEXT_CHUNK_SIZE = 1 << 16    # block points formatted by one design_to_text step
+_DIGITS_AND_SPACE = re.compile(r"[0-9\s]*")   # a design text line of points
 
 
 @dataclass(frozen=True)
@@ -617,17 +619,25 @@ def design_to_text(design: Design) -> str:
 def design_from_text(text: str) -> Design:
     """Parse the text form of `design_to_text`.  Malformed text raises
     ParseError with the number of the offending line."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != "v":
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    header = lines[0][1].split() if lines else []
+    if len(header) != 2 or header[0] != "v":
         raise ParseError("design text must start with a `v <n>` line",
                          line=lines[0][0] if lines else None)
-    v = _parse_int(lines[0][1][1], lines[0][0])
+    if not _DIGITS_AND_SPACE.fullmatch(header[1]):
+        raise _not_an_integer(header[1], lines[0][0])
+    v = int(header[1])
     if v < 3:
         raise ParseError(f"a 2-design needs v >= 3, not {v}", line=lines[0][0])
+    # one match over all block lines; only when it fails is the line sought
+    bad_line = None
+    if not _DIGITS_AND_SPACE.fullmatch(" ".join(ln for _, ln in lines[1:])):
+        bad_line = next(no for no, ln in lines[1:] if not _DIGITS_AND_SPACE.fullmatch(ln))
     blocks = []
-    for no, tokens in lines[1:]:
-        block = [_parse_int(tok, no) - 1 for tok in tokens]
+    for no, ln in lines[1:]:
+        if no == bad_line:
+            raise _not_an_integer(ln, no)
+        block = [int(tok) - 1 for tok in ln.split()]
         outside = next((x + 1 for x in block if not 0 <= x < v), None)
         if outside is not None:
             raise ParseError(f"point {outside} outside 1..{v}", line=no)
@@ -642,8 +652,7 @@ def design_from_text(text: str) -> Design:
     return Design(v, blocks)
 
 
-def _parse_int(token, line):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"not an integer: {token!r}", line=line) from None
+def _not_an_integer(text, line):
+    """ParseError naming the first token of `text` that is not ASCII digits."""
+    bad = next(tok for tok in text.split() if not (tok.isascii() and tok.isdigit()))
+    return ParseError(f"not an integer: {bad!r}", line=line)

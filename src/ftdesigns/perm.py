@@ -117,11 +117,19 @@ def point_dtype(n):
 
 
 def row_keys(rows):
-    """One opaque key per row of a 2-D array; equal keys mean equal rows.
-    The keys sort in byte order, which is not the lexicographic order of
-    the rows unless the dtype has one byte."""
+    """One key per row of a 2-D array; equal keys mean equal rows.  The
+    keys sort in the byte order of the rows, which is not their
+    lexicographic order unless the dtype has one byte.  A row of at most
+    8 bytes, padded on the right with zero bytes, is read as a big-endian
+    uint64, which sorts in that order and about ten times faster than the
+    `void` key that a wider row gets."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    width = rows.shape[1] * rows.itemsize
+    if width > 8:
+        return rows.view(np.dtype((np.void, width))).ravel()
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, :width] = rows.view(np.uint8).reshape(len(rows), width)
+    return padded.view(">u8").ravel().astype(np.uint64)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

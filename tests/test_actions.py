@@ -16,7 +16,8 @@ from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
 from ftdesigns.pipeline import PROFILE_SOURCES, action_for
-from oracles import all_pairs_is_primitive, canonical_hom, canonical_rep, coset_action_images
+from oracles import (all_pairs_is_primitive, canonical_hom, canonical_rep, chain_state,
+                     coset_action_images)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -202,6 +203,22 @@ def test_coset_labels_match_their_pinned_digests(source):
     point, stab = act.base_stabilizer()
     assert point == 0
     assert (_digest(act.generators), _digest(stab)) == LABEL_DIGESTS[source]
+
+
+@pytest.mark.parametrize("source", list(LABEL_DIGESTS), ids=lambda s: "/".join(map(str, s)))
+def test_a_bound_changes_no_coset_action_chain(monkeypatch, source):
+    # each group is simple, so its image has order |G|, the bound; the bound
+    # ends verification early and leaves the chain full verification gives
+    act, G = action_for(*source), catalog_entry(source[0]).chain
+    assert act._bound == G.order()
+    verify, levels = bsgs._verify_level, []
+    monkeypatch.setattr(bsgs, "_verify_level",
+                        lambda chain, i: levels.append(i) or verify(chain, i))
+    bounded = chain_state(act.chain)
+    stopped = len(levels)
+    assert bounded == chain_state(bsgs_build(act.generators, act.degree))
+    assert stopped < len(levels) - stopped
+    assert act.order == G.order()
 
 
 class _Descent(Exception):

@@ -12,7 +12,7 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
-from oracles import (assert_chain_matches, chain_digest, element_closure, identity,
+from oracles import (assert_chain_matches, chain_digest, chain_state, element_closure, identity,
                      rebuild_generate_to_order, scalar_bsgs_build, scalar_orbit_stabilizer,
                      scalar_orbits, scalar_row_orbit, scalar_sift)
 
@@ -325,6 +325,50 @@ def test_chains_match_their_pinned_digests(catalog, suzuki8):
     assert got == CHAIN_DIGESTS
 
 
+def test_a_bound_leaves_every_catalog_chain_as_pinned(catalog):
+    # the bound is reached with stale levels here (five of them for HS:2),
+    # which the stop rebuilds as full verification would
+    for entry in catalog.values():
+        for name, gens in [(entry.name, entry.generators)] + [
+                (f"{entry.name}/{sub.name}#{sub.nr}", sub.generators) for sub in entry.subgroups]:
+            full = bsgs_build(gens, entry.degree)
+            bounded = bsgs_build(gens, entry.degree, order=full.order())
+            assert chain_state(bounded) == chain_state(full), name
+            assert chain_digest(bounded) == CHAIN_DIGESTS[name], name
+
+
+def test_a_bound_only_stops_never_decides():
+    # S4 on the 3 cosets of D8 has image S3: the bound |S4| = 24 is never
+    # reached, so the order is still found by full verification
+    from ftdesigns.actions import coset_action
+
+    d8 = bsgs_build([parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)])
+    act = coset_action(bsgs_build(S4), d8)
+    assert (act.degree, act._bound) == (3, 24)
+    assert act.order == 6
+    assert chain_state(act.chain) == chain_state(bsgs_build(act.generators, 3))
+
+
+@pytest.mark.parametrize("group", ["M11", "M24", "J1", "HS"])
+def test_a_bound_changes_no_stabilizer_chain(monkeypatch, group):
+    chain = catalog_entry(group).chain
+    point = chain.degree - 1
+    assert chain.base[0] != point
+    build, calls = bsgs.bsgs_build, []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs, build(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(bsgs, "bsgs_build", spy)
+    gens = stabilizer_gens(chain, point)
+    [(kwargs, hinted)] = calls
+    assert kwargs == {"base_hint": [point], "order": chain.order()}
+    full = build(chain.strong_generators(), chain.degree, base_hint=[point])
+    assert chain_state(hinted) == chain_state(full)
+    assert gens == list(full.levels[1].gens)
+
+
 def test_sift_and_membership_past_int16_offsets(monkeypatch):
     # AGL(1, 307): x -> x + 1 and x -> 5x, 5 a primitive root, so the levels
     # have orbits 307 and 306 and a row times the degree exceeds 32767
@@ -399,6 +443,15 @@ def test_random_chains_match_the_scalar_oracle(case):
     last = chain.element_at(chain.order() - 1)
     assert last in chain
     assert last == transversal_product(chain, [len(lvl.orbit) - 1 for lvl in chain.levels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups_with_hints(), st.integers(1, 4))
+def test_a_bound_at_or_above_the_order_changes_no_chain(case, m):
+    gens, degree, hint, _ = case
+    full = bsgs_build(gens, degree, base_hint=hint)
+    bounded = bsgs_build(gens, degree, base_hint=hint, order=m * full.order())
+    assert chain_state(bounded) == chain_state(full)
 
 
 def test_element_at_enumerates_group():

@@ -140,7 +140,13 @@ def test_design_verify_names_points_as_the_file_does(tmp_path, capsys, text, mes
     ("v 2\n1 2\n", "error: line 1: a 2-design needs v >= 3, not 2\n"),
     ("v 5\n", "error: the design has no blocks\n"),
     ("v 5\n1 2 3\n1 2 3 4\n", "error: line 3: not k-uniform: block sizes 3 and 4\n"),
-], ids=["token", "range", "header", "repeat", "small-v", "no-blocks", "mixed"])
+    # points are ASCII digits only, which `int` alone does not require
+    ("v 5\n1 2 +3\n", "error: line 2: not an integer: '+3'\n"),
+    ("v +4\n1 2 3\n", "error: line 1: not an integer: '+4'\n"),
+    ("v 40\n1 2 3_0\n", "error: line 2: not an integer: '3_0'\n"),
+    ("v 5\n1 2 \u0663\n", "error: line 2: not an integer: '\u0663'\n"),
+], ids=["token", "range", "header", "repeat", "small-v", "no-blocks", "mixed", "sign",
+        "header-sign", "underscore", "non-ascii-digit"])
 def test_design_verify_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "malformed.design"
     bad.write_text(text)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ftdesigns.errors import InputError
-from ftdesigns.perm import Permutation, compose, format_cycles, inverse, parse_cycles, power
+from ftdesigns.perm import (Permutation, compose, format_cycles, inverse, parse_cycles, power,
+                            row_keys)
 from oracles import identity
 
 
@@ -131,3 +132,33 @@ def test_images_are_read_only():
     p = parse_cycles("(1,2)", 3)
     with pytest.raises(ValueError):
         p.images[0] = 2
+
+
+@st.composite
+def _short_rows(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    width = draw(st.integers(1, 8 // np.dtype(dtype).itemsize))
+    # a small range gives equal rows and equal prefixes, the full range high bytes
+    points = st.integers(0, 3) | st.integers(0, int(np.iinfo(dtype).max))
+    rows = draw(st.lists(st.lists(points, min_size=width, max_size=width), max_size=30))
+    return np.array(rows, dtype=dtype).reshape(len(rows), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_rows())
+def test_row_keys_of_short_rows_keep_the_byte_order(rows):
+    keys = row_keys(rows)
+    assert keys.dtype == np.uint64
+    void = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(void, kind="stable"))
+    assert np.array_equal(keys[:, None] == keys[None, :],
+                          (rows[:, None] == rows[None, :]).all(axis=2))
+
+
+@pytest.mark.parametrize("dtype,width", [(np.uint8, 9), (np.uint16, 5), (np.uint32, 3),
+                                         (np.uint16, 22)])
+def test_row_keys_of_wider_rows_stay_void(dtype, width):
+    rows = np.arange(4 * width, dtype=dtype).reshape(4, width)
+    keys = row_keys(rows)
+    assert keys.dtype == np.dtype((np.void, width * np.dtype(dtype).itemsize))
+    assert len(np.unique(keys)) == 4
