@@ -626,7 +626,10 @@ def design_from_text(text: str) -> Design:
                          line=lines[0][0] if lines else None)
     if not _DIGITS_AND_SPACE.fullmatch(header[1]):
         raise _not_an_integer(header[1], lines[0][0])
-    v = int(header[1])
+    try:
+        v = int(header[1])
+    except ValueError:
+        raise _past_int_limit(header[1], lines[0][0]) from None
     if v < 3:
         raise ParseError(f"a 2-design needs v >= 3, not {v}", line=lines[0][0])
     # one match over all block lines; only when it fails is the line sought
@@ -637,7 +640,10 @@ def design_from_text(text: str) -> Design:
     for no, ln in lines[1:]:
         if no == bad_line:
             raise _not_an_integer(ln, no)
-        block = [int(tok) - 1 for tok in ln.split()]
+        try:
+            block = [int(tok) - 1 for tok in ln.split()]
+        except ValueError:
+            raise _past_int_limit(ln, no) from None
         outside = next((x + 1 for x in block if not 0 <= x < v), None)
         if outside is not None:
             raise ParseError(f"point {outside} outside 1..{v}", line=no)
@@ -656,3 +662,9 @@ def _not_an_integer(text, line):
     """ParseError naming the first token of `text` that is not ASCII digits."""
     bad = next(tok for tok in text.split() if not (tok.isascii() and tok.isdigit()))
     return ParseError(f"not an integer: {bad!r}", line=line)
+
+
+def _past_int_limit(text, line):
+    """ParseError naming the longest token of `text`, a line of ASCII digits
+    that `int` refused: one token runs past its conversion limit."""
+    return ParseError(f"not an integer: {max(text.split(), key=len)!r}", line=line)
