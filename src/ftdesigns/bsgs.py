@@ -39,33 +39,28 @@ these pairs out cannot move the first failing pair, and the chain (base,
 strong generators in order, orbits and transversal rows) is the one that
 sifting every pair gives.
 
-Resumable verification.  Levels are verified bottom first.  A residue
-found at level i is installed below it and leaves level i's generators
-as they were, so level i keeps its orbit and transversal and resumes at
-the pair that failed, counted among the pairs off the tree: the earlier
-pairs sifted to the identity through a subgroup of the new lower group,
-and still do.  A level whose generators changed is rebuilt and verified
-from its first pair.  A level whose orbit is only its base point is
-complete at once: its Schreier generators are its generators, which
-`_install` has put on the level below.  A completed chain grows through
-the same loop: `generate_to_order` installs a new generator and completes
-the chain again, and a level whose generators did not change resumes
-past its last pair, as levels only grow.
+Verification.  Levels are verified bottom first, each from its first
+off-tree pair; a level is stale once generators are appended to it, and
+is rebuilt before it is verified.  A residue found at level i is
+installed below it, and level i is verified again once the levels below
+are complete: its earlier pairs sift to the identity through the larger
+lower group as they did before, so the first failing pair, and the
+chain, are those of sifting one pair at a time.  A level whose orbit is
+only its base point is complete at once: its Schreier generators are
+its generators, which `_install` has put on the level below.
 
 Known order.  A level's generators S_i generate a group containing
 those of every deeper level, which fix the earlier base points, so
-|<S_i>| >= |orbit_i| * |<S_i+1>| and the product of the orbit lengths is
-a lower bound on the group order at every step of the loop; a stale
-level counts with the orbit it holds, which its current generators can
-only extend, and an unbuilt level counts 1.  Given a proven upper bound,
-the loop stops once the product reaches it: then every inequality is an
-equality, so each stale orbit is the full orbit and each level's point
-stabilizer is the group of the next, and no Schreier generator that is
-left can fail.  Stale levels are rebuilt and every level is marked
-verified past its last pair, which is the chain, and the resume state,
-that full verification gives.  This is the known-order stop of random
-Schreier-Sims (Seress, 2003, section 4.3; Holt, Eick and O'Brien,
-Handbook of CGT, 2005, section 4.4) with nothing randomised.
+|<S_i>| >= |orbit_i| * |<S_i+1>|, and the product of the orbit lengths
+the levels hold (a stale orbit is part of its full orbit, an unbuilt
+level counts 1) is a lower bound on the group order at every step of
+the loop.  Given a proven upper bound, the loop stops once the product
+reaches it: then every inequality is an equality, so each stale orbit
+is the full orbit, no Schreier generator that is left can fail, and
+rebuilding the stale levels gives the chain full verification gives.
+This is the known-order stop of random Schreier-Sims (Seress, 2003,
+section 4.3; Holt, Eick and O'Brien, Handbook of CGT, 2005, section 4.4)
+with nothing randomised.
 
 Orbit-stabilizer.  `orbit_stabilizer` gives the stabilizer of a point,
 set or tuple as reduced Schreier generators, not as the sifted residues
@@ -97,22 +92,18 @@ class _Level:
     """One level of the chain: a base point, its strong generators, and
     its orbit with the transversal and inverse-transversal matrices."""
 
-    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "trans", "inv", "parent", "via",
-                 "_built", "_resume")
+    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "trans", "inv", "parent", "via")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
         self.gmat = self.orbit = self.rows = self.trans = self.inv = self.parent = self.via = None
-        self._built = -1   # len(gens) when the orbit was last built
-        self._resume = 0   # first off-tree pair not yet known to sift to the identity
 
     def rebuild(self, chain):
-        """Build the orbit, tree and matrices again if the generators
-        changed since the last build, and verify from the first pair."""
-        if self._built == len(self.gens):
+        """Build the orbit, tree and matrices again if generators were
+        appended since the last build; `gmat` holds the ones built from."""
+        if self.gmat is not None and len(self.gmat) == len(self.gens):
             return
-        self._built, self._resume = len(self.gens), 0
         self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
         self.gmat = image_matrix(self.gens, chain.degree)
         self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
@@ -248,16 +239,13 @@ def _complete(chain, order=None):
     """Holt-style verification loop: levels bottom first, back down after a
     failure.  With `order`, a proven upper bound on the group order, the
     loop stops once `chain.order()`, a lower bound on it, reaches the
-    bound: stale levels are rebuilt and every level is marked verified
-    past its last pair, as full verification would leave it."""
+    bound, and rebuilds the stale levels."""
     i = len(chain.levels) - 1
     while i >= 0:
         chain.levels[i].rebuild(chain)
         if order is not None and chain.order() == order:
             for lvl in chain.levels:
                 lvl.rebuild(chain)
-                if len(lvl.orbit) > 1:
-                    lvl._resume = len(lvl.schreier_pairs())
             return
         stuck = _verify_level(chain, i)
         i = i - 1 if stuck is None else stuck
@@ -266,8 +254,7 @@ def _complete(chain, order=None):
 def _verify_level(chain, i):
     """Sift the Schreier generators of level i, built from its current
     generators, through the lower chain, a batch of (orbit point,
-    generator) pairs off the Schreier tree at a time, from the pair where
-    the last verification of the level stopped.
+    generator) pairs off the Schreier tree at a time, from the first.
 
     On failure the residue of the first failing pair is installed as a
     new strong generator and the level index to re-verify from is
@@ -280,7 +267,7 @@ def _verify_level(chain, i):
     gmat, inv = lvl.gmat.reshape(-1), lvl.inv.reshape(-1)
     pairs = lvl.schreier_pairs()
     cap = _batch_rows(n)
-    start, step = lvl._resume, min(_FIRST_BATCH, cap)
+    start, step = 0, min(_FIRST_BATCH, cap)
     while start < len(pairs):
         xr, gi = np.divmod(pairs[start:start + step], k)
         ug = gmat.take(lvl.trans[xr] + (gi * n)[:, None])   # the rows u_x g
@@ -290,11 +277,9 @@ def _verify_level(chain, i):
         failed = (res != np.arange(n, dtype=chain.dtype)).any(axis=1)
         if failed.any():
             first = int(failed.argmax())
-            lvl._resume = start + first
             return _install(chain, Permutation._wrap(res[first].astype(np.int64)), i + 1)
         start += len(res)
         step = min(2 * step, cap)
-    lvl._resume = len(pairs)
     return None
 
 

@@ -41,6 +41,7 @@ PAIR_TABLE_SIZE = 1 << 22    # pair counters held at once by verify_2design
 PAIR_CHUNK_SIZE = 1 << 20    # pair codes counted by one bincount call
 TEXT_CHUNK_SIZE = 1 << 16    # block points formatted by one design_to_text step
 _DIGITS_AND_SPACE = re.compile(r"[0-9\s]*")   # a design text line of points
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,11 @@ class Design:
             odd = next((b for b in rows if len(b) != k), None)
             if odd is not None:
                 raise InputError(f"not k-uniform: block sizes {k} and {len(odd)}")
-            rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+            try:
+                rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+            except OverflowError:
+                big = next(x for b in rows for x in b if not _INT64.min <= x <= _INT64.max)
+                raise InputError(f"point {big} does not fit int64") from None
         rows = np.sort(rows, axis=1)
         if rows.shape[1]:
             rows = rows[np.lexsort(rows.T[::-1])]
@@ -636,7 +641,7 @@ def design_from_text(text: str) -> Design:
     bad_line = None
     if not _DIGITS_AND_SPACE.fullmatch(" ".join(ln for _, ln in lines[1:])):
         bad_line = next(no for no, ln in lines[1:] if not _DIGITS_AND_SPACE.fullmatch(ln))
-    blocks = []
+    blocks, top = [], min(v, _INT64.max + 1)   # points are held 0-indexed in int64
     for no, ln in lines[1:]:
         if no == bad_line:
             raise _not_an_integer(ln, no)
@@ -644,8 +649,10 @@ def design_from_text(text: str) -> Design:
             block = [int(tok) - 1 for tok in ln.split()]
         except ValueError:
             raise _past_int_limit(ln, no) from None
-        outside = next((x + 1 for x in block if not 0 <= x < v), None)
+        outside = next((x + 1 for x in block if not 0 <= x < top), None)
         if outside is not None:
+            if outside <= v:
+                raise ParseError(f"point {outside} does not fit int64", line=no)
             raise ParseError(f"point {outside} outside 1..{v}", line=no)
         if len(set(block)) != len(block):
             raise ParseError("a point is repeated in the block", line=no)

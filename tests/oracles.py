@@ -258,12 +258,6 @@ def chain_digest(chain):
     return digest.hexdigest()
 
 
-def chain_state(chain):
-    """`chain_digest` with each level's verification state: the number of
-    generators its orbit was built from and the pair it resumes at."""
-    return chain_digest(chain), [(lvl._built, lvl._resume) for lvl in chain.levels]
-
-
 def minimal_block_size(gens, degree, alpha, beta):
     """Size of the smallest block containing {alpha, beta}: join the pair,
     then the images under each generator of every joined pair, with a

@@ -16,7 +16,7 @@ from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
 from ftdesigns.pipeline import PROFILE_SOURCES, action_for
-from oracles import (all_pairs_is_primitive, canonical_hom, canonical_rep, chain_state,
+from oracles import (all_pairs_is_primitive, canonical_hom, canonical_rep, chain_digest,
                      coset_action_images)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
@@ -191,7 +191,7 @@ LABEL_DIGESTS = {
 }
 
 
-def test_label_digests_cover_every_coset_action_built():
+def test_label_digests_cover_every_profile_and_design_action():
     built = {source for source in PROFILE_SOURCES.values() if source[1] is not None}
     built |= {source for source, _ in _NAMED_DESIGNS.values() if source[1] is not None}
     assert set(LABEL_DIGESTS) == built
@@ -214,9 +214,9 @@ def test_a_bound_changes_no_coset_action_chain(monkeypatch, source):
     verify, levels = bsgs._verify_level, []
     monkeypatch.setattr(bsgs, "_verify_level",
                         lambda chain, i: levels.append(i) or verify(chain, i))
-    bounded = chain_state(act.chain)
+    bounded = chain_digest(act.chain)
     stopped = len(levels)
-    assert bounded == chain_state(bsgs_build(act.generators, act.degree))
+    assert bounded == chain_digest(bsgs_build(act.generators, act.degree))
     assert stopped < len(levels) - stopped
     assert act.order == G.order()
 

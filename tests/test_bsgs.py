@@ -12,7 +12,7 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
-from oracles import (assert_chain_matches, chain_digest, chain_state, element_closure, identity,
+from oracles import (assert_chain_matches, chain_digest, element_closure, identity,
                      rebuild_generate_to_order, scalar_bsgs_build, scalar_orbit_stabilizer,
                      scalar_orbits, scalar_row_orbit, scalar_sift)
 
@@ -307,15 +307,21 @@ CHAIN_DIGESTS = {
 }
 
 
+def _catalog_generating_sets(catalog):
+    """(name in CHAIN_DIGESTS, generators, degree) for every bundled group
+    and subgroup."""
+    for entry in catalog.values():
+        yield entry.name, entry.generators, entry.degree
+        for sub in entry.subgroups:
+            yield f"{entry.name}/{sub.name}#{sub.nr}", sub.generators, entry.degree
+
+
 def test_chains_match_their_pinned_digests(catalog, suzuki8):
     from ftdesigns.pipeline import PROFILE_SOURCES
 
     got = {"Sz(8)": chain_digest(suzuki8[0].chain)}
-    for entry in catalog.values():
-        got[entry.name] = chain_digest(bsgs_build(entry.generators, entry.degree))
-        for sub in entry.subgroups:
-            got[f"{entry.name}/{sub.name}#{sub.nr}"] = chain_digest(
-                bsgs_build(sub.generators, entry.degree))
+    for name, gens, degree in _catalog_generating_sets(catalog):
+        got[name] = chain_digest(bsgs_build(gens, degree))
     for group, name, nr in PROFILE_SOURCES.values():
         if name is not None:
             entry = catalog[group]
@@ -328,13 +334,23 @@ def test_chains_match_their_pinned_digests(catalog, suzuki8):
 def test_a_bound_leaves_every_catalog_chain_as_pinned(catalog):
     # the bound is reached with stale levels here (five of them for HS:2),
     # which the stop rebuilds as full verification would
-    for entry in catalog.values():
-        for name, gens in [(entry.name, entry.generators)] + [
-                (f"{entry.name}/{sub.name}#{sub.nr}", sub.generators) for sub in entry.subgroups]:
-            full = bsgs_build(gens, entry.degree)
-            bounded = bsgs_build(gens, entry.degree, order=full.order())
-            assert chain_state(bounded) == chain_state(full), name
-            assert chain_digest(bounded) == CHAIN_DIGESTS[name], name
+    for name, gens, degree in _catalog_generating_sets(catalog):
+        full = bsgs_build(gens, degree)
+        bounded = bsgs_build(gens, degree, order=full.order())
+        assert chain_digest(bounded) == chain_digest(full) == CHAIN_DIGESTS[name], name
+
+
+def test_completing_a_complete_chain_changes_nothing(monkeypatch, catalog):
+    # every level is verified again from its first pair, and none fails
+    install, installed = bsgs._install, []
+    monkeypatch.setattr(bsgs, "_install",
+                        lambda chain, g, j: installed.append(g) or install(chain, g, j))
+    for name, gens, degree in _catalog_generating_sets(catalog):
+        chain = bsgs_build(gens, degree)
+        installed.clear()
+        bsgs._complete(chain)
+        assert installed == [], name
+        assert chain_digest(chain) == CHAIN_DIGESTS[name], name
 
 
 def test_a_bound_only_stops_never_decides():
@@ -346,7 +362,7 @@ def test_a_bound_only_stops_never_decides():
     act = coset_action(bsgs_build(S4), d8)
     assert (act.degree, act._bound) == (3, 24)
     assert act.order == 6
-    assert chain_state(act.chain) == chain_state(bsgs_build(act.generators, 3))
+    assert chain_digest(act.chain) == chain_digest(bsgs_build(act.generators, 3))
 
 
 @pytest.mark.parametrize("group", ["M11", "M24", "J1", "HS"])
@@ -365,7 +381,7 @@ def test_a_bound_changes_no_stabilizer_chain(monkeypatch, group):
     [(kwargs, hinted)] = calls
     assert kwargs == {"base_hint": [point], "order": chain.order()}
     full = build(chain.strong_generators(), chain.degree, base_hint=[point])
-    assert chain_state(hinted) == chain_state(full)
+    assert chain_digest(hinted) == chain_digest(full)
     assert gens == list(full.levels[1].gens)
 
 
@@ -451,7 +467,7 @@ def test_a_bound_at_or_above_the_order_changes_no_chain(case, m):
     gens, degree, hint, _ = case
     full = bsgs_build(gens, degree, base_hint=hint)
     bounded = bsgs_build(gens, degree, base_hint=hint, order=m * full.order())
-    assert chain_state(bounded) == chain_state(full)
+    assert chain_digest(bounded) == chain_digest(full)
 
 
 def test_element_at_enumerates_group():

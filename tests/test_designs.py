@@ -4,7 +4,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ftdesigns import designs
 from ftdesigns.actions import GroupAction
@@ -429,16 +429,35 @@ def test_design_text_past_the_uint8_range():
     assert design_to_text(Design(256, [(0, 254, 255)])) == "v 256\n1 255 256\n"
 
 
+def test_design_text_across_chunk_boundaries(monkeypatch, m22_design, hs_design):
+    # no bundled design reaches TEXT_CHUNK_SIZE points, so shrink it: every
+    # block of M22 and HS then ends a chunk
+    texts = [design_to_text(d) for d in (m22_design, hs_design)]
+    monkeypatch.setattr(designs, "TEXT_CHUNK_SIZE", 7)
+    for design, text in zip((m22_design, hs_design), texts):
+        assert design_to_text(design) == text
+        again = design_from_text(text)
+        assert again.v == design.v and np.array_equal(again.blocks, design.blocks)
+
+
+def test_design_rejects_a_point_past_int64():
+    for point in (2**63, 2**64 + 1, -2**63 - 1):
+        with pytest.raises(InputError, match=f"point {point} does not fit int64"):
+            Design(5, [(0, 1, 2), (1, 2, point)])
+
+
 # Tokens of the design format, so that fuzzed text reaches past the
-# `v` line; integers stay small except one too long to convert.
+# `v` line; integers stay small except one past int64 and one too long
+# to convert.
 _DESIGN_TOKENS = st.sampled_from(["v", "V", "0", "1", "2", "3", "5", "12", "-1",
-                                  "+4", "1.5", "x", "9" * 5000, ""])
+                                  "+4", "1.5", "x", str(2**64 + 1), "9" * 5000, ""])
 _DESIGN_LINES = st.lists(_DESIGN_TOKENS, max_size=6).map(" ".join)
 _DESIGN_TEXTS = st.one_of(st.text(), st.lists(_DESIGN_LINES, max_size=10).map("\n".join))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_DESIGN_TEXTS)
+@example("v 18446744073709551617\n1 2 18446744073709551617\n2 3 4\n")
 def test_design_parser_raises_only_parse_or_input_errors(text):
     try:
         design_from_text(text)
