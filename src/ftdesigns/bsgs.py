@@ -5,31 +5,35 @@ randomization anywhere, so identical generator lists always produce
 identical chains.
 
 Storage.  A level keeps its orbit as an index array in `row_orbit`
-order, an intp point -> row lookup into it (-1 off the orbit), and its
-transversal as one (|orbit|, degree) matrix in the narrowest unsigned
-dtype that holds the points (`perm.point_dtype`): row r maps the base
-point to orbit[r], and row 0 is the identity.  The matrix of inverse rows
-sits beside it, because sifting multiplies by u^-1, and so does its
-generators' `image_matrix`.  Gathers from these matrices are flat, at
-r * degree + p of the raveled matrix for entry p of row r: one `take` is
-two to three times faster than 2-D broadcast indexing at degree 1540, and
-the lookup is intp so that r * degree cannot overflow.  A level also keeps
-the breadth-first Schreier tree of its orbit, `parent` and `via` from
-`bfs_tree`: row r is reached from row parent[r] by generator via[r], and
-u_r is the product of the generators on the tree path from the root, the
-root's first; both matrices are filled along the tree.
-Every level holds these same arrays, one whose orbit is only its base
-point too: one identity row in each matrix, a lookup that is -1 but at
-the base point, and a tree of the root alone.
+order, an intp point -> row lookup into it (-1 off the orbit), its
+generators' `image_matrix`, and one (|orbit|, degree) matrix in the
+narrowest unsigned dtype that holds the points (`perm.point_dtype`): the
+inverse transversal, whose row r is u_r^-1 for the element u_r that maps
+the base point to orbit[r]; row 0 is the identity.  Sifting multiplies
+only by inverse rows.  A forward row is one scatter away,
+u_r[u_r^-1[q]] = q (`inverse_rows`), and is formed only where it is
+read, by `element_at` and the coset canonicaliser of `actions`.  Gathers
+from these matrices are flat, at r * degree + p of the raveled matrix
+for entry p of row r: one `take` is two to three times faster than 2-D
+broadcast indexing at degree 1540, and the lookup is intp so that
+r * degree cannot overflow.  A level also keeps the breadth-first
+Schreier tree of its orbit, `parent` and `via` from `bfs_tree`: row r is
+reached from row parent[r] by generator via[r], and u_r is the product
+of the generators on the tree path from the root, the root's first; the
+inverse matrix is filled along the tree.  Every level holds these same
+arrays, one whose orbit is only its base point too: one identity row, a
+lookup that is -1 but at the base point, and a tree of the root alone.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
-as rows, by flat gathers, for a batch of (x, g) pairs in x-major order, and
-the whole batch is sifted through the lower levels, one level at a time.
-The first pair whose residue is not the identity gives the next strong
-generator, so the chain is the one that sifting one pair at a time
-gives.  A batch holds at most `_BATCH_ENTRIES` image entries; it starts
-at 32 rows (`_FIRST_BATCH`) and doubles: few batches for a complete
-level, little waste past a pair that fails early.
+as rows for a batch of (x, g) pairs in x-major order, u_x g by one flat
+scatter of g through the rows u_x^-1 and the product by one flat gather
+from the rows u_{xg}^-1, and the whole batch is sifted through the lower
+levels, one level at a time.  The first pair whose residue is not the
+identity gives the next strong generator, so the chain is the one that
+sifting one pair at a time gives.  A batch holds at most
+`_BATCH_ENTRIES` image entries; it starts at 32 rows (`_FIRST_BATCH`)
+and doubles: few batches for a complete level, little waste past a pair
+that fails early.
 
 Tree edges.  The |orbit| - 1 pairs (parent[y], via[y]) are never formed:
 there u_x g is u_y by the construction of the transversal, so their
@@ -77,8 +81,9 @@ from .errors import InputError, ResourceLimitError
 from .perm import Permutation, point_dtype, row_keys
 
 __all__ = ["StabilizerChain", "bfs_tree", "bsgs_build", "contains", "generate_to_order",
-           "image_matrix", "orbit", "orbit_stabilizer", "orbit_transversal", "orbits",
-           "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products", "tree_word"]
+           "image_matrix", "inverse_rows", "orbit", "orbit_stabilizer", "orbit_transversal",
+           "orbits", "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products",
+           "tree_word"]
 
 # image entries per batch: bounds every (rows, width) temporary
 _BATCH_ENTRIES = 1 << 18
@@ -90,24 +95,27 @@ _TRANSVERSAL_ENTRIES = 1 << 24
 
 class _Level:
     """One level of the chain: a base point, its strong generators, and
-    its orbit with the transversal and inverse-transversal matrices."""
+    its orbit with the Schreier tree and the inverse-transversal matrix."""
 
-    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "trans", "inv", "parent", "via")
+    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "inv", "parent", "via")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
-        self.gmat = self.orbit = self.rows = self.trans = self.inv = self.parent = self.via = None
+        self.gmat = self.orbit = self.rows = self.inv = self.parent = self.via = None
 
     def rebuild(self, chain):
-        """Build the orbit, tree and matrices again if generators were
+        """Build the orbit, tree and inverse matrix again if generators were
         appended since the last build; `gmat` holds the ones built from."""
         if self.gmat is not None and len(self.gmat) == len(self.gens):
             return
-        self.orbit = self.rows = self.trans = self.inv = None  # free the old matrices first
+        self.orbit = self.rows = self.inv = None  # free the old matrix first
         self.gmat = image_matrix(self.gens, chain.degree)
-        self.orbit, self.rows, self.trans, (self.parent, self.via) = _orbit_tree(
-            self.gmat, self.point)
+        orb, action = row_orbit(self.gmat, [self.point])
+        self.orbit = orb[:, 0].astype(np.intp)
+        self.rows = np.full(chain.degree, -1, dtype=np.intp)
+        self.rows[self.orbit] = np.arange(len(self.orbit))
+        self.parent, self.via = bfs_tree(action)
         self.inv = _tree_inverses(self.gmat, self.parent, self.via)
 
     def schreier_pairs(self):
@@ -172,7 +180,7 @@ class StabilizerChain:
         g = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             index, r = divmod(index, len(lvl.orbit))
-            g = lvl.trans[r][g]
+            g = inverse_rows(lvl.inv[r:r + 1])[0][g]
         return Permutation._wrap(g.astype(np.int64))
 
 
@@ -264,13 +272,18 @@ def _verify_level(chain, i):
     if len(lvl.orbit) == 1:
         return None
     k, n = len(lvl.gens), chain.degree
-    gmat, inv = lvl.gmat.reshape(-1), lvl.inv.reshape(-1)
+    inv = lvl.inv.reshape(-1)
     pairs = lvl.schreier_pairs()
     cap = _batch_rows(n)
     start, step = 0, min(_FIRST_BATCH, cap)
     while start < len(pairs):
         xr, gi = np.divmod(pairs[start:start + step], k)
-        ug = gmat.take(lvl.trans[xr] + (gi * n)[:, None])   # the rows u_x g
+        # the rows u_x g by one scatter, (u_x g)[u_x^-1[q]] = g[q]; the intp
+        # index is the batch's largest temporary, so it is made first and freed
+        at = lvl.inv[xr] + (np.arange(len(xr)) * n)[:, None]
+        ug = np.empty((len(xr), n), dtype=chain.dtype)
+        ug.reshape(-1)[at] = lvl.gmat[gi]
+        del at
         # row m is u_x g u_y^-1 for the pair (x, g), y = xg the image of the base point
         res = inv.take(ug + (lvl.rows[ug[:, lvl.point]] * n)[:, None])
         _strip(chain.levels, i + 1, res)    # a row that stops there moves a base point
@@ -452,18 +465,12 @@ def orbit_transversal(gens, point, degree):
     in it (-1 off the orbit), and the (|orbit|, degree) transversal matrix
     in `point_dtype(degree)`: row r maps point to orbit[r], and is its
     parent's row in `bfs_tree` followed by the generator reaching it."""
-    return _orbit_tree(image_matrix(gens, degree), point)[:3]
-
-
-def _orbit_tree(images, point):
-    """`orbit_transversal` from the generators' `image_matrix`, and the
-    `bfs_tree` its rows were built along."""
+    images = image_matrix(gens, degree)
     orb, action = row_orbit(images, [point])
     orb = orb[:, 0].astype(np.intp)
-    rows = np.full(images.shape[1], -1, dtype=np.intp)
+    rows = np.full(degree, -1, dtype=np.intp)
     rows[orb] = np.arange(len(orb))
-    parent, via = bfs_tree(action)
-    return orb, rows, tree_products(images, parent, via), (parent, via)
+    return orb, rows, tree_products(images, *bfs_tree(action))
 
 
 def _tree_layers(parent, degree):
@@ -490,13 +497,25 @@ def tree_products(images, parent, via):
 def _tree_inverses(images, parent, via):
     """The inverses of the `tree_products` along a `bfs_tree`: row r, u_r^-1,
     is g^-1 for g = via[r] followed by row parent[r]."""
-    degree, ginv = images.shape[1], np.empty_like(images)
-    ginv.reshape(-1)[images + np.arange(0, images.size, degree)[:, None]] = np.arange(degree)
+    degree, ginv = images.shape[1], inverse_rows(images)
     inv = np.empty((len(parent), degree), dtype=images.dtype)
     inv[0], flat = np.arange(degree), inv.reshape(-1)
     for lo, hi in _tree_layers(parent, degree):
         inv[lo:hi] = flat.take(ginv[via[lo:hi]] + (parent[lo:hi] * degree)[:, None])
     return inv
+
+
+def inverse_rows(matrix):
+    """The inverse of each row of a (rows, degree) matrix of permutations,
+    in its dtype: row r of the result maps matrix[r, p] to p.  One flat
+    scatter per batch of at most `_batch_rows` rows."""
+    degree = matrix.shape[1]
+    out, step = np.empty_like(matrix), _batch_rows(degree)
+    flat, points = out.reshape(-1), np.arange(degree)
+    for lo in range(0, len(matrix), step):
+        block = matrix[lo:lo + step]
+        flat[block + np.arange(lo * degree, (lo + len(block)) * degree, degree)[:, None]] = points
+    return out
 
 
 def generate_to_order(candidates, degree, order):

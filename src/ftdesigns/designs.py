@@ -83,6 +83,8 @@ class Design:
     blocks: np.ndarray
 
     def __post_init__(self):
+        if self.v - 1 > _INT64.max:
+            raise InputError(f"point {self.v - 1} does not fit int64")
         rows = self.blocks
         if not isinstance(rows, np.ndarray):
             rows = sorted(tuple(sorted(b)) for b in rows)
@@ -637,11 +639,13 @@ def design_from_text(text: str) -> Design:
         raise _past_int_limit(header[1], lines[0][0]) from None
     if v < 3:
         raise ParseError(f"a 2-design needs v >= 3, not {v}", line=lines[0][0])
+    if v - 1 > _INT64.max:   # points are held 0-indexed in int64
+        raise ParseError(f"point {v} does not fit int64", line=lines[0][0])
     # one match over all block lines; only when it fails is the line sought
     bad_line = None
     if not _DIGITS_AND_SPACE.fullmatch(" ".join(ln for _, ln in lines[1:])):
         bad_line = next(no for no, ln in lines[1:] if not _DIGITS_AND_SPACE.fullmatch(ln))
-    blocks, top = [], min(v, _INT64.max + 1)   # points are held 0-indexed in int64
+    blocks = []
     for no, ln in lines[1:]:
         if no == bad_line:
             raise _not_an_integer(ln, no)
@@ -649,10 +653,8 @@ def design_from_text(text: str) -> Design:
             block = [int(tok) - 1 for tok in ln.split()]
         except ValueError:
             raise _past_int_limit(ln, no) from None
-        outside = next((x + 1 for x in block if not 0 <= x < top), None)
+        outside = next((x + 1 for x in block if not 0 <= x < v), None)
         if outside is not None:
-            if outside <= v:
-                raise ParseError(f"point {outside} does not fit int64", line=no)
             raise ParseError(f"point {outside} outside 1..{v}", line=no)
         if len(set(block)) != len(block):
             raise ParseError("a point is repeated in the block", line=no)

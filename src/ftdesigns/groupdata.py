@@ -39,7 +39,7 @@ from .errors import InputError, ParseError, ResourceLimitError
 from .perm import Permutation, parse_cycles
 
 # largest catalog degree: a chain level of a transitive group holds a
-# (degree, degree) transversal matrix and its inverse, 400 MB at this bound
+# (degree, degree) inverse transversal matrix, 200 MB at this bound
 CATALOG_DEGREE_LIMIT = 10_000
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ftdesigns.bsgs import bsgs_build, image_matrix, tree_products
+from ftdesigns.bsgs import bsgs_build, image_matrix, inverse_rows, tree_products
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, format_cycles, inverse
 
@@ -228,30 +228,32 @@ def rebuild_generate_to_order(candidates, degree, order):
 
 def assert_chain_matches(chain, levels):
     """The chain has the scalar levels' base, strong generators in order,
-    orbits in order, and transversal rows; each inverse row undoes its
-    transversal row, and the Schreier tree's products are the transversal."""
+    orbits in order, and transversal rows, the products along its Schreier
+    tree; each inverse row undoes its transversal row."""
     assert chain.base == [lvl.point for lvl in levels]
     points = np.arange(chain.degree)
     for got, want in zip(chain.levels, levels):
         assert got.gens == want.gens, got.point
         assert got.orbit.tolist() == want.orbit, got.point
-        assert got.trans.shape == got.inv.shape == (len(want.orbit), chain.degree), got.point
-        for row, inv, x in zip(got.trans, got.inv, want.orbit):
-            assert np.array_equal(row, want.transversal[x].images), (got.point, x)
-            assert np.array_equal(inv[row], points), (got.point, x)
         gmat = image_matrix(got.gens, chain.degree)
         assert np.array_equal(got.gmat, gmat), got.point
-        assert np.array_equal(tree_products(gmat, got.parent, got.via), got.trans), got.point
+        trans = tree_products(gmat, got.parent, got.via)
+        assert trans.shape == got.inv.shape == (len(want.orbit), chain.degree), got.point
+        for row, inv, x in zip(trans, got.inv, want.orbit):
+            assert np.array_equal(row, want.transversal[x].images), (got.point, x)
+            assert np.array_equal(inv[row], points), (got.point, x)
 
 
 def chain_digest(chain):
     """sha256 of a chain's base and, level by level, of its strong
-    generators, orbit, transversal and inverse matrices and Schreier tree
-    (`parent`, `via`), each with its dtype and shape."""
+    generators, orbit, transversal (the `tree_products` along its Schreier
+    tree) and inverse matrices and the tree (`parent`, `via`), each with its
+    dtype and shape."""
     digest = hashlib.sha256(np.asarray(chain.base, dtype=np.int64).tobytes())
     for lvl in chain.levels:
         gens = np.array([g.images for g in lvl.gens], dtype=np.int64)
-        for a in (gens, lvl.orbit, lvl.trans, lvl.inv, lvl.parent, lvl.via):
+        trans = tree_products(image_matrix(lvl.gens, chain.degree), lvl.parent, lvl.via)
+        for a in (gens, lvl.orbit, trans, lvl.inv, lvl.parent, lvl.via):
             a = np.ascontiguousarray(a)
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())
@@ -306,7 +308,7 @@ def canonical_rep(hchain, images):
             continue
         orbit = lvl.orbit.tolist()
         r = min(range(len(orbit)), key=lambda r: u[orbit[r]])
-        u = u[lvl.trans[r]]
+        u = u[inverse_rows(lvl.inv[r:r + 1])[0]]
     return u
 
 

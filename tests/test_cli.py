@@ -145,10 +145,14 @@ def test_design_verify_names_points_as_the_file_does(tmp_path, capsys, text, mes
     ("v +4\n1 2 3\n", "error: line 1: not an integer: '+4'\n"),
     ("v 40\n1 2 3_0\n", "error: line 2: not an integer: '3_0'\n"),
     ("v 5\n1 2 \u0663\n", "error: line 2: not an integer: '\u0663'\n"),
+    # points are held 0-indexed in int64, so v - 1 must fit: the `v` line is
+    # the first bad line, whatever the blocks hold
     ("v 18446744073709551617\n1 2 18446744073709551617\n2 3 4\n",
-     "error: line 2: point 18446744073709551617 does not fit int64\n"),
+     "error: line 1: point 18446744073709551617 does not fit int64\n"),
+    ("v 18446744073709551617\n1 2 3\n2 3 4\n",
+     "error: line 1: point 18446744073709551617 does not fit int64\n"),
 ], ids=["token", "range", "header", "repeat", "small-v", "no-blocks", "mixed", "sign",
-        "header-sign", "underscore", "non-ascii-digit", "past-int64"])
+        "header-sign", "underscore", "non-ascii-digit", "past-int64", "v-past-int64"])
 def test_design_verify_malformed_file(tmp_path, capsys, text, message):
     bad = tmp_path / "malformed.design"
     bad.write_text(text)

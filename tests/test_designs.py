@@ -446,6 +446,14 @@ def test_design_rejects_a_point_past_int64():
             Design(5, [(0, 1, 2), (1, 2, point)])
 
 
+def test_design_rejects_a_point_count_past_int64():
+    # the last point, v - 1, must fit int64 even when no block reaches it
+    for v in (2**63 + 1, 2**65):
+        with pytest.raises(InputError, match=f"point {v - 1} does not fit int64"):
+            Design(v, [(0, 1, 2**63 - 1)])
+    assert Design(2**63, [(0, 1, 2**63 - 1)]).blocks.dtype == np.uint64
+
+
 # Tokens of the design format, so that fuzzed text reaches past the
 # `v` line; integers stay small except one past int64 and one too long
 # to convert.
