@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, inverse_rows, orbit,
-                   orbits, row_orbit, sorted_lookup, stabilizer_gens, tree_word)
+from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, orbit, orbits, row_orbit,
+                   sorted_lookup, stabilizer_gens, tree_products, tree_word)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
@@ -104,14 +104,14 @@ class _Canonicaliser:
     A row u stands for the coset H*u.  At each level of a chain of H, in
     any base, with an orbit longer than 1, the orbit point x with the
     least u[x] is picked and the representative becomes u[t_x], t_x the
-    transversal row carrying the base point to x, the inverse of the
-    level's stored row (Holt, Eick and O'Brien, Handbook of CGT, 2005,
-    ch. 4).  The representative is never formed: after picks t_1..t_j, u
-    is read through t_j..t_1, so level j costs j*|orbit| gathers per row,
-    not the degree."""
+    transversal row carrying the base point to x, formed along the
+    level's Schreier tree (`tree_products`; Holt, Eick and O'Brien,
+    Handbook of CGT, 2005, ch. 4).  The representative is never formed:
+    after picks t_1..t_j, u is read through t_j..t_1, so level j costs
+    j*|orbit| gathers per row, not the degree."""
 
     def __init__(self, hchain):
-        self.levels = [(lvl.orbit, inverse_rows(lvl.inv))
+        self.levels = [(lvl.orbit, tree_products(lvl.gmat, lvl.parent, lvl.via))
                        for lvl in hchain.levels if len(lvl.orbit) > 1]
 
     def images_at(self, rows, points):

@@ -4,25 +4,30 @@ The construction is the deterministic Schreier-Sims algorithm: no
 randomization anywhere, so identical generator lists always produce
 identical chains.
 
-Storage.  A level keeps its orbit as an index array in `row_orbit`
-order, an intp point -> row lookup into it (-1 off the orbit), its
-generators' `image_matrix`, and one (|orbit|, degree) matrix in the
-narrowest unsigned dtype that holds the points (`perm.point_dtype`): the
-inverse transversal, whose row r is u_r^-1 for the element u_r that maps
-the base point to orbit[r]; row 0 is the identity.  Sifting multiplies
-only by inverse rows.  A forward row is one scatter away,
-u_r[u_r^-1[q]] = q (`inverse_rows`), and is formed only where it is
-read, by `element_at` and the coset canonicaliser of `actions`.  Gathers
-from these matrices are flat, at r * degree + p of the raveled matrix
-for entry p of row r: one `take` is two to three times faster than 2-D
-broadcast indexing at degree 1540, and the lookup is intp so that
-r * degree cannot overflow.  A level also keeps the breadth-first
+Storage.  A completed level keeps its orbit as an index array in
+`row_orbit` order, an intp point -> row lookup into it (-1 off the
+orbit), its generators' `image_matrix` in the narrowest unsigned dtype
+that holds the points (`perm.point_dtype`), and the breadth-first
 Schreier tree of its orbit, `parent` and `via` from `bfs_tree`: row r is
-reached from row parent[r] by generator via[r], and u_r is the product
-of the generators on the tree path from the root, the root's first; the
-inverse matrix is filled along the tree.  Every level holds these same
-arrays, one whose orbit is only its base point too: one identity row, a
+reached from row parent[r] by generator via[r], and u_r, the element
+that maps the base point to orbit[r], is the product of the generators
+on the tree path from the root, the root's first (a Schreier vector:
+Seress, Permutation Group Algorithms, 2003, section 4.1).  Every level
+holds these same arrays, one whose orbit is only its base point too: a
 lookup that is -1 but at the base point, and a tree of the root alone.
+A single element is sifted along the tree, u_r^-1 = g^-1 u_parent^-1 for
+g = via[r], one generator row at a time; `element_at` and the coset
+canonicaliser of `actions` form u_r from the tree.
+
+While `_complete` runs, each level also holds the dense inverse
+transversal, the (|orbit|, degree) matrix whose row r is u_r^-1 (row 0
+the identity), filled along the tree; it is dropped before `_complete`
+returns, and formed again when a completed chain is completed anew.
+Sifting a batch multiplies only by inverse rows.  Gathers from these
+matrices are flat, at r * degree + p of the raveled matrix for entry p
+of row r: one `take` is two to three times faster than 2-D broadcast
+indexing at degree 1540, and the lookup is intp so that r * degree
+cannot overflow.
 
 Batching.  The Schreier generators u_x g u_{xg}^-1 of a level are formed
 as rows for a batch of (x, g) pairs in x-major order, u_x g by one flat
@@ -30,10 +35,13 @@ scatter of g through the rows u_x^-1 and the product by one flat gather
 from the rows u_{xg}^-1, and the whole batch is sifted through the lower
 levels, one level at a time.  The first pair whose residue is not the
 identity gives the next strong generator, so the chain is the one that
-sifting one pair at a time gives.  A batch holds at most
-`_BATCH_ENTRIES` image entries; it starts at 32 rows (`_FIRST_BATCH`)
-and doubles: few batches for a complete level, little waste past a pair
-that fails early.
+sifting one pair at a time gives.  A batch holds at most `_batch_rows`
+rows, so that the intp index it scatters or gathers through, its
+largest temporary at 8 bytes an entry, holds at most `_BATCH_ENTRIES` / 4
+entries (512 KiB).  A level's first batch has 32 rows (`_FIRST_BATCH`), and each next batch
+doubles: few batches for a complete level, little waste past a pair
+that fails early.  The tree products and inverses, and `inverse_rows`,
+are formed in batches of the same size.
 
 Tree edges.  The |orbit| - 1 pairs (parent[y], via[y]) are never formed:
 there u_x g is u_y by the construction of the transversal, so their
@@ -85,7 +93,8 @@ __all__ = ["StabilizerChain", "bfs_tree", "bsgs_build", "contains", "generate_to
            "orbits", "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products",
            "tree_word"]
 
-# image entries per batch: bounds every (rows, width) temporary
+# image entries per batch: bounds every (rows, width) temporary, and a
+# quarter of it the intp index a chain batch gathers through
 _BATCH_ENTRIES = 1 << 18
 # rows in a level's first batch of Schreier generators, doubled after each batch
 _FIRST_BATCH = 32
@@ -95,7 +104,8 @@ _TRANSVERSAL_ENTRIES = 1 << 24
 
 class _Level:
     """One level of the chain: a base point, its strong generators, and
-    its orbit with the Schreier tree and the inverse-transversal matrix."""
+    its orbit with the Schreier tree; while `_complete` runs, also the
+    inverse-transversal matrix `inv` (None once it returns)."""
 
     __slots__ = ("point", "gens", "gmat", "orbit", "rows", "inv", "parent", "via")
 
@@ -105,18 +115,19 @@ class _Level:
         self.gmat = self.orbit = self.rows = self.inv = self.parent = self.via = None
 
     def rebuild(self, chain):
-        """Build the orbit, tree and inverse matrix again if generators were
-        appended since the last build; `gmat` holds the ones built from."""
-        if self.gmat is not None and len(self.gmat) == len(self.gens):
-            return
-        self.orbit = self.rows = self.inv = None  # free the old matrix first
-        self.gmat = image_matrix(self.gens, chain.degree)
-        orb, action = row_orbit(self.gmat, [self.point])
-        self.orbit = orb[:, 0].astype(np.intp)
-        self.rows = np.full(chain.degree, -1, dtype=np.intp)
-        self.rows[self.orbit] = np.arange(len(self.orbit))
-        self.parent, self.via = bfs_tree(action)
-        self.inv = _tree_inverses(self.gmat, self.parent, self.via)
+        """Build the orbit and tree again if generators were appended since
+        the last build (`gmat` holds the ones built from), and the inverse
+        matrix if the level holds none."""
+        if self.gmat is None or len(self.gmat) != len(self.gens):
+            self.orbit = self.rows = self.inv = None  # free the old matrix first
+            self.gmat = image_matrix(self.gens, chain.degree)
+            orb, action = row_orbit(self.gmat, [self.point])
+            self.orbit = orb[:, 0].astype(np.intp)
+            self.rows = np.full(chain.degree, -1, dtype=np.intp)
+            self.rows[self.orbit] = np.arange(len(self.orbit))
+            self.parent, self.via = bfs_tree(action)
+        if self.inv is None:
+            self.inv = _tree_inverses(self.gmat, self.parent, self.via)
 
     def schreier_pairs(self):
         """The (x, g) pairs whose Schreier generators are sifted, as indices
@@ -161,11 +172,22 @@ class StabilizerChain:
         return out
 
     def __contains__(self, p):
+        """Membership by sifting p along each level's Schreier tree: the
+        residue p u_r^-1, for the row r of its image of the base point, is
+        gathered through the inverse generators on the path back to the
+        root, u_r^-1 = g^-1 u_parent^-1 for g = via[r]."""
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
-        res = p.images.astype(self.dtype)[None]
-        _strip(self.levels, 0, res)
-        return bool((res[0] == np.arange(self.degree)).all())
+        res = p.images.astype(np.intp, copy=False)   # an intp index gathers with no cast
+        for lvl in self.levels:
+            r = lvl.rows[res[lvl.point]]
+            if r < 0:
+                return False
+            if r:
+                ginv = inverse_rows(lvl.gmat.astype(np.intp))
+            while r > 0:
+                res, r = ginv[lvl.via[r]][res], lvl.parent[r]
+        return bool((res == np.arange(self.degree)).all())
 
     def element_at(self, index: int) -> Permutation:
         """The index-th element in the mixed-radix enumeration by transversals.
@@ -180,12 +202,15 @@ class StabilizerChain:
         g = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             index, r = divmod(index, len(lvl.orbit))
-            g = inverse_rows(lvl.inv[r:r + 1])[0][g]
-        return Permutation._wrap(g.astype(np.int64))
+            gens = lvl.gmat.astype(np.int64)                 # an int64 index gathers with no cast
+            for s in tree_word(lvl.parent, lvl.via, r):      # g becomes u_r[g]
+                g = gens[s][g]
+        return Permutation._wrap(g)
 
 
 def _batch_rows(degree):
-    return max(1, _BATCH_ENTRIES // max(1, degree))
+    """Rows per batch: their intp index holds at most `_BATCH_ENTRIES` / 4 entries."""
+    return max(1, _BATCH_ENTRIES // (4 * max(1, degree)))
 
 
 def bsgs_build(gens, degree=None, base_hint=None, order=None) -> StabilizerChain:
@@ -247,16 +272,19 @@ def _complete(chain, order=None):
     """Holt-style verification loop: levels bottom first, back down after a
     failure.  With `order`, a proven upper bound on the group order, the
     loop stops once `chain.order()`, a lower bound on it, reaches the
-    bound, and rebuilds the stale levels."""
+    bound, and rebuilds the stale levels.  Every level's inverse matrix
+    is dropped on return."""
     i = len(chain.levels) - 1
     while i >= 0:
         chain.levels[i].rebuild(chain)
         if order is not None and chain.order() == order:
             for lvl in chain.levels:
                 lvl.rebuild(chain)
-            return
+            break
         stuck = _verify_level(chain, i)
         i = i - 1 if stuck is None else stuck
+    for lvl in chain.levels:
+        lvl.inv = None
 
 
 def _verify_level(chain, i):

@@ -38,8 +38,9 @@ from .bsgs import StabilizerChain, bsgs_build, contains
 from .errors import InputError, ParseError, ResourceLimitError
 from .perm import Permutation, parse_cycles
 
-# largest catalog degree: a chain level of a transitive group holds a
-# (degree, degree) inverse transversal matrix, 200 MB at this bound
+# largest catalog degree: while a chain is built, a level of a transitive
+# group holds a (degree, degree) inverse transversal matrix, 200 MB at
+# this bound; the completed chain keeps only its Schreier trees
 CATALOG_DEGREE_LIMIT = 10_000
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_RE = re.compile(r"\s*(?:\((?:\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*|\s*)\)\s*)*")
 
 
 class Permutation:
@@ -158,37 +158,40 @@ def power(p: Permutation, k: int) -> Permutation:
     return Permutation._wrap(result)
 
 
-def from_cycles(cycles, degree):
-    """Build a permutation from 0-indexed cycles."""
-    images = np.arange(degree, dtype=np.int64)
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:]):
-            images[a] = b
-        if cyc:
-            images[cyc[-1]] = cyc[0]
-    return Permutation(images)
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-indexed cycle notation like ``(1,2,3)(4,5)`` or ``()``.  A
     point is ASCII digits; whitespace may stand between cycles and around
-    a point, not inside one."""
-    if not re.fullmatch(r"\s*(\((\s*[0-9]+\s*(,\s*[0-9]+\s*)*|\s*)\)\s*)*", text):
+    a point, not inside one.  Once the text is accepted, all its points
+    are read by one numpy call, a point past int64 as int64's largest (C's
+    `strtoll` saturates), and checked as one array; only text that fails
+    is checked a cycle at a time, for the message of the first failure."""
+    if not _CYCLES_RE.fullmatch(text):
         raise InputError(f"malformed cycle notation: {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(text):
-        if not body.strip():
-            continue
-        pts = [int(tok) - 1 for tok in body.split(",")]
-        if any(p < 0 or p >= degree for p in pts):
-            raise InputError(f"cycle point out of range 1..{degree}: {text!r}")
-        if len(set(pts)) != len(pts):
-            raise InputError(f"repeated point in cycle: {text!r}")
-        cycles.append(pts)
-    flat = [p for c in cycles for p in c]
-    if len(set(flat)) != len(flat):
-        raise InputError(f"cycles are not disjoint: {text!r}")
-    return from_cycles(cycles, degree)
+    bodies = [b for b in "".join(text.split())[1:-1].split(")(") if b]
+    images = np.arange(degree, dtype=np.int64)
+    if not bodies:
+        return Permutation._wrap(images)
+    pts = np.fromstring(",".join(bodies), dtype=np.int64, sep=",") - 1
+    sizes = np.array([b.count(",") + 1 for b in bodies])
+    ends = np.cumsum(sizes) - 1             # the place of each cycle's last point
+    if ((pts < 0) | (pts >= degree)).any() or np.bincount(pts).max() > 1:
+        raise _cycles_error(text, degree, np.split(pts, ends[:-1] + 1))
+    after = np.arange(1, len(pts) + 1)
+    after[ends] = ends - sizes + 1          # a cycle's last point goes to its first
+    images[pts] = pts[after]
+    return Permutation._wrap(images)
+
+
+def _cycles_error(text, degree, cycles):
+    """The InputError for 0-indexed cycles that are not a permutation: the
+    first cycle with a point out of range, else the first with a repeated
+    point, else cycles that are not disjoint."""
+    for pts in cycles:
+        if ((pts < 0) | (pts >= degree)).any():
+            return InputError(f"cycle point out of range 1..{degree}: {text!r}")
+        if len(np.unique(pts)) != len(pts):
+            return InputError(f"repeated point in cycle: {text!r}")
+    return InputError(f"cycles are not disjoint: {text!r}")
 
 
 def format_cycles(p: Permutation) -> str:

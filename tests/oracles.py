@@ -3,10 +3,11 @@ package against.  They are slow on purpose: each does the plain thing."""
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 
-from ftdesigns.bsgs import bsgs_build, image_matrix, inverse_rows, tree_products
+from ftdesigns.bsgs import bsgs_build, image_matrix, inverse_rows, tree_products, tree_word
 from ftdesigns.errors import InputError
 from ftdesigns.perm import Permutation, compose, format_cycles, inverse
 
@@ -33,6 +34,33 @@ def serialize_catalog(entries) -> str:
             out.append("end")
         out.append("end")
     return "\n".join(out) + "\n"
+
+
+def scalar_parse_cycles(text, degree):
+    """1-indexed cycle notation read one cycle and one point at a time,
+    with `perm.parse_cycles`'s grammar and messages: a cycle's points are
+    checked for range, then for repeats, before the next cycle is read,
+    and the cycles for disjointness last."""
+    if not re.fullmatch(r"\s*(\((\s*[0-9]+\s*(,\s*[0-9]+\s*)*|\s*)\)\s*)*", text):
+        raise InputError(f"malformed cycle notation: {text!r}")
+    images, seen = list(range(degree)), set()
+    cycles = []
+    for body in re.findall(r"\(([^()]*)\)", text):
+        if not body.strip():
+            continue
+        pts = [int(tok) - 1 for tok in body.split(",")]
+        if any(p < 0 or p >= degree for p in pts):
+            raise InputError(f"cycle point out of range 1..{degree}: {text!r}")
+        if len(set(pts)) != len(pts):
+            raise InputError(f"repeated point in cycle: {text!r}")
+        cycles.append(pts)
+    for pts in cycles:
+        if seen & set(pts):
+            raise InputError(f"cycles are not disjoint: {text!r}")
+        seen.update(pts)
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            images[a] = b
+    return Permutation(images)
 
 
 def element_closure(gens, degree=None, limit=2_000_000):
@@ -212,6 +240,18 @@ def scalar_sift(levels, p):
     return p, len(levels)
 
 
+def chain_scalar_levels(chain):
+    """Scalar levels with a chain's base points, orbits and transversals,
+    the `tree_products` along its Schreier trees, for `scalar_sift`."""
+    levels = []
+    for lvl in chain.levels:
+        levels.append(ScalarLevel(lvl.point))
+        levels[-1].orbit = lvl.orbit.tolist()
+        trans = tree_products(lvl.gmat, lvl.parent, lvl.via)
+        levels[-1].transversal = dict(zip(levels[-1].orbit, map(Permutation, trans)))
+    return levels
+
+
 def rebuild_generate_to_order(candidates, degree, order):
     """The candidates `generate_to_order` keeps, each tested against and
     then added to a scalar chain built afresh from the ones kept before."""
@@ -226,6 +266,13 @@ def rebuild_generate_to_order(candidates, degree, order):
     return kept
 
 
+def tree_rows(lvl):
+    """A chain level's transversal and inverse-transversal matrices, formed
+    from its Schreier tree: the `tree_products` and their `inverse_rows`."""
+    trans = tree_products(lvl.gmat, lvl.parent, lvl.via)
+    return trans, inverse_rows(trans)
+
+
 def assert_chain_matches(chain, levels):
     """The chain has the scalar levels' base, strong generators in order,
     orbits in order, and transversal rows, the products along its Schreier
@@ -237,23 +284,21 @@ def assert_chain_matches(chain, levels):
         assert got.orbit.tolist() == want.orbit, got.point
         gmat = image_matrix(got.gens, chain.degree)
         assert np.array_equal(got.gmat, gmat), got.point
-        trans = tree_products(gmat, got.parent, got.via)
-        assert trans.shape == got.inv.shape == (len(want.orbit), chain.degree), got.point
-        for row, inv, x in zip(trans, got.inv, want.orbit):
+        trans, inv = tree_rows(got)
+        assert trans.shape == inv.shape == (len(want.orbit), chain.degree), got.point
+        for row, row_inv, x in zip(trans, inv, want.orbit):
             assert np.array_equal(row, want.transversal[x].images), (got.point, x)
-            assert np.array_equal(inv[row], points), (got.point, x)
+            assert np.array_equal(row_inv[row], points), (got.point, x)
 
 
 def chain_digest(chain):
     """sha256 of a chain's base and, level by level, of its strong
-    generators, orbit, transversal (the `tree_products` along its Schreier
-    tree) and inverse matrices and the tree (`parent`, `via`), each with its
-    dtype and shape."""
+    generators, orbit, transversal and inverse matrices (`tree_rows`) and
+    the tree (`parent`, `via`), each with its dtype and shape."""
     digest = hashlib.sha256(np.asarray(chain.base, dtype=np.int64).tobytes())
     for lvl in chain.levels:
         gens = np.array([g.images for g in lvl.gens], dtype=np.int64)
-        trans = tree_products(image_matrix(lvl.gens, chain.degree), lvl.parent, lvl.via)
-        for a in (gens, lvl.orbit, trans, lvl.inv, lvl.parent, lvl.via):
+        for a in (gens, lvl.orbit, *tree_rows(lvl), lvl.parent, lvl.via):
             a = np.ascontiguousarray(a)
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())
@@ -308,7 +353,8 @@ def canonical_rep(hchain, images):
             continue
         orbit = lvl.orbit.tolist()
         r = min(range(len(orbit)), key=lambda r: u[orbit[r]])
-        u = u[inverse_rows(lvl.inv[r:r + 1])[0]]
+        for g in reversed(tree_word(lvl.parent, lvl.via, r)):   # u becomes u[t_r], t_r
+            u = u[lvl.gmat[g]]                                # the tree product
     return u
 
 

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,9 +15,10 @@ from ftdesigns.bsgs import bsgs_build, contains, orbit, orbit_transversal, stabi
 from ftdesigns.errors import InputError, ResourceLimitError
 from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
-from oracles import (assert_chain_matches, chain_digest, element_closure, identity,
-                     rebuild_generate_to_order, scalar_bsgs_build, scalar_orbit_stabilizer,
-                     scalar_orbits, scalar_row_orbit, scalar_sift)
+from oracles import (assert_chain_matches, chain_digest, chain_scalar_levels, element_closure,
+                     identity, rebuild_generate_to_order, scalar_bsgs_build,
+                     scalar_orbit_stabilizer, scalar_orbits, scalar_row_orbit, scalar_sift,
+                     tree_rows)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -52,9 +56,12 @@ def brute_order(gens, degree, rng):
 
 
 def sift_residue(chain, p):
-    """p's images after `_strip` through every level of the chain."""
+    """p's images after `_strip` through every level of the chain, each
+    level's inverse rows formed from its Schreier tree (`tree_rows`)."""
+    levels = [SimpleNamespace(point=lvl.point, rows=lvl.rows, inv=tree_rows(lvl)[1])
+              for lvl in chain.levels]
     res = p.images.astype(chain.dtype)[None]
-    bsgs._strip(chain.levels, 0, res)
+    bsgs._strip(levels, 0, res)
     return res[0].tolist()
 
 
@@ -185,7 +192,7 @@ def test_determinism():
     assert a.base == b.base
     for la, lb in zip(a.levels, b.levels):
         assert np.array_equal(la.orbit, lb.orbit)
-        assert np.array_equal(la.inv, lb.inv)
+        assert all(np.array_equal(x, y) for x, y in zip(tree_rows(la), tree_rows(lb)))
         assert np.array_equal(la.parent, lb.parent) and np.array_equal(la.via, lb.via)
     assert a.strong_generators() == b.strong_generators()
 
@@ -193,13 +200,14 @@ def test_determinism():
 def test_level_storage():
     chain = bsgs_build(S4)
     for lvl in chain.levels:
-        trans = bsgs.inverse_rows(lvl.inv)
-        assert trans.dtype == lvl.inv.dtype == chain.dtype == np.uint8
+        assert lvl.inv is None
+        trans, inv = tree_rows(lvl)
+        assert trans.dtype == inv.dtype == lvl.gmat.dtype == chain.dtype == np.uint8
         assert lvl.orbit[0] == lvl.point
-        assert np.array_equal(lvl.inv[0], np.arange(4))
+        assert np.array_equal(inv[0], np.arange(4))
         for r, x in enumerate(lvl.orbit):
             assert trans[r][lvl.point] == x
-            assert np.array_equal(lvl.inv[r][trans[r]], np.arange(4))
+            assert np.array_equal(inv[r][trans[r]], np.arange(4))
             assert lvl.rows[x] == r
         assert lvl.rows.dtype == np.intp
         off = np.setdiff1d(np.arange(4), lvl.orbit)
@@ -426,8 +434,9 @@ def test_chain_does_not_depend_on_the_batch_size(monkeypatch, catalog):
     entry = catalog["HS"]
     reference = scalar_bsgs_build(entry.generators, entry.degree)
     # one Schreier generator per batch, then batches of 3 rows
-    for entries in (1, 3 * entry.degree):
+    for entries, rows in ((1, 1), (12 * entry.degree, 3)):
         monkeypatch.setattr(bsgs, "_BATCH_ENTRIES", entries)
+        assert bsgs._batch_rows(entry.degree) == rows
         assert_chain_matches(bsgs_build(entry.generators, entry.degree), reference)
     # first batches of one row, 32 rows and more rows than a batch may hold
     monkeypatch.undo()
@@ -728,14 +737,16 @@ def test_tree_products_are_the_orbit_transversal(catalog):
 
 def assert_forward_rows_are_the_tree_products(chain):
     """At every level the rows `inverse_rows` forms from the inverse matrix
-    are the `tree_products` along the Schreier tree: row r carries the base
-    point to orbit[r], and inv[r] inverts it."""
+    that a build fills along the Schreier tree (`_tree_inverses`) are the
+    `tree_products` along it: row r carries the base point to orbit[r],
+    and inv[r] inverts it."""
     for lvl in chain.levels:
-        trans = bsgs.inverse_rows(lvl.inv)
-        assert trans.dtype == lvl.inv.dtype == chain.dtype, lvl.point
+        inv = bsgs._tree_inverses(lvl.gmat, lvl.parent, lvl.via)
+        trans = bsgs.inverse_rows(inv)
+        assert trans.dtype == inv.dtype == chain.dtype, lvl.point
         assert np.array_equal(trans, bsgs.tree_products(lvl.gmat, lvl.parent, lvl.via)), lvl.point
         assert np.array_equal(trans[:, lvl.point], lvl.orbit), lvl.point
-        undone = np.take_along_axis(lvl.inv, trans.astype(np.intp), axis=1)
+        undone = np.take_along_axis(inv, trans.astype(np.intp), axis=1)
         assert (undone == np.arange(chain.degree)).all(), lvl.point
 
 
@@ -754,17 +765,94 @@ def test_random_forward_rows_are_the_tree_products(case):
 
 def test_a_level_holds_one_matrix_of_its_orbit(catalog):
     assert "trans" not in bsgs._Level.__slots__
-    # J1 on 1,540 points: 9.38 MiB with a forward and an inverse matrix per level
+    # J1 on 1,540 points: 9.38 MiB with a forward and an inverse matrix per
+    # level, 4.73 MiB with the inverse matrix alone, 0.09 MiB with none
     held = sum(a.nbytes for lvl in catalog["J1"].chain.levels
                for a in (getattr(lvl, name) for name in lvl.__slots__)
                if isinstance(a, np.ndarray))
-    assert held <= 5.0 * 2**20
+    assert held <= 0.25 * 2**20
 
 
 def test_building_a_chain_forms_no_forward_rows(catalog):
     with mock.patch.object(bsgs, "tree_products", side_effect=AssertionError("formed")):
         for name, gens, degree in _catalog_generating_sets(catalog):
             bsgs_build(gens, degree)
+
+
+def test_completed_chains_keep_no_inverse_matrix(catalog, suzuki8):
+    from ftdesigns.pipeline import PROFILE_SOURCES, action_for
+
+    chains = [suzuki8[0].chain] + [bsgs_build(gens, degree)
+                                   for _, gens, degree in _catalog_generating_sets(catalog)]
+    chains += [action_for(*source).chain for source in PROFILE_SOURCES.values()]
+    assert len(chains) == 1 + 22 + 10
+    for chain in chains:
+        assert chain.levels and all(lvl.inv is None for lvl in chain.levels)
+
+
+def test_building_the_j1_chain_peaks_below_its_inverse_matrices(catalog):
+    # 8.41 MiB while every completed level kept its inverse matrix and a
+    # batch's index had 2^18 entries; 5.77 MiB with neither
+    gens = catalog["J1"].generators
+    tracemalloc.start()
+    try:
+        bsgs_build(gens, 1540)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20, peak
+
+
+def test_membership_walks_the_tree_as_the_scalar_sift_does(catalog, suzuki8):
+    # the chain's own elements, at sampled indices, are members; random
+    # permutations and elements times a transposition mostly are not
+    chains = [suzuki8[0].chain] + [bsgs_build(gens, degree)
+                                   for _, gens, degree in _catalog_generating_sets(catalog)]
+    rng, found = random.Random(34), []
+    for chain in chains:
+        levels, n = chain_scalar_levels(chain), chain.degree
+        swap = Permutation([1, 0, *range(2, n)])
+        for _ in range(4):
+            g = chain.element_at(rng.randrange(chain.order()))
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for p in (g, compose(g, swap), compose(swap, g), Permutation(shuffled)):
+                found.append(scalar_sift(levels, p)[0].is_identity())
+                assert (p in chain) == found[-1], (chain.degree, p)
+    assert 4 * len(chains) <= sum(found) < 3 * len(found) // 4
+
+
+# sha256 of the generators `generate_to_order` keeps from 40 sampled
+# elements of M12, and of the stabilizer generators `orbit_stabilizer`
+# gives for a pair of M22 and a point of HS, pinned while a completed
+# chain kept its inverse matrices for the next completion
+KEPT_DIGESTS = {
+    "M12": "76996d89c20ad4741c995fcc7eab55e8290f82decd56b3b11cadec61302364a1",
+    "M22 on pairs": "fab7535ea3cfaeb278bf41a23faaf162347507c3300d4f0a9e5b7ac66eb851b1",
+    "HS on points": "74ebf2f24bb5f5db253a89cb3130e499bd51155f2f38bbad1f4042709c513aa7",
+}
+
+
+def test_completing_a_completed_chain_again_forms_its_rows_again(catalog):
+    def digest(perms):
+        images = np.array([g.images for g in perms], dtype=np.int64)
+        return hashlib.sha256(images.tobytes()).hexdigest()
+
+    # each candidate kept after the first completes the chain again
+    m12 = catalog["M12"].chain
+    rng = random.Random(12)
+    candidates = [m12.element_at(rng.randrange(m12.order())) for _ in range(40)]
+    kept = bsgs.generate_to_order(candidates, 12, m12.order())
+    assert len(kept) > 1 and kept == rebuild_generate_to_order(candidates, 12, m12.order())
+    got = {"M12": digest(kept)}
+    for name, start, canon in (("M22 on pairs", [0, 1], partial(np.sort, axis=1)),
+                               ("HS on points", [0], None)):
+        entry = catalog[name.split()[0]]
+        images = bsgs.image_matrix(entry.generators, entry.degree)
+        stab = bsgs.orbit_stabilizer(entry.generators, entry.order, images, start, canon)[2]
+        assert len(stab) > 1, name
+        got[name] = digest(stab)
+    assert got == KEPT_DIGESTS
 
 
 def test_all_lists_the_names_other_modules_import():

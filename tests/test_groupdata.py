@@ -11,7 +11,8 @@ from ftdesigns import groupdata
 from ftdesigns.errors import InputError, ParseError, ResourceLimitError
 from ftdesigns.groupdata import (CATALOG_DEGREE_LIMIT, catalog_entry, load_catalog, orders_table,
                                  parse_catalog, parse_orders, validate_entry)
-from oracles import serialize_catalog
+from ftdesigns.perm import parse_cycles
+from oracles import scalar_parse_cycles, serialize_catalog
 
 MINIMAL = """\
 # a comment
@@ -53,6 +54,30 @@ def test_gen_lines_take_whitespace_between_points_not_inside_one():
     with pytest.raises(ParseError, match="malformed cycle notation") as err:
         parse_catalog(text.replace("( 1 , 2 )", "(1 2)"))
     assert err.value.line == 2
+
+
+def test_bundled_gen_lines_match_the_scalar_reader():
+    text, degree, lines = groupdata._data_text("catalog.txt"), None, 0
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if tokens[:1] == ["group"]:
+            degree = int(tokens[3])
+        elif tokens[:1] == ["gen"]:
+            cycles = " ".join(tokens[1:])
+            assert parse_cycles(cycles, degree) == scalar_parse_cycles(cycles, degree), raw
+            lines += 1
+    entries = parse_catalog(text)
+    assert lines == sum(len(e.generators) + sum(len(s.generators) for s in e.subgroups)
+                        for e in entries) == 76
+
+
+def test_a_bad_point_is_a_parse_error_at_its_line():
+    for cycles, message in (("(1,18446744073709551617)", "cycle point out of range 1..3"),
+                            ("(1,2)(3,2)", "cycles are not disjoint"),
+                            ("(3,1,3)", "repeated point in cycle")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_catalog(f"# C3\ngroup C3 degree 3 order 3\ngen (1,2,3)\ngen {cycles}\nend\n")
+        assert err.value.line == 4
 
 
 def test_unterminated_block():

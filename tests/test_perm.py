@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ftdesigns.errors import InputError
 from ftdesigns.perm import (Permutation, compose, format_cycles, inverse, parse_cycles, power,
                             row_keys)
-from oracles import identity
+from oracles import identity, scalar_parse_cycles
 
 
 def test_involution_squared_is_identity():
@@ -116,6 +116,49 @@ def test_parse_takes_whitespace_between_cycles_and_around_points():
     assert parse_cycles(" (1, 2) ( 3 ,4 )\t", 5) == parse_cycles("(1,2)(3,4)", 5)
     for empty in ["", " ", "( )", " () "]:
         assert parse_cycles(empty, 5).is_identity()
+
+
+_POINTS = st.integers(0, 14) | st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, 10**25])
+_SPACE = st.sampled_from(["", "", " ", "\t", "\u2003"])
+
+
+@st.composite
+def _cycle_texts(draw):
+    """Cycle notation that parses, or fails in any of its ways: points out
+    of range (past int64 too), repeated in a cycle or in two cycles."""
+    cycles = draw(st.lists(st.lists(_POINTS, max_size=5), max_size=5))
+    out = ""
+    for cyc in cycles:
+        pts = [draw(_SPACE) + str(p) + draw(_SPACE) for p in cyc] or [draw(_SPACE)]
+        out += draw(_SPACE) + "(" + ",".join(pts) + ")"
+    return out + draw(_SPACE), draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycle_texts())
+def test_parse_matches_the_scalar_reader(case):
+    text, degree = case
+    try:
+        want = scalar_parse_cycles(text, degree)
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            parse_cycles(text, degree)
+        assert str(err.value) == str(exc)
+    else:
+        assert parse_cycles(text, degree) == want
+
+
+def test_parse_reads_a_point_past_int64_as_out_of_range():
+    # the last is past Python's 4300-digit int conversion limit too
+    for text in ("(1,18446744073709551617)", "(2)(9223372036854775808,1)",
+                 "(1," + "9" * 5000 + ")"):
+        with pytest.raises(InputError, match="out of range 1..5"):
+            parse_cycles(text, 5)
+    # the first failing cycle names the error
+    with pytest.raises(InputError, match="repeated point"):
+        parse_cycles("(1,1)(2,18446744073709551617)", 5)
+    with pytest.raises(InputError, match="out of range"):
+        parse_cycles("(2,18446744073709551617,2)(1,1)", 5)
 
 
 def test_one_indexed_shift():
