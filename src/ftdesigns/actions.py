@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgs import (StabilizerChain, bfs_tree, bsgs_build, image_matrix, orbit, orbits, row_orbit,
-                   sorted_lookup, stabilizer_gens, tree_products, tree_word)
+from .bsgs import (StabilizerChain, bsgs_build, image_matrix, orbit, orbits, point_orbit,
+                   row_orbit, sorted_lookup, stabilizer_gens, tree_products, tree_word)
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, compose, inverse, row_keys
 
@@ -162,7 +162,7 @@ def coset_action(G: StabilizerChain, H: StabilizerChain, name="coset action") ->
     gmat = image_matrix(gens, G.degree)
     try:
         for start, canon, key in _coset_keys(G, H):
-            cosets, images = row_orbit(gmat, start, canon, index, key)
+            cosets, images, _ = row_orbit(gmat, start, canon, index, key)
             if len(cosets) == index:
                 break
         else:   # even the identity's orbit is short of the index
@@ -195,15 +195,14 @@ def is_transitive(A: GroupAction) -> bool:
 def _point_tree(A: GroupAction):
     """The point alpha of `A.base_stabilizer()`, generators of its
     stabilizer, and a map beta -> an element carrying alpha to beta: the
-    product of the generators on the `bfs_tree` path to beta, its
-    `tree_word`.  InputError unless the orbit of alpha is every point."""
+    product of the generators on the path to beta's row in the Schreier
+    tree of the orbit of alpha (`point_orbit`), its `tree_word`.
+    InputError unless the orbit of alpha is every point."""
     alpha, stab = A.base_stabilizer()
     gmat = image_matrix(A.generators, A.degree)
-    orb, action = row_orbit(gmat, [alpha])
+    orb, rows, (parent, via) = point_orbit(gmat, alpha)
     if len(orb) != A.degree:
         raise InputError("action is not transitive")
-    parent, via = bfs_tree(action)
-    rows = np.argsort(orb[:, 0])   # the orbit is every point: the row of each
 
     def carrier(beta):
         u = np.arange(A.degree)

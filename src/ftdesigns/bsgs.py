@@ -6,18 +6,19 @@ identical chains.
 
 Storage.  A completed level keeps its orbit as an index array in
 `row_orbit` order, an intp point -> row lookup into it (-1 off the
-orbit), its generators' `image_matrix` in the narrowest unsigned dtype
-that holds the points (`perm.point_dtype`), and the breadth-first
-Schreier tree of its orbit, `parent` and `via` from `bfs_tree`: row r is
-reached from row parent[r] by generator via[r], and u_r, the element
-that maps the base point to orbit[r], is the product of the generators
-on the tree path from the root, the root's first (a Schreier vector:
-Seress, Permutation Group Algorithms, 2003, section 4.1).  Every level
-holds these same arrays, one whose orbit is only its base point too: a
-lookup that is -1 but at the base point, and a tree of the root alone.
-A single element is sifted along the tree, u_r^-1 = g^-1 u_parent^-1 for
-g = via[r], one generator row at a time; `element_at` and the coset
-canonicaliser of `actions` form u_r from the tree.
+orbit), its generators' `image_matrix` and `inverse_rows` in the
+narrowest unsigned dtype that holds the points (`perm.point_dtype`), and
+the Schreier tree `row_orbit` records as it first reaches each row: row
+r is reached from row parent[r] by generator via[r], and u_r, which maps
+the base point to orbit[r], is the product of the generators on the tree
+path from the root, the root's first (a Schreier vector: Seress,
+Permutation Group Algorithms, 2003, section 4.1).  `point_orbit` forms
+orbit, lookup and tree at once, and a level whose orbit is only its base
+point holds them too: a lookup that is -1 but at the base point, and a
+tree of the root alone.  A single element is sifted along the tree,
+u_r^-1 = g^-1 u_parent^-1 for g = via[r], one inverse generator row at a
+time; `element_at` and the coset canonicaliser of `actions` form u_r
+from the tree.
 
 While `_complete` runs, each level also holds the dense inverse
 transversal, the (|orbit|, degree) matrix whose row r is u_r^-1 (row 0
@@ -88,9 +89,9 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .perm import Permutation, point_dtype, row_keys
 
-__all__ = ["StabilizerChain", "bfs_tree", "bsgs_build", "contains", "generate_to_order",
-           "image_matrix", "inverse_rows", "orbit", "orbit_stabilizer", "orbit_transversal",
-           "orbits", "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products",
+__all__ = ["StabilizerChain", "bsgs_build", "contains", "generate_to_order", "image_matrix",
+           "inverse_rows", "orbit", "orbit_stabilizer", "orbit_transversal", "orbits",
+           "point_orbit", "row_orbit", "sorted_lookup", "stabilizer_gens", "tree_products",
            "tree_word"]
 
 # image entries per batch: bounds every (rows, width) temporary, and a
@@ -103,31 +104,27 @@ _TRANSVERSAL_ENTRIES = 1 << 24
 
 
 class _Level:
-    """One level of the chain: a base point, its strong generators, and
-    its orbit with the Schreier tree; while `_complete` runs, also the
-    inverse-transversal matrix `inv` (None once it returns)."""
+    """One level of the chain: a base point, its strong generators and their
+    inverse rows, its orbit and Schreier tree, and `inv` while `_complete` runs."""
 
-    __slots__ = ("point", "gens", "gmat", "orbit", "rows", "inv", "parent", "via")
+    __slots__ = ("point", "gens", "gmat", "ginv", "orbit", "rows", "inv", "parent", "via")
 
     def __init__(self, point):
         self.point = point
         self.gens: list[Permutation] = []  # generators fixing all earlier base points
-        self.gmat = self.orbit = self.rows = self.inv = self.parent = self.via = None
+        self.gmat = self.ginv = self.orbit = self.rows = self.inv = self.parent = self.via = None
 
     def rebuild(self, chain):
-        """Build the orbit and tree again if generators were appended since
-        the last build (`gmat` holds the ones built from), and the inverse
-        matrix if the level holds none."""
+        """Build the generator rows, orbit and tree again if generators were
+        appended (`gmat` holds the ones built from), and the inverse matrix
+        if the level holds none."""
         if self.gmat is None or len(self.gmat) != len(self.gens):
             self.orbit = self.rows = self.inv = None  # free the old matrix first
             self.gmat = image_matrix(self.gens, chain.degree)
-            orb, action = row_orbit(self.gmat, [self.point])
-            self.orbit = orb[:, 0].astype(np.intp)
-            self.rows = np.full(chain.degree, -1, dtype=np.intp)
-            self.rows[self.orbit] = np.arange(len(self.orbit))
-            self.parent, self.via = bfs_tree(action)
+            self.ginv = inverse_rows(self.gmat)
+            self.orbit, self.rows, (self.parent, self.via) = point_orbit(self.gmat, self.point)
         if self.inv is None:
-            self.inv = _tree_inverses(self.gmat, self.parent, self.via)
+            self.inv = _tree_inverses(self.ginv, self.parent, self.via)
 
     def schreier_pairs(self):
         """The (x, g) pairs whose Schreier generators are sifted, as indices
@@ -172,21 +169,19 @@ class StabilizerChain:
         return out
 
     def __contains__(self, p):
-        """Membership by sifting p along each level's Schreier tree: the
-        residue p u_r^-1, for the row r of its image of the base point, is
-        gathered through the inverse generators on the path back to the
-        root, u_r^-1 = g^-1 u_parent^-1 for g = via[r]."""
+        """Membership by sifting p along each level's Schreier tree: for the
+        row r of its image of the base point, p u_r^-1 is gathered through
+        the inverse generator rows on the path to the root, u_r^-1 =
+        g^-1 u_parent^-1 for g = via[r]."""
         if p.degree != self.degree:
             raise InputError(f"degree mismatch: {p.degree} != {self.degree}")
-        res = p.images.astype(np.intp, copy=False)   # an intp index gathers with no cast
+        res = p.images
         for lvl in self.levels:
             r = lvl.rows[res[lvl.point]]
             if r < 0:
                 return False
-            if r:
-                ginv = inverse_rows(lvl.gmat.astype(np.intp))
-            while r > 0:
-                res, r = ginv[lvl.via[r]][res], lvl.parent[r]
+            while r > 0:    # `take` casts a narrow index faster than indexing does
+                res, r = lvl.ginv[lvl.via[r]].take(res), lvl.parent[r]
         return bool((res == np.arange(self.degree)).all())
 
     def element_at(self, index: int) -> Permutation:
@@ -202,10 +197,9 @@ class StabilizerChain:
         g = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             index, r = divmod(index, len(lvl.orbit))
-            gens = lvl.gmat.astype(np.int64)                 # an int64 index gathers with no cast
             for s in tree_word(lvl.parent, lvl.via, r):      # g becomes u_r[g]
-                g = gens[s][g]
-        return Permutation._wrap(g)
+                g = lvl.gmat[s].take(g)
+        return Permutation._wrap(g.astype(np.int64))
 
 
 def _batch_rows(degree):
@@ -355,24 +349,26 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
     and `start` and every image go through it.  `key` maps rows to keys,
     equal exactly for rows of one orbit point, held by the first to reach
     it (by default for equal rows).  Returns the orbit as rows in the dtype
-    of `images` and the (k, m) intp array `action`: action[g, i] indexes
-    row i's image under g.
+    of `images`, the (k, m) intp array `action`: action[g, i] indexes row
+    i's image under g, and the (2, m) intp tree: row i is first reached
+    from row tree[0, i] by generator tree[1, i], -1 at the root.
 
     Rows come in first-reach order of a first-in first-out queue taking
-    one row, then one generator, at a time: breadth first, and `bfs_tree`
-    reads the tree off `action`.  A batch of images, at most
-    `_BATCH_ENTRIES` entries from the next m rows of the queue, is
-    gathered by one `take` in generator-major order, image g*m + r for row
-    r and generator g, so no copy reorders it; only its keys are put in
-    the queue's order.  One-point rows with the default key are looked up
-    in a dense table of each point's row: a batch's new points are those
-    not in the table whose first place in the batch, found by a scatter of
-    the places in reverse, is their own.  Other keys (`perm.row_keys` by
-    default) are kept sorted with their rows' indices; a batch looks its
-    distinct keys up among them, and the new ones are merged in at once.
-    The result does not depend on the bound.  Rows are reserved at `limit`
-    (n by default, the bound for an orbit of points; only pages written
-    count), and ResourceLimitError is raised once the orbit would exceed it."""
+    one row, then one generator, at a time: breadth first, so parents are
+    nondecreasing; each new row's place in the queue is kept per batch, as
+    `action` is.  A batch of images, at most `_BATCH_ENTRIES` entries from
+    the next m rows of the queue, is gathered by one `take` in
+    generator-major order, image g*m + r for row r and generator g, so no
+    copy reorders it; only its keys are put in the queue's order.
+    One-point rows with the default key are looked up in a dense table of
+    each point's row: a batch's new points are those not in the table
+    whose first place in the batch, found by a scatter of the places in
+    reverse, is their own.  Other keys (`perm.row_keys` by default) are
+    kept sorted with their rows' indices; a batch looks its distinct keys
+    up among them, and the new ones are merged in at once.  The result
+    does not depend on the bound.  Rows are reserved at `limit` (n by
+    default, the bound for an orbit of points; only pages written count),
+    and ResourceLimitError is raised once the orbit would exceed it."""
     images = np.asarray(images)
     k, width = len(images), len(start)
     limit = images.shape[1] if limit is None else limit
@@ -386,20 +382,22 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
         table[rows[0, 0]] = 0
     else:
         seen, label = key(rows[:1]), np.zeros(1, dtype=np.intp)
-    step, q, found, action = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1, []
+    step, q, found, action, reached = max(1, _BATCH_ENTRIES // max(1, k * width)), 0, 1, [], []
     while k and q < found:
         m = min(step, found - q)
         cand = canon(images.take(rows[q:q + m], axis=1).reshape(-1, width))   # g-major
         if dense:
             pts, at = cand.reshape(k, m).T.ravel(), np.arange(k * m)          # queue order
             place[pts[::-1]] = at[::-1]         # the last write is a point's first place
-            new = pts[(place[pts] == at) & (table[pts] < 0)]
+            at = at[(place[pts] == at) & (table[pts] < 0)]
+            new = pts[at]
             if found + len(new) > len(rows):
                 raise ResourceLimitError(f"orbit exceeds limit {limit}")
             rows[found:found + len(new), 0] = new
             table[new] = np.arange(found, found + len(new))
             found += len(new)
             action.append(table[pts].reshape(-1, k))
+            reached.append(q * k + at)
         else:
             keys, first, inverse = np.unique(key(cand).reshape(k, m).T.ravel(),   # queue order
                                              return_index=True, return_inverse=True)
@@ -413,6 +411,7 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
                 labels[reach] = np.arange(found, found + len(new))
                 r, g = np.divmod(first[reach], k)
                 rows[found:found + len(new)] = cand[g * m + r]
+                reached.append(q * k + first[reach])
                 found += len(new)
                 at = pos[new] + np.arange(len(new))    # their places once merged
                 keep = np.ones(len(seen) + len(new), dtype=bool)
@@ -424,7 +423,10 @@ def row_orbit(images, start, canon=None, limit=None, key=None):
             action.append(labels[inverse].reshape(-1, k))
         q += m
     action = np.concatenate(action).T if action else np.empty((k, found), dtype=np.intp)
-    return rows[:found], np.ascontiguousarray(action)
+    tree = np.full((2, found), -1, dtype=np.intp)
+    if found > 1:
+        np.divmod(np.concatenate(reached), k, out=(tree[0, 1:], tree[1, 1:]))
+    return rows[:found], np.ascontiguousarray(action), tree
 
 
 def sorted_lookup(seen, keys):
@@ -434,17 +436,19 @@ def sorted_lookup(seen, keys):
     return pos, seen.take(pos, mode="clip") == keys
 
 
-def bfs_tree(action):
-    """The row and the generator that first reach each row of a `row_orbit`,
-    (-1, -1) at the root, read off its `action`; parents are nondecreasing."""
-    parent, via = np.full((2, action.shape[1]), -1, dtype=np.intp)
-    _, first = np.unique(action.T.ravel(), return_index=True)
-    parent[1:], via[1:] = np.divmod(first[1:], max(len(action), 1))
-    return parent, via
+def point_orbit(images, point):
+    """The orbit of a point under the generators of an `image_matrix`, in
+    `row_orbit` order, the row of each point in it (-1 off the orbit), both
+    intp, and the orbit's `row_orbit` tree (parent, via)."""
+    orb, _, tree = row_orbit(images, [point])
+    orb = orb[:, 0].astype(np.intp)
+    rows = np.full(images.shape[1], -1, dtype=np.intp)
+    rows[orb] = np.arange(len(orb))
+    return orb, rows, tree
 
 
 def tree_word(parent, via, row):
-    """The generators on the `bfs_tree` path from the root to `row`, root
+    """The generators on the Schreier tree path from the root to `row`, root
     first: the product of the generators they index, in this order, carries
     the root to the row."""
     word = []
@@ -489,20 +493,16 @@ def orbits(gens, degree):
 
 
 def orbit_transversal(gens, point, degree):
-    """Orbit of a point in `row_orbit` order (intp), the row of each point
-    in it (-1 off the orbit), and the (|orbit|, degree) transversal matrix
-    in `point_dtype(degree)`: row r maps point to orbit[r], and is its
-    parent's row in `bfs_tree` followed by the generator reaching it."""
+    """The orbit and row lookup of `point_orbit`, and the `tree_products`
+    along its tree in `point_dtype(degree)`: row r maps point to orbit[r]."""
     images = image_matrix(gens, degree)
-    orb, action = row_orbit(images, [point])
-    orb = orb[:, 0].astype(np.intp)
-    rows = np.full(degree, -1, dtype=np.intp)
-    rows[orb] = np.arange(len(orb))
-    return orb, rows, tree_products(images, *bfs_tree(action))
+    orb, rows, tree = point_orbit(images, point)
+    return orb, rows, tree_products(images, *tree)
 
 
 def _tree_layers(parent, degree):
-    """Slices lo:hi of `bfs_tree` rows from row 1, at most `_batch_rows`, parents before lo."""
+    """Slices lo:hi of a `row_orbit` tree's rows from row 1, at most
+    `_batch_rows`, parents before lo (parents are nondecreasing)."""
     step, lo = _batch_rows(degree), 1
     while lo < len(parent):
         hi = min(lo + step, int(np.searchsorted(parent, lo)))
@@ -511,7 +511,7 @@ def _tree_layers(parent, degree):
 
 
 def tree_products(images, parent, via):
-    """The elements u_r along a `bfs_tree`, as a (rows, degree) matrix in
+    """The elements u_r along a `row_orbit` tree, as a (rows, degree) matrix in
     the dtype of the generators' `images`: row 0 is the identity, and row r
     is row parent[r] followed by generator via[r]."""
     degree, flat = images.shape[1], images.reshape(-1)
@@ -522,11 +522,11 @@ def tree_products(images, parent, via):
     return trans
 
 
-def _tree_inverses(images, parent, via):
-    """The inverses of the `tree_products` along a `bfs_tree`: row r, u_r^-1,
-    is g^-1 for g = via[r] followed by row parent[r]."""
-    degree, ginv = images.shape[1], inverse_rows(images)
-    inv = np.empty((len(parent), degree), dtype=images.dtype)
+def _tree_inverses(ginv, parent, via):
+    """The inverses of the `tree_products` along a `row_orbit` tree, from the
+    generators' `inverse_rows`: row r, u_r^-1, is ginv[via[r]] then row parent[r]."""
+    degree = ginv.shape[1]
+    inv = np.empty((len(parent), degree), dtype=ginv.dtype)
     inv[0], flat = np.arange(degree), inv.reshape(-1)
     for lo, hi in _tree_layers(parent, degree):
         inv[lo:hi] = flat.take(ginv[via[lo:hi]] + (parent[lo:hi] * degree)[:, None])
@@ -569,7 +569,7 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
     `images` holds the images of `gens` acting on points, sets or tuples,
     one row per generator, and `order` is |<gens>|.  Returns the
     `row_orbit` rows of the orbit, the `tree_products` of `gens` in their
-    own degree along its `bfs_tree` (row r carries `start` to rows[r]), and
+    own degree along its tree (row r carries `start` to rows[r]), and
     the Schreier generators u_x g u_{xg}^-1, x-major then g, with u_{xg}^-1
     a row of the `_tree_inverses` of the same tree, reduced by
     `generate_to_order` to order // |orbit|.  InputError if |orbit| does
@@ -581,15 +581,15 @@ def orbit_stabilizer(gens, order, images, start, canon=None):
     degree = gens[0].degree
     cap = max(1, _TRANSVERSAL_ENTRIES // degree)
     try:
-        rows, action = row_orbit(images, start, canon, min(order, cap))
+        rows, action, tree = row_orbit(images, start, canon, min(order, cap))
     except ResourceLimitError:
         if order <= cap:
             raise InputError(f"orbit is larger than the group order {order}") from None
         raise
     if order % len(rows):
         raise InputError(f"orbit length {len(rows)} does not divide the group order {order}")
-    gmat, tree = image_matrix(gens, degree), bfs_tree(action)
-    trans, inv = tree_products(gmat, *tree), _tree_inverses(gmat, *tree)
+    gmat = image_matrix(gens, degree)
+    trans, inv = tree_products(gmat, *tree), _tree_inverses(inverse_rows(gmat), *tree)
     schreier = (Permutation._wrap(inv[action[g, x]][gmat[g, trans[x]]].astype(np.int64))
                 for x in range(len(rows)) for g in range(len(gens)))
     return rows, trans, generate_to_order(schreier, degree, order // len(rows))

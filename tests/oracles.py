@@ -90,19 +90,24 @@ def element_closure(gens, degree=None, limit=2_000_000):
 
 def scalar_row_orbit(gens, start, apply_fn):
     """Orbit of start under apply_fn(g, x) by a first-in first-out queue,
-    one element and then one generator at a time, and action[g][i], the
-    index of the image of the i-th element under the g-th generator."""
+    one element and then one generator at a time; action[g][i], the index
+    of the image of the i-th element under the g-th generator; and the
+    first-reach tree (parent, via): the i-th element is first met as the
+    image of element parent[i] under generator via[i], -1 for start."""
     out, index, action, q = [start], {start: 0}, [[] for _ in gens], 0
+    parent, via = [-1], [-1]
     while q < len(out):
         x = out[q]
-        q += 1
         for gi, g in enumerate(gens):
             y = apply_fn(g, x)
             if y not in index:
                 index[y] = len(out)
                 out.append(y)
+                parent.append(q)
+                via.append(gi)
             action[gi].append(index[y])
-    return out, action
+        q += 1
+    return out, action, (parent, via)
 
 
 def scalar_orbits(gens, degree):
@@ -111,7 +116,7 @@ def scalar_orbits(gens, degree):
     seen, out = set(), []
     for p in range(degree):
         if p not in seen:
-            orb, _ = scalar_row_orbit(gens, p, lambda g, x: g(x))
+            orb = scalar_row_orbit(gens, p, lambda g, x: g(x))[0]
             seen.update(orb)
             out.append(sorted(orb))
     return out
@@ -403,8 +408,8 @@ def canonical_hom(G, H_gens):
     def key(rows):
         return row_keys(canon.images_at(rows, base))
 
-    reps, _ = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
-                        None, G.order() // hchain.order(), key)
+    reps = row_orbit(image_matrix(G.strong_generators(), degree), np.arange(degree),
+                     None, G.order() // hchain.order(), key)[0]
     order = np.argsort(key(reps))
     keys = key(reps)[order]
 

@@ -17,7 +17,7 @@ from ftdesigns.groupdata import catalog_entry
 from ftdesigns.perm import Permutation, compose, inverse, parse_cycles
 from ftdesigns.pipeline import PROFILE_SOURCES, action_for
 from oracles import (all_pairs_is_primitive, canonical_hom, canonical_rep, chain_digest,
-                     coset_action_images)
+                     coset_action_images, scalar_row_orbit)
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -108,6 +108,32 @@ def test_coset_action_matches_the_scalar_queue_enumeration(catalog, natural, gro
     act = coset_action(chain, bsgs_build(h, chain.degree))
     assert act.generators == gens
     assert act.base_stabilizer() == (0, stab)
+
+
+@pytest.mark.parametrize("group,sub,kind", [("M23", "M11", "set"),
+                                            ("HS", "U3(5).2", "canonicaliser")])
+def test_coset_enumeration_tree_matches_the_scalar_queue(catalog, natural, group, sub, kind):
+    # the first coset key reaches the index: the set O^u of M11's 11-point
+    # orbit, or (U3(5).2 is transitive) the canonical representative
+    G = natural(group).chain
+    H = bsgs_build(catalog[group].subgroup(sub).generators, G.degree)
+    gens = G.strong_generators()
+    start, canon, key = next(actions._coset_keys(G, H))
+    assert (canon is not None, key is not None) == (kind == "set", kind == "canonicaliser")
+    rows, action, tree = bsgs.row_orbit(bsgs.image_matrix(gens, G.degree), start, canon,
+                                        G.order() // H.order(), key)
+    if kind == "set":
+        want = scalar_row_orbit(gens, tuple(sorted(start)),
+                                lambda g, s: tuple(sorted(int(g.images[x]) for x in s)))
+    else:
+        def rep(images):
+            return tuple(canonical_rep(H, images).tolist())
+
+        want = scalar_row_orbit(gens, rep(np.arange(G.degree)),
+                                lambda g, x: rep(g.images[np.array(x)]))
+    assert len(rows) == len(want[0]) == G.order() // H.order()
+    assert action.tolist() == want[1]
+    assert tree.tolist() == list(want[2])
 
 
 IMAGE_CASES = [source for source in PROFILE_SOURCES.values() if source[1] is not None]

@@ -227,8 +227,11 @@ def test_orbit_transversal_rows():
 
 
 def test_orbit_transversal_without_generators_is_the_point_alone():
-    parent, via = bsgs.bfs_tree(np.empty((0, 1), dtype=np.intp))
+    orb, rows, (parent, via) = bsgs.point_orbit(np.empty((0, 5), dtype=np.uint8), 2)
+    assert orb.tolist() == [2] and rows.tolist() == [-1, -1, 0, -1, -1]
     assert parent.tolist() == via.tolist() == [-1]
+    rows, action, tree = bsgs.row_orbit(np.empty((0, 1), dtype=np.intp), [0])
+    assert rows.tolist() == [[0]] and action.shape == (0, 1) and tree.tolist() == [[-1], [-1]]
     orb, rows, trans = orbit_transversal([], 2, 5)
     assert orb.tolist() == [2]
     assert rows.tolist() == [-1, -1, 0, -1, -1]
@@ -504,10 +507,10 @@ def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
     point = data.draw(st.integers(0, degree - 1))
     limit = data.draw(st.integers(1, degree))
     images = bsgs.image_matrix(gens, degree)
-    want, action_want = scalar_row_orbit(gens, point, lambda g, x: g(x))
+    want, action_want, tree_want = scalar_row_orbit(gens, point, lambda g, x: g(x))
     for entries in (bsgs._BATCH_ENTRIES, 1):
         with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
-            rows, action = bsgs.row_orbit(images, [point])
+            rows, action, tree = bsgs.row_orbit(images, [point])
             if len(want) > limit:
                 with pytest.raises(ResourceLimitError):
                     bsgs.row_orbit(images, [point], limit=limit)
@@ -516,6 +519,7 @@ def test_row_orbit_of_a_point_matches_the_scalar_queue(case, data):
         assert rows[:, 0].tolist() == want, entries
         assert action.shape == (len(gens), len(rows))
         assert action.tolist() == action_want, entries
+        assert tree.tolist() == list(tree_want), entries
         for g, img in enumerate(images):
             assert np.array_equal(rows[action[g], 0], img[rows[:, 0]]), entries
 
@@ -538,13 +542,16 @@ def test_row_orbit_of_a_pair_set_matches_the_scalar_queue(data):
     start = data.draw(st.lists(st.integers(0, degree - 1), min_size=2, max_size=2, unique=True))
     split = data.draw(st.integers(2, 5))   # rows per batch, so batches end inside a layer
     images = bsgs.image_matrix(gens, degree)
-    want, action_want = scalar_row_orbit(gens, tuple(sorted(start)), set_image)
-    for entries in (bsgs._BATCH_ENTRIES, 1, split * len(gens) * 2):
+    want, action_want, tree_want = scalar_row_orbit(gens, tuple(sorted(start)), set_image)
+    # the bound for any pair orbit, and the orbit's own length, which cuts
+    # the rows reserved short at the orbit
+    for entries, limit in itertools.product((bsgs._BATCH_ENTRIES, 1, split * len(gens) * 2),
+                                            (degree * (degree - 1) // 2, len(want))):
         with mock.patch.object(bsgs, "_BATCH_ENTRIES", entries):
-            rows, action = bsgs.row_orbit(images, start, partial(np.sort, axis=1),
-                                          degree * (degree - 1) // 2)
+            rows, action, tree = bsgs.row_orbit(images, start, partial(np.sort, axis=1), limit)
         assert [tuple(r) for r in rows.tolist()] == want, entries
         assert action.tolist() == action_want, entries
+        assert tree.tolist() == list(tree_want), entries
 
 
 def assert_tree_edges_skipped(chain):
@@ -729,19 +736,25 @@ def test_generate_to_order_builds_no_chain_from_scratch(catalog):
 def test_tree_products_are_the_orbit_transversal(catalog):
     gens = catalog["M11"].generators
     images = bsgs.image_matrix(gens, 11)
-    rows, action = bsgs.row_orbit(images, [3])
-    trans = bsgs.tree_products(images, *bsgs.bfs_tree(action))
+    rows, _, tree = bsgs.row_orbit(images, [3])
+    trans = bsgs.tree_products(images, *tree)
     assert np.array_equal(trans, orbit_transversal(gens, 3, 11)[2])
     assert np.array_equal(trans[:, 3], rows[:, 0])
+    orb, lookup, point_tree = bsgs.point_orbit(images, 3)
+    assert np.array_equal(orb, rows[:, 0]) and np.array_equal(point_tree, tree)
+    assert np.array_equal(lookup[orb], np.arange(11))
 
 
 def assert_forward_rows_are_the_tree_products(chain):
-    """At every level the rows `inverse_rows` forms from the inverse matrix
-    that a build fills along the Schreier tree (`_tree_inverses`) are the
-    `tree_products` along it: row r carries the base point to orbit[r],
+    """Every level keeps its generators' `inverse_rows` in the chain's
+    dtype, and the rows `inverse_rows` forms from the inverse matrix that a
+    build fills from them along the Schreier tree (`_tree_inverses`) are
+    the `tree_products` along it: row r carries the base point to orbit[r],
     and inv[r] inverts it."""
     for lvl in chain.levels:
-        inv = bsgs._tree_inverses(lvl.gmat, lvl.parent, lvl.via)
+        assert lvl.ginv.dtype == chain.dtype, lvl.point
+        assert np.array_equal(lvl.ginv, bsgs.inverse_rows(lvl.gmat)), lvl.point
+        inv = bsgs._tree_inverses(lvl.ginv, lvl.parent, lvl.via)
         trans = bsgs.inverse_rows(inv)
         assert trans.dtype == inv.dtype == chain.dtype, lvl.point
         assert np.array_equal(trans, bsgs.tree_products(lvl.gmat, lvl.parent, lvl.via)), lvl.point
@@ -761,6 +774,18 @@ def test_catalog_forward_rows_are_the_tree_products(catalog, suzuki8):
 def test_random_forward_rows_are_the_tree_products(case):
     gens, degree, hint, _ = case
     assert_forward_rows_are_the_tree_products(bsgs_build(gens, degree, base_hint=hint))
+
+
+def test_catalog_level_trees_match_the_scalar_queue(catalog, suzuki8):
+    # each level's orbit and tree are those a scalar queue over its own
+    # generators meets first
+    chains = [suzuki8[0].chain] + [bsgs_build(gens, degree)
+                                   for _, gens, degree in _catalog_generating_sets(catalog)]
+    for chain in chains:
+        for lvl in chain.levels:
+            orb, _, (parent, via) = scalar_row_orbit(lvl.gens, lvl.point, lambda g, x: g(x))
+            assert lvl.orbit.tolist() == orb, lvl.point
+            assert lvl.parent.tolist() == parent and lvl.via.tolist() == via, lvl.point
 
 
 def test_a_level_holds_one_matrix_of_its_orbit(catalog):
@@ -856,6 +881,7 @@ def test_completing_a_completed_chain_again_forms_its_rows_again(catalog):
 
 
 def test_all_lists_the_names_other_modules_import():
-    assert {"bfs_tree", "tree_word", "image_matrix", "sorted_lookup", "tree_products",
-            "generate_to_order", "orbit_stabilizer"} <= set(bsgs.__all__)
+    assert {"point_orbit", "row_orbit", "tree_word", "image_matrix", "sorted_lookup",
+            "tree_products", "generate_to_order", "orbit_stabilizer"} <= set(bsgs.__all__)
+    assert not hasattr(bsgs, "bfs_tree")
     assert all(hasattr(bsgs, name) for name in bsgs.__all__)

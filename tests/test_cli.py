@@ -424,6 +424,20 @@ def test_help_lists_all_flags():
         assert flag in proc.stdout
 
 
+def test_python_m_ftdesigns_runs_the_command_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ftdesigns", *args], capture_output=True,
+                              text=True, env=env)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.strip() == ftdesigns.__version__
+    missing = run("design", "verify", "--in", str(tmp_path / "missing.design"))
+    assert missing.returncode == 3 and missing.stdout == ""
+    assert missing.stderr.startswith("error: ")
+
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
