@@ -16,7 +16,8 @@ and so holds a Sylow p-subgroup, and some block is a union of cycles of
 any given element of order p.  The prime whose element has the fewest
 such unions is used, and only the orbits of those unions are built.
 `orbit_block_search`, which tries every k-subset, is the exhaustive
-reference it is tested against.
+reference it is tested against.  Flag-transitivity is read from one
+`set_orbit` too: that of a block through a point under its stabilizer.
 """
 from __future__ import annotations
 
@@ -30,10 +31,9 @@ from math import comb
 import numpy as np
 
 from .actions import GroupAction, is_transitive
-from .bsgs import (StabilizerChain, bsgs_build, image_matrix, orbit, orbits, row_orbit,
-                   sorted_lookup)
+from .bsgs import StabilizerChain, bsgs_build, image_matrix, orbit, row_orbit, sorted_lookup
 from .errors import DesignError, InputError, ParseError, ResourceLimitError
-from .perm import Permutation, point_dtype, row_keys
+from .perm import point_dtype, row_keys
 
 BLOCK_ORBIT_LIMIT = 2_000_000
 SUBSET_ENUM_LIMIT = 1_000_000
@@ -415,22 +415,14 @@ def _combination_rows(n, r):
                        dtype=point_dtype(n), count=total * r).reshape(total, r)
 
 
-def _rows_through(rows, alpha, alpha_stab):
-    """The rows of sorted point sets that contain the point alpha, and the
-    permutations of them induced by generators of a group that fixes alpha
-    and permutes `rows`."""
-    through = rows[(rows == alpha).any(axis=1)]
-    keys = row_keys(through)
-    order = np.argsort(keys)
-    return through, [
-        Permutation(order[np.searchsorted(
-            keys[order], row_keys(np.sort(g.images.astype(rows.dtype)[through], axis=1)))])
-        for g in alpha_stab]
-
-
 def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
-    """Point-transitivity plus transitivity of the point stabilizer on the
-    blocks through the point."""
+    """Whether A is transitive on the flags (point, block) of the design.
+
+    First each generator must map the blocks onto blocks, else InputError.
+    Then A must be transitive on the points, and the stabilizer G_alpha of
+    a point alpha on the r blocks through alpha.  G_alpha permutes those
+    blocks, so the `set_orbit` of one of them under G_alpha cannot pass r
+    rows, and has r rows exactly when it is all of them."""
     if design.v != A.degree:
         raise InputError(f"design on {design.v} points, action on {A.degree}")
     dtype = point_dtype(A.degree)
@@ -445,8 +437,9 @@ def is_flag_transitive(A: GroupAction, design: Design) -> FlagReport:
     if not is_transitive(A):
         return FlagReport(False, 0)
     alpha, alpha_stab = A.base_stabilizer()
-    through, stab = _rows_through(rows, alpha, alpha_stab)
-    return FlagReport(len(orbits(stab, len(through))) == 1, len(through))
+    through = rows[(rows == alpha).any(axis=1)]
+    r = len(through)    # no block, so no flag: vacuously flag-transitive
+    return FlagReport(not r or len(set_orbit(alpha_stab, through[0], limit=r)) == r, r)
 
 
 @dataclass
@@ -463,15 +456,17 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
     """Build and verify the ovoid design 2-(q^2+1, q(q^2+1), q^2, q, q-1)
     under Sz(q) on the ovoid.
 
-    Each block is a circle with its distinguished point removed.  The
-    stabilizer of a circle has order q(q-1) and fixes that point, so the
-    q circles distinguished at a point alpha form one orbit of the
-    stabilizer G_alpha of alpha, while any other circle through alpha
-    has a stabilizer of order q-1 in G_alpha and an orbit of length at
-    least q^2.  The base block is therefore a circle through alpha whose
-    G_alpha-orbit has length q, with alpha removed, and the blocks are
-    its orbit.  q is checked for its shape, for q-1 prime and for the
-    block count before anything is built."""
+    Each block is a circle less its distinguished point, the one point
+    the circle's stabilizer fixes.  The base block is the plane section
+    x_1 = 0, the points (0:0:0:1) and (1:0:t:t^sigma), less (0:0:0:1).
+    The translations (0, b) and the torus fix the section and (0:0:0:1),
+    and the circles are one orbit of q(q^2+1), so the section's stabilizer
+    is that group of order q(q-1) = |G|/b and (0:0:0:1) is its
+    distinguished point.  Less any other point the section would have a
+    stabilizer of order q-1 and an orbit of q^2(q^2+1) blocks, so the
+    counted b of `verify_2design`, checked against `suzuki_params`,
+    confirms the choice.  q is checked for its shape, for q-1 prime and
+    for the block count before anything is built."""
     from .families import suzuki_params
     from .suzuki import circles, ovoid_points, suzuki_action
 
@@ -483,42 +478,26 @@ def suzuki_construction(q: int) -> SuzukiConstruction:
             f"q={q} gives {expected.params.b} blocks, more than the block orbit "
             f"limit {BLOCK_ORBIT_LIMIT}")
     act = suzuki_action(q)
-    circ = circles(q, ovoid_points(q))
+    ov = ovoid_points(q)
+    circ = circles(q, ov)
     if not np.array_equal(np.sort(row_keys(set_orbit(act.generators, circ[0]))),
                           np.sort(row_keys(circ))):
         raise DesignError("circle set is not a single orbit")
 
-    alpha, alpha_stab = act.base_stabilizer()
-    through, stab = _rows_through(circ, alpha, alpha_stab)
-    distinguished = [o for o in orbits(stab, len(through)) if len(o) == q]
-    if len(distinguished) != 1:
-        raise DesignError(
-            f"expected exactly one distinguished point per circle, found {len(distinguished)}")
-    circle = through[distinguished[0][0]]
-    design = Design(act.degree, set_orbit(act.generators, circle[circle != alpha]))
-
+    base = [i for i, x in enumerate(ov.points) if x[:2] == (1, 0)]
+    design = Design(act.degree, set_orbit(act.generators, base))
     params = verify_2design(design)
     if params != expected.params:
         raise DesignError(f"unexpected parameters {params}")
     report = is_flag_transitive(act, design)
     if not report.flag_transitive:
         raise DesignError("ovoid design is not flag-transitive under Sz(q)")
-    # the base block lies in a unique circle and omits exactly one of its
-    # points; the group permutes both the blocks and the circles
-    # transitively, so this holds for every block
-    meets = np.isin(circ, design.blocks[0]).sum(axis=1)
-    hosts = np.flatnonzero(meets >= 3)
-    if len(hosts) != 1 or meets[hosts[0]] != q:
-        raise DesignError(
-            f"block {tuple(design.blocks[0].tolist())} not a once-punctured circle")
     return SuzukiConstruction(act, design, params, report)
 
 
 def suzuki_design(q: int) -> Design:
-    """The ovoid design 2-(q^2+1, q, q-1): each block is a circle with its
-    distinguished point removed, the one point of the circle that the
-    circle's stabilizer fixes.  Built and verified by
-    `suzuki_construction`."""
+    """The ovoid design 2-(q^2+1, q, q-1), each block a circle less its
+    distinguished point, built and verified by `suzuki_construction`."""
     return suzuki_construction(q).design
 
 

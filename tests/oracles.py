@@ -122,6 +122,17 @@ def scalar_orbits(gens, degree):
     return out
 
 
+def scalar_flag_transitive(gens, blocks):
+    """Whether the group on the blocks, lists of points that it permutes
+    and that cover every point, is transitive on the flags: whether the
+    orbit of one flag (x, B) under (x, B) -> (g(x), sorted g(B)) holds
+    all b*k of them."""
+    start = (blocks[0][0], tuple(sorted(blocks[0])))
+    flags = scalar_row_orbit(
+        gens, start, lambda g, f: (g(f[0]), tuple(sorted(g(x) for x in f[1]))))[0]
+    return len(flags) == len(blocks) * len(blocks[0])
+
+
 def scalar_orbit_stabilizer(gens, x0, apply_fn, target_order, degree):
     """Orbit of x0 under apply_fn(g, x), a dict transversal u_y = u_x g on
     first reach, and the Schreier generators u_x g u_{xg}^-1, x-major then

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftdesigns import bsgs, designs
-from ftdesigns.bsgs import orbits
-from ftdesigns.designs import (Design, ParameterSet, _rows_through, design_to_text,
-                               set_orbit, verify_2design)
+from ftdesigns.designs import (Design, ParameterSet, design_to_text, set_orbit,
+                               suzuki_construction, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ResourceLimitError
 from ftdesigns.perm import Permutation, parse_cycles, point_dtype
-from ftdesigns.suzuki import circles
+from ftdesigns.suzuki import circles, ovoid_points
 
 # sha256 of `design build --name m22 --out` as written by the tuple-based search
 M22_DESIGN_SHA256 = "6a31ed9a33c441ae2662d5a2e27583eded1e6ddb72a96a3fe596c84ebe9c559f"
@@ -196,27 +195,49 @@ def test_set_orbit_is_the_closure_of_the_base_set(case):
         assert np.array_equal(set_orbit(gens, base), whole)
 
 
-def test_distinguished_point_matches_orbit_length_definition(suzuki8):
-    # a circle through alpha is distinguished at alpha, by the definition
-    # that removing alpha leaves a block orbit of length q(q^2+1), exactly
-    # when its orbit under the stabilizer of alpha has length q
-    act, design = suzuki8
-    q, circ = 8, circles(8)
-    longest = q * (q * q + 1)
+@pytest.mark.parametrize("q", [8, 32])
+def test_distinguished_point_matches_orbit_length_definition(q):
+    # the base block is the section x_1 = 0 less (0:0:0:1); check that
+    # choice against the definitions it replaced
+    built = suzuki_construction(q)
+    act, design = built.action, built.design
+    points, circ = ovoid_points(q).points, circles(q)
+    blocks = set(map(tuple, design.blocks.tolist()))
+    section = circ[0].tolist()
+    assert section == [i for i, x in enumerate(points) if x[1] == 0]
+    assert [x for x in section if tuple(y for y in section if y != x) in blocks] \
+        == [points.index((0, 0, 0, 1))]
+    # the first block is a once-punctured circle
+    meets = np.isin(circ, design.blocks[0]).sum(axis=1)
+    assert meets[meets >= 3].tolist() == [q]
+    # a circle through alpha is distinguished at alpha, so that removing
+    # alpha leaves a block, exactly when its orbit under the stabilizer of
+    # alpha has length q
     alpha, alpha_stab = act.base_stabilizer()
-    through, stab = _rows_through(circ, alpha, alpha_stab)
-    by_length = []
-    for i, c in enumerate(through.tolist()):
+    through = set(map(tuple, circ[(circ == alpha).any(axis=1)].tolist()))
+    short, todo = [], set(through)
+    while todo:
+        ob = set(map(tuple, set_orbit(alpha_stab, min(todo)).tolist()))
+        todo -= ob
+        if len(ob) == q:
+            short.append(ob)
+    by_block = {c for c in through if tuple(x for x in c if x != alpha) in blocks}
+    assert len(short) == 1 and short[0] == by_block
+    if q > 8:   # 32,800 rows for each of the 1,056 circles through alpha
+        return
+    # and, by the full-orbit definition, exactly when removing alpha leaves
+    # a block orbit of length b = q(q^2+1)
+    b = q * (q * q + 1)
+    by_length = set()
+    for c in through:
         try:
-            ob = set_orbit(act.generators, [x for x in c if x != alpha], limit=longest)
+            ob = set_orbit(act.generators, [x for x in c if x != alpha], limit=b)
         except ResourceLimitError:
             continue
-        if len(ob) == longest:
-            by_length.append(i)
-    by_orbit = [o for o in orbits(stab, len(through)) if len(o) == q]
-    assert len(by_orbit) == 1 and sorted(by_orbit[0]) == by_length
-    punctured = set_orbit(act.generators, [x for x in through[by_length[0]] if x != alpha])
-    assert np.array_equal(sorted(map(tuple, punctured.tolist())), design.blocks)
+        if len(ob) == b:
+            by_length.add(c)
+            assert np.array_equal(sorted(map(tuple, ob.tolist())), design.blocks)
+    assert by_length == by_block
 
 
 def test_orbit_block_search_finds_the_same_designs(m11_design, m22_design):

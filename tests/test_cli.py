@@ -194,6 +194,32 @@ def test_family_g2_forcing_refuses_a_huge_q_up_front(capsys):
     assert time.perf_counter() - start < 10
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Sets Python's limit on digits of an int-to-str conversion for one
+    test, and restores it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+# the largest exponent e whose q = 2^e prints under a 4300-digit limit, then
+# the one the family first refuses at
+@pytest.mark.parametrize("command, fits, refused", [("g2", 2040, 2041), ("suzuki", 4761, 4763)])
+def test_family_refuses_a_q_past_the_digit_limit_before_any_output(
+        capsys, int_digit_limit, command, fits, refused):
+    int_digit_limit(4300)
+    code, out = call("family", command, "--q", str(2**fits))
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out = call("family", command, "--q", str(2**refused))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: q=2^{refused} gives parameters of more than 4300 digits\n")
+    int_digit_limit(0)    # no limit
+    code, out = call("family", command, "--q", str(2**refused))
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_unknown_subcommand_is_usage_error():
     code, _ = call("frobnicate")
     assert code == 1

@@ -4,7 +4,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ftdesigns import designs
 from ftdesigns.actions import GroupAction
@@ -14,7 +14,8 @@ from ftdesigns.designs import (Design, ParameterSet, block_search, block_stabili
                                is_flag_transitive, iso_check, orbit_block_search,
                                suzuki_design, verify_2design)
 from ftdesigns.errors import DesignError, InputError, ParseError, ResourceLimitError
-from ftdesigns.perm import parse_cycles, point_dtype
+from ftdesigns.perm import Permutation, parse_cycles, point_dtype
+from oracles import scalar_flag_transitive, scalar_orbits, scalar_row_orbit
 
 S4 = [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)]
 
@@ -263,6 +264,45 @@ def test_not_flag_transitive_under_point_stabilizer(m11_design, m11_action12):
     act = GroupAction("M11_0", 12, stab)
     report = is_flag_transitive(act, m11_design)
     assert not report.flag_transitive
+
+
+def test_not_flag_transitive_under_a_point_transitive_group():
+    # D10 is transitive on the 5 points, but the stabilizer of a point, of
+    # order 2, has two orbits on the 4 pairs through it
+    act = GroupAction("D10", 5, [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(2,5)(3,4)", 5)])
+    report = is_flag_transitive(act, Design(5, list(combinations(range(5), 2))))
+    assert (report.flag_transitive, report.r_witness) == (False, 4)
+
+
+def test_a_design_without_blocks_has_no_flag_to_move():
+    report = is_flag_transitive(GroupAction("S4", 4, S4), Design(4, []))
+    assert (report.flag_transitive, report.r_witness) == (True, 0)
+
+
+@st.composite
+def groups_and_block_orbits(draw):
+    """A subgroup of S_n, n <= 6, given by one or two random generators,
+    and a union of one or two of its orbits on k-sets that covers every
+    point."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    gens = draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=2))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    bases = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
+                          min_size=1, max_size=2))
+    blocks = sorted({b for base in bases for b in scalar_row_orbit(
+        gens, tuple(sorted(base)), lambda g, s: tuple(sorted(g(x) for x in s)))[0]})
+    assume(len(set().union(*blocks)) == n)
+    return n, gens, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_and_block_orbits())
+def test_flag_transitivity_matches_the_scalar_flag_orbit(case):
+    n, gens, blocks = case
+    report = is_flag_transitive(GroupAction("G", n, gens), Design(n, blocks))
+    assert report.flag_transitive == scalar_flag_transitive(gens, blocks)
+    transitive = len(scalar_orbits(gens, n)) == 1
+    assert report.r_witness == (len(blocks) * len(blocks[0]) // n if transitive else 0)
 
 
 def test_flag_transitivity_rejects_non_preserving():

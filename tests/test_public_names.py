@@ -1,6 +1,7 @@
 """Every public function, class and method of the package, the demos and
 the benchmark is named somewhere outside its own definition, so none is
-kept alive by its tests alone."""
+kept alive by its tests alone; and no module of the package or the demos
+imports a name it never uses."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -74,6 +75,23 @@ def program_files(root=ROOT):
                    *(root / "perfbench").glob("*.py")])
 
 
+def unused_imports(paths):
+    """`file: name` for each name a module imports and never reads as a
+    `Name`; a string in `__all__` is no use, and `from __future__` binds
+    no name."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                out.extend(f"{path.name}: {name}" for name in
+                           (a.asname or a.name.partition(".")[0] for a in node.names)
+                           if name not in used)
+    return sorted(out)
+
+
 def test_every_public_name_has_a_caller_in_the_program():
     assert unreferenced(program_files()) == []
 
@@ -88,3 +106,18 @@ def test_a_name_used_only_by_itself_is_flagged(tmp_path):
                    "def exported():\n    return 1\n\n"
                    "SPANNED = ['main']\n__all__ = ['exported', 'main']\n")
     assert unreferenced([src]) == ["Box.size", "exported", "loop"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for p in program_files() if p.parent.name != "perfbench"]
+    assert unused_imports(paths) == []
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os, os.path, sys as system\n"
+                   "from json import dumps, loads\n\n"
+                   "__all__ = ['loads']\n\n"
+                   "def f(x: system.Any):\n    return dumps(os.sep)\n")
+    assert unused_imports([src]) == ["mod.py: loads"]
