@@ -4,6 +4,7 @@ Diophantine forcing of the orbit parameters in the even-characteristic
 coset geometry."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import isqrt
 
@@ -59,6 +60,18 @@ def _log2_even_q(q: int) -> int:
     return f
 
 
+def _checked(q, params):
+    """params, once they pass `check_identities`.  A parameter with more
+    digits than Python converts to a string (a limit of 0 is none) is an
+    InputError first, so q is refused before its primality test and before
+    any message prints the number."""
+    digits = sys.get_int_max_str_digits()
+    if digits and max(params.astuple()) >= 10 ** digits:
+        raise InputError(f"q=2^{q.bit_length() - 1} gives parameters of more than {digits} digits")
+    params.check_identities()
+    return params
+
+
 @dataclass
 class FamilyParams:
     family: str
@@ -74,8 +87,7 @@ def suzuki_params(q: int) -> FamilyParams:
     The block count comes from bk = vr; the identities are re-checked on
     the constructed parameter set."""
     _check_q(q)
-    params = ParameterSet(q * q + 1, q * (q * q + 1), q * q, q, q - 1)
-    params.check_identities()
+    params = _checked(q, ParameterSet(q * q + 1, q * (q * q + 1), q * q, q, q - 1))
     return FamilyParams("Suzuki", q, params, f"Mersenne({q - 1})",
                         is_mersenne_prime(q - 1))
 
@@ -84,9 +96,8 @@ def g2_params(q: int) -> FamilyParams:
     """Even-q family: (q^3(q^3-1)/2, (q+1)(q^6-1), (q+1)(q^3+1), q^3/2, q+1)."""
     _log2_even_q(q)
     lam = q + 1
-    params = ParameterSet(q**3 * (q**3 - 1) // 2, lam * (q**6 - 1),
-                          lam * (q**3 + 1), q**3 // 2, lam)
-    params.check_identities()
+    params = _checked(q, ParameterSet(q**3 * (q**3 - 1) // 2, lam * (q**6 - 1),
+                                      lam * (q**3 + 1), q**3 // 2, lam))
     return FamilyParams("G2", q, params, f"Fermat({q + 1})", is_fermat_prime(q + 1))
 
 

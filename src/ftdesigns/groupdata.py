@@ -10,6 +10,9 @@ Catalog text format (line oriented, 1-indexed cycles at the boundary):
     end
     end
 
+A `subgroup` block yields a record of the same type as its group's: a
+`CatalogEntry` with the group's degree, its nr and no subgroups.
+
 The orders table lists every studied group with its maximal subgroup
 orders in the standard descending numbering:
 
@@ -45,28 +48,15 @@ CATALOG_DEGREE_LIMIT = 10_000
 
 
 @dataclass
-class SubgroupData:
-    name: str
-    order: int
-    generators: list[Permutation] = field(default_factory=list)
-    nr: int | None = None
-    _chain: StabilizerChain = field(default=None, repr=False, compare=False)
-
-    @property
-    def chain(self):
-        """The stabilizer chain of the generators, built on first use."""
-        if self._chain is None:
-            self._chain = bsgs_build(self.generators)
-        return self._chain
-
-
-@dataclass
 class CatalogEntry:
+    """A catalog group; a `subgroup` block yields a record of the same
+    type, with its group's degree, its nr and no subgroups of its own."""
     name: str
     degree: int
     order: int
     generators: list[Permutation] = field(default_factory=list)
-    subgroups: list[SubgroupData] = field(default_factory=list)
+    subgroups: list[CatalogEntry] = field(default_factory=list)
+    nr: int | None = None
     _chain: StabilizerChain = field(default=None, repr=False, compare=False)
 
     @property
@@ -152,17 +142,16 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             at = "" if nr is None else f" nr {nr}"
             _once(seen, (entry.name, tokens[1], nr),
                   f"subgroup {tokens[1]!r}{at} under {entry.name}", lineno)
-            entry.subgroups.append(
-                SubgroupData(tokens[1], _positive(tokens[3], "order", lineno), [], nr))
+            entry.subgroups.append(CatalogEntry(
+                tokens[1], entry.degree, _positive(tokens[3], "order", lineno), nr=nr))
         elif kind == "gen":
             if not depth:
                 raise ParseError("gen line outside a group", lineno)
-            entry = entries[-1]
+            entry = entries[-1].subgroups[-1] if depth == 2 else entries[-1]
             try:
-                perm = parse_cycles(" ".join(tokens[1:]), entry.degree)
+                entry.generators.append(parse_cycles(" ".join(tokens[1:]), entry.degree))
             except InputError as exc:
                 raise ParseError(str(exc), lineno) from None
-            (entry.subgroups[-1] if depth == 2 else entry).generators.append(perm)
         elif kind != "end":
             raise ParseError(f"unknown directive {kind!r}", lineno)
     return entries
@@ -194,11 +183,10 @@ class ValidationReport:
 
 def validate_entry(entry: CatalogEntry) -> ValidationReport:
     """Recompute orders and containments; failures are report content."""
-    checks = []
     chain = entry.chain
     got = chain.order()
-    checks.append(ValidationCheck(
-        "group order", got == entry.order, f"declared {entry.order}, computed {got}"))
+    checks = [ValidationCheck(
+        "group order", got == entry.order, f"declared {entry.order}, computed {got}")]
     for s in entry.subgroups:
         if not s.generators:
             divides = entry.order % s.order == 0

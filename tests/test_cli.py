@@ -211,13 +211,47 @@ def test_family_refuses_a_q_past_the_digit_limit_before_any_output(
     int_digit_limit(4300)
     code, out = call("family", command, "--q", str(2**fits))
     assert code == 0 and len(out.splitlines()) == 3
+    start = time.perf_counter()
     code, out = call("family", command, "--q", str(2**refused))
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
         f"error: q=2^{refused} gives parameters of more than 4300 digits\n")
+    assert time.perf_counter() - start < 1
     int_digit_limit(0)    # no limit
     code, out = call("family", command, "--q", str(2**refused))
     assert code == 0 and len(out.splitlines()) == 3
+
+
+# `suzuki build` shares the refusal with `family suzuki`: under the limit a
+# composite 2^e - 1 is refused by its Lucas-Lehmer test, past it q is
+# refused before the test; 2^14009 - 1 would take seconds to test and print
+@pytest.mark.parametrize("exponent, limit, message", [
+    (4761, 4300, f"q-1 = {2**4761 - 1} is not (Mersenne) prime"),
+    (4763, 4300, "q=2^4763 gives parameters of more than 4300 digits"),
+    (4763, 0, f"q-1 = {2**4763 - 1} is not (Mersenne) prime"),
+    (14009, sys.int_info.default_max_str_digits,
+     "q=2^14009 gives parameters of more than 4300 digits"),
+], ids=["fits", "refused", "no-limit", "default-limit"])
+def test_suzuki_build_refuses_a_q_past_the_digit_limit_at_once(
+        capsys, int_digit_limit, exponent, limit, message):
+    int_digit_limit(limit)
+    start = time.perf_counter()
+    code, out = call("suzuki", "build", "--q", str(2**exponent))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_python_m_ftdesigns_refuses_a_huge_q_in_one_line():
+    # a traceback from formatting a number past the digit limit would show
+    # on stderr here, where `main` called in process would raise
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONINTMAXSTRDIGITS="4300")
+    for command in (["suzuki", "build"], ["family", "suzuki"]):
+        proc = subprocess.run([sys.executable, "-m", "ftdesigns", *command, "--q", str(2**9689)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: q=2^9689 gives parameters of more than 4300 digits\n"
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -92,6 +92,20 @@ def test_subgroup_block():
     assert entry.subgroups[0].name == "C3"
     assert entry.subgroups[0].nr == 1
     assert validate_entry(entry).passed
+    # a subgroup is a record of its group's type, with the group's degree
+    sub = entry.subgroups[0]
+    assert type(sub) is type(entry) is groupdata.CatalogEntry
+    assert (sub.degree, sub.order, sub.subgroups, entry.nr) == (3, 3, [], None)
+    assert sub.chain.degree == 3 and sub.chain.order() == 3
+
+
+def test_an_orders_only_subgroup_is_validated_without_a_chain():
+    entry = parse_catalog("group S3 degree 3 order 6\ngen (1,2,3)\ngen (1,2)\n"
+                          "subgroup C2 order 2\nend\nend\n")[0]
+    checks = validate_entry(entry).checks
+    assert [(c.label, c.passed) for c in checks] == [
+        ("group order", True), ("subgroup C2: no generators", True)]
+    assert entry.subgroups[0]._chain is None
 
 
 def test_round_trip_canonical():
